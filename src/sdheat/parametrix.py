@@ -251,7 +251,7 @@ class ParametrixSolver:
     Kernel matrices are produced by vectorised scaled-Bessel batches;
     a small bounded cache serves repeated point queries while the big
     transient batches (one per ladder target) are dropped as soon as
-    they are consumed.  A built solver is read-only and safe to share.
+    they are consumed.
     """
 
     _CACHE_CAP = 160

@@ -67,6 +67,23 @@ class TestIvScaled:
                 assert mat[n, j] == pytest.approx(bessel.iv_scaled(n, float(r)),
                                                   rel=1e-12, abs=1e-300)
 
+    def test_matrix_edge_batches(self):
+        assert bessel.iv_scaled_matrix(7, np.array([])).shape == (8, 0)
+        for rs in (np.zeros(3), np.array([0.0, 2.5, 0.0, 400.0])):
+            mat = bessel.iv_scaled_matrix(7, rs)
+            assert mat.shape == (8, rs.size)
+            zero_cols = mat[:, rs == 0.0]
+            assert np.all(zero_cols[0] == 1.0) and not np.any(zero_cols[1:])
+
+    def test_tiny_argument(self):
+        # e^{-r} I_n(r) = (r/2)^n / n! to double precision once r^2 << 1
+        for r in (1e-120, 1e-300):
+            want = [(r / 2.0) ** n / math.factorial(n) for n in range(3)]
+            mat = bessel.iv_scaled_matrix(2, np.array([r, 50.0]))
+            for n in range(3):
+                assert bessel.iv_scaled(n, r) == pytest.approx(want[n], rel=1e-13, abs=0.0)
+                assert mat[n, 0] == pytest.approx(want[n], rel=1e-13, abs=0.0)
+
 
 class TestQuadratureOracle:
     def test_at_zero(self):
@@ -85,6 +102,18 @@ class TestQuadratureOracle:
                 iv = bessel.iv_scaled(n, r)
                 q = bessel.iv_scaled_quadrature(n, r)
                 assert abs(iv - q) <= 1e-10 * max(iv, 1e-300)
+
+    def test_matrix_against_oracle(self):
+        # the batch route the parametrix uses, as one mixed batch so the
+        # small arguments share the sweep length set by the largest;
+        # 29.9/30/30.1 straddle the former series/recurrence cutoff
+        rs = np.concatenate([np.logspace(-3, 3, 13), [29.9, 30.0, 30.1]])
+        orders = (0, 1, 6, 17, 33, 60)
+        mat = bessel.iv_scaled_matrix(60, rs)
+        for j, r in enumerate(rs):
+            for n in orders:
+                q = bessel.iv_scaled_quadrature(n, float(r))
+                assert abs(mat[n, j] - q) <= 1e-10 * max(q, 1e-300), (n, r)
 
     def test_mpmath_independent_check(self):
         # third route: arbitrary-precision library evaluation

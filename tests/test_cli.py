@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +44,7 @@ class TestKernel:
         for out in (a, b):
             run_cli("kernel", "--dim", "1", "--dx", "0.25", "--c", "1.5",
                     "--t", "0.3", "--radius", "48", "--out", out)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestCompare:
@@ -64,7 +65,7 @@ class TestGammaOracleCompare:
         o_out = str(tmp_path / "oracle.csv")
         assert run_cli("gamma", *common, "--quad-nodes", "32", "--out", g_out) == 0
         assert run_cli("oracle", *common, "--tol", "1e-10", "--out", o_out) == 0
-        sidecar = json.load(open(g_out + ".json"))
+        sidecar = json.loads(Path(g_out + ".json").read_text())
         assert set(sidecar) == {"m_max", "fitted_C3", "quad_nodes", "tail_estimate"}
         assert run_cli("compare", "--a", g_out, "--b", o_out, "--dx", "0.25") == 0
         payload = json.loads(capsys.readouterr().out)
@@ -80,7 +81,7 @@ class TestSolve:
                        "--potential", "const:0.5", "--time", "0.1",
                        "--quad-nodes", "16", "--out", out)
         assert code == 0
-        report = json.load(open(out + ".json"))
+        report = json.loads(Path(out + ".json").read_text())
         assert report["panels"] >= 1
         col = read_column(out + ".t1.csv")
         # crude sanity: damping acts (exact comparison is in the solver tests)
@@ -91,7 +92,7 @@ class TestVerifySubcommand:
     def test_mass_suite_passes(self, tmp_path):
         out = str(tmp_path / "rep.json")
         assert run_cli("verify", "--suite", "mass", "--out", out) == 0
-        rep = json.load(open(out))
+        rep = json.loads(Path(out).read_text())
         assert rep["pass"] is True
         assert rep["suite"] == "mass"
         assert "config_echo" in rep
@@ -105,7 +106,7 @@ class TestVerifySubcommand:
     def test_thread_cap_flag(self, tmp_path):
         out = str(tmp_path / "rep.json")
         assert run_cli("--threads", "2", "verify", "--suite", "mass", "--out", out) == 0
-        assert json.load(open(out))["pass"] is True
+        assert json.loads(Path(out).read_text())["pass"] is True
 
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SDHEAT_THREADS", "2")
@@ -115,9 +116,9 @@ class TestVerifySubcommand:
     def test_report_determinism(self, tmp_path):
         out = str(tmp_path / "rep.json")
         run_cli("verify", "--suite", "mass", "--seed", "7", "--out", out)
-        first = open(out, "rb").read()
+        first = Path(out).read_bytes()
         run_cli("verify", "--suite", "mass", "--seed", "7", "--out", out)
-        assert open(out, "rb").read() == first
+        assert Path(out).read_bytes() == first
 
 
 class TestEntryPoint:

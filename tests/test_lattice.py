@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,7 +265,7 @@ class TestSerialization:
         g = GridSpec(dx=1.0, dim=2, radius=1)
         path = str(tmp_path / "f.csv")
         field_to_csv(Field.dirac(g), path)
-        header = open(path).readline().strip()
+        header = Path(path).read_text().splitlines()[0].strip()
         assert header == "alpha_1,alpha_2,value"
 
     def test_two_point_schema(self, tmp_path):
@@ -272,7 +273,7 @@ class TestSerialization:
         g = GridSpec(dx=1.0, dim=1, radius=1)
         path = str(tmp_path / "g.csv")
         two_point_to_csv(TwoPointField.dirac(g), path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "alpha_1,beta_1,value"
         assert len(lines) == 1 + g.site_count**2
         assert lines[1].split(",") == ["-1", "-1", "1"]
