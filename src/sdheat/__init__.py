@@ -53,7 +53,6 @@ from .parametrix import (
     frozen_kernel,
     gamma,
     k1,
-    k_iterate,
     k_matrix,
     phi,
     propagation_defect,

@@ -28,17 +28,15 @@ import numpy as np
 
 from . import oracle, verify
 from .heat_const import ConstCoeffs, kernel_slice, recommended_radius
-from .lattice import Field, GridSpec, field_from_csv, field_to_csv, lp_norm
+from .lattice import Field, GridSpec, _atomic_write, field_from_csv, field_to_csv, lp_norm
 from .parametrix import Coefficients, ParametrixSolver
 from .quadrature import TimeQuadrature
 from .solver import CauchyProblem, SolveReport, solve_inhomogeneous, solve_with_potential
 
-THREAD_ENV = "SDHEAT_THREADS"
-
 
 @dataclass
 class RunConfig:
-    """Echoable, round-trippable record of a parsed invocation."""
+    """Echoable record of a parsed invocation; ``to_json`` is deterministic."""
 
     subcommand: str
     options: dict = field(default_factory=dict)
@@ -46,25 +44,13 @@ class RunConfig:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        data = json.loads(text)
-        return cls(subcommand=data["subcommand"], options=data["options"])
-
 
 def _write_json(path: str | None, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
     if path is None:
         print(text)
         return
-    tmp = f"{path}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    _atomic_write(path, lambda fh: fh.write(text))
 
 
 def _parse_expression(expr: str, grid: GridSpec, kind: str) -> np.ndarray:
@@ -247,7 +233,7 @@ def cmd_verify(args, config: RunConfig) -> int:
     if args.suite not in verify.SUITES:
         return _usage_error(f"unknown suite {args.suite!r}; choose from {', '.join(verify.SUITES)}")
     np.random.seed(args.seed)
-    rep = verify.run_suite(args.suite, threads=args.threads)
+    rep = verify.run_suite(args.suite)
     # keep the written report byte-deterministic; timing goes to stderr
     runtime = rep["metrics"].pop("runtime_s", None)
     if runtime is not None:
@@ -260,9 +246,6 @@ def cmd_verify(args, config: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sdheat",
                                  description="semi-discrete heat kernels: compute, verify, compare")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get(THREAD_ENV, "1")),
-                    help=f"worker thread cap (default from ${THREAD_ENV} or 1)")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("kernel", help="constant-coefficient kernel slice")

@@ -28,8 +28,7 @@ from scipy import signal
 
 BOUNDARIES = ("periodic-wrap", "zero-extension")
 
-#: Dense two-point storage is allowed up to this many entries; beyond it
-#: the field must stay lazy (evaluator-backed).
+#: Dense two-point storage is allowed up to this many entries.
 DENSE_BUDGET = 2**26
 
 
@@ -176,31 +175,19 @@ class Field:
 
 
 class TwoPointField:
-    """A kernel G_{a,b}: one value per ordered pair of box indices.
+    """A kernel G_{a,b}: one value per ordered pair of box indices, held
+    as a read-only dense (sites x sites) matrix in row-major flat order."""
 
-    Backed either by a dense (sites x sites) matrix in row-major flat
-    order, or by a lazy evaluator with an evaluation budget.  Both views
-    agree pointwise; ``dense()`` materialises the lazy form if the dense
-    budget permits.
-    """
-
-    def __init__(self, grid: GridSpec, matrix: np.ndarray | None = None,
-                 evaluate: Callable[[tuple[int, ...], tuple[int, ...]], float] | None = None,
-                 budget: int = DENSE_BUDGET):
-        if (matrix is None) == (evaluate is None):
-            raise ValueError("exactly one of matrix/evaluate must be given")
+    def __init__(self, grid: GridSpec, matrix: np.ndarray):
+        matrix = np.asarray(matrix, dtype=float)
+        n = grid.site_count
+        if matrix.shape != (n, n):
+            raise ValueError(f"matrix shape {matrix.shape}, expected {(n, n)}")
+        if matrix.size > DENSE_BUDGET:
+            raise ValueError(f"dense storage of {matrix.size} entries exceeds budget {DENSE_BUDGET}")
+        matrix = matrix.copy()
+        matrix.setflags(write=False)
         self.grid = grid
-        self.budget = int(budget)
-        self._evaluate = evaluate
-        if matrix is not None:
-            matrix = np.asarray(matrix, dtype=float)
-            n = grid.site_count
-            if matrix.shape != (n, n):
-                raise ValueError(f"matrix shape {matrix.shape}, expected {(n, n)}")
-            if matrix.size > self.budget:
-                raise ValueError(f"dense storage of {matrix.size} entries exceeds budget {self.budget}")
-            matrix = matrix.copy()
-            matrix.setflags(write=False)
         self._matrix = matrix
 
     @classmethod
@@ -213,34 +200,15 @@ class TwoPointField:
         n = grid.site_count
         return cls(grid, matrix=np.eye(n) * grid.dx ** (-grid.dim))
 
-    @property
-    def is_dense(self) -> bool:
-        return self._matrix is not None
-
     def dense(self) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix
-        n = self.grid.site_count
-        if n * n > self.budget:
-            raise ValueError(f"materialising {n * n} entries exceeds the evaluation budget {self.budget}")
-        idx = list(self.grid.index_iter())
-        mat = np.empty((n, n))
-        for i, a in enumerate(idx):
-            for k, b in enumerate(idx):
-                mat[i, k] = self._evaluate(a, b)
-        self._matrix = mat
-        mat.setflags(write=False)
-        return mat
+        return self._matrix
 
     def value(self, alpha: Sequence[int], beta: Sequence[int]) -> float:
-        if self._matrix is not None:
-            return float(self._matrix[self.grid.flat_index(alpha), self.grid.flat_index(beta)])
-        return float(self._evaluate(tuple(alpha), tuple(beta)))
+        return float(self._matrix[self.grid.flat_index(alpha), self.grid.flat_index(beta)])
 
     def column(self, beta: Sequence[int]) -> Field:
         """The slice a -> G_{a, beta} as a Field."""
-        mat = self.dense()
-        col = mat[:, self.grid.flat_index(beta)]
+        col = self._matrix[:, self.grid.flat_index(beta)]
         return Field(self.grid, col.reshape(self.grid.shape))
 
 

@@ -137,11 +137,17 @@ def gamma_oracle(coeffs: Coefficients, beta: Sequence[int], t: float,
 def evolve_with_potential(coeffs: Coefficients, potential: np.ndarray | None,
                           source: np.ndarray | None, t: float, psi: Field,
                           tol: float = 1e-10) -> Field:
-    """Direct integration of u' = L u - Y u + f for constant-in-time f."""
+    """Direct integration of u' = L u - Y u + f for constant-in-time f.
+
+    Y must be nonnegative: then L - Y is still an l-infinity contraction,
+    which the tolerance certificate rests on.
+    """
     gen = Generator(coeffs)
     y = None if potential is None else np.asarray(potential, dtype=float)
     if y is not None and y.shape != coeffs.grid.shape:
         raise ValueError("potential shape mismatch")
+    if y is not None and not np.all(y >= 0.0):
+        raise ValueError(f"potential must be nonnegative, min is {float(y.min())}")
 
     def apply_op(values: np.ndarray) -> np.ndarray:
         out = gen.apply(values)

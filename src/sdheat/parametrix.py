@@ -15,19 +15,21 @@ and their sum Phi = sum_m K^(m).  The fundamental solution is then
 
     Gamma(t) = A(t) + int_0^t A(t-s) * Phi(s) ds.
 
-Numerically, one fixed set of graded Gauss nodes on (0, horizon) serves
-every time integral: the outer Gamma integral uses the Gauss weights
-directly, while the iterated K^(m) integrals over (0, s_i) use
-product-trapezoid (Volterra) weights on the shared nodes below s_i.
-K itself is analytic in time, so the convolution kernels K(s_i - s_q)
-are evaluated exactly at every node pair; only the recursive factors
-are restricted to the node set.  The per-order sup norms decay like
+Numerically, one fixed set of graded Gauss panels on (0, horizon) serves
+every time integral, and one routine (``_convolve``) evaluates them all:
+the K^(m) iterates at every node, and Gamma as a matrix, as one column
+or applied to a vector.  Panels well below the target time keep their
+Gauss weights; the last few boundary-layer widths below it are
+integrated in tau = t - s at fresh Gauss points, where the kernel is
+evaluated exactly and the smooth recursive factor is interpolated inside
+its panel.  The per-order sup norms decay like
 C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order is chosen by
 fitting C and C3 to the measured norms and summing the analytic tail.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -37,7 +39,7 @@ import numpy as np
 from . import bessel
 from .heat_const import ConstCoeffs, kernel_1d, kernel_nd
 from .lattice import Field, GridSpec, TwoPointField, shift_array
-from .quadrature import TimeQuadrature, _lagrange_weights, gauss_legendre, product_weights
+from .quadrature import TimeQuadrature, _lagrange_weights, gauss_legendre
 
 _M_CAP = 20
 
@@ -139,9 +141,6 @@ class PhiSeries:
     fitted_c3: float
     tail_estimate: float
 
-    def value_field(self, q: int) -> TwoPointField:
-        return TwoPointField.from_matrix(self.grid, self.values[q])
-
 
 def frozen_kernel(alpha: Sequence[int], beta: Sequence[int], t: float,
                   coeffs: Coefficients) -> float:
@@ -216,8 +215,9 @@ class _ConvSegment:
 class _ConvPlan:
     """Integration plan for int_0^t F(t-s) G(s) ds on the ladder nodes.
 
-    Panels far enough below the target contribute through their Gauss
-    weights (``full_idx``).  The remainder (within a few layer widths of
+    Panels far enough below the target t contribute through their Gauss
+    nodes ``full_idx``, at kernel times ``full_tau`` = t - s_q with the
+    weights ``full_w``.  The remainder (within a few layer widths of
     t, which may span panel edges) is handled in the variable
     tau = t - s: F, which carries the dx^2-scale layer at tau = 0, is
     evaluated exactly at fresh Gauss points on geometrically growing tau
@@ -227,7 +227,37 @@ class _ConvPlan:
 
     panel: int
     full_idx: np.ndarray
+    full_tau: np.ndarray
+    full_w: np.ndarray
     segments: list[_ConvSegment]
+
+    def kernel_times(self) -> list[float]:
+        """Every tau at which the plan evaluates the kernel F(tau)."""
+        times = [float(tau) for tau in self.full_tau]
+        for seg in self.segments:
+            times += [float(tp) for tp in seg.tau_pts]
+        return times
+
+
+def _convolve(plan: _ConvPlan, kernels: dict[float, np.ndarray],
+              block: Callable[[int], np.ndarray], out: np.ndarray, scale: float) -> np.ndarray:
+    """Add scale * int_0^t F(t-s) G(s) ds along ``plan`` to ``out`` and return it.
+
+    ``kernels`` maps each time of ``plan.kernel_times()`` to the matrix
+    F(tau); ``block(q)`` is G at node q, shaped like ``out``: a matrix
+    (K^(m-1) or Phi) or a vector (Phi_q v).  Full panels use their Gauss
+    weights; each tau segment interpolates G from its panel's nodes.
+    """
+    for q, tau, w in zip(plan.full_idx, plan.full_tau, plan.full_w):
+        out += (w * scale) * (kernels[float(tau)] @ block(q))
+    for seg in plan.segments:
+        for p, tp in enumerate(seg.tau_pts):
+            g = np.zeros_like(out)
+            for c, node_i in enumerate(seg.panel_idx):
+                if seg.interp[p, c] != 0.0:
+                    g += seg.interp[p, c] * block(node_i)
+            out += (seg.tau_w[p] * scale) * (kernels[float(tp)] @ g)
+    return out
 
 
 @dataclass
@@ -248,10 +278,10 @@ class _Ladder:
 class ParametrixSolver:
     """Builds frozen kernels, the correction ladder, and Gamma.
 
-    Kernel matrices are produced by vectorised scaled-Bessel batches;
-    a small bounded cache serves repeated point queries while the big
-    transient batches (one per ladder target) are dropped as soon as
-    they are consumed.
+    Kernel matrices are produced by vectorised scaled-Bessel batches, one
+    per ladder panel group or Gamma assembly, and dropped as soon as they
+    are consumed.  Built ladders are kept per horizon, and a bounded
+    cache keeps the ``gamma_operator`` matrices.
     """
 
     _CACHE_CAP = 160
@@ -269,8 +299,6 @@ class ParametrixSolver:
             raise ValueError(f"two-point storage {n}x{n} exceeds the dense budget")
         self._cflat = [coeffs.flat(j) for j in range(self.grid.dim)]
         self._offabs = self._offset_tables()
-        self._A: dict[float, np.ndarray] = {}
-        self._K: dict[float, np.ndarray] = {}
         self._gamma_ops: dict[tuple[float, float], np.ndarray] = {}
         self._ladders: dict[float, _Ladder] = {}
 
@@ -364,30 +392,15 @@ class ParametrixSolver:
             out += (self._cflat[j][:, None] - self._cflat[j][None, :]) * d2
         return out
 
-    def _cache_put(self, cache: dict, key: float, value: np.ndarray) -> None:
-        if len(cache) >= self._CACHE_CAP:
-            cache.pop(next(iter(cache)))
-        cache[key] = value
-
     def kernel_matrix(self, t: float) -> np.ndarray:
         """Frozen-kernel matrix A_{a,b}(t) (dense, flat layout)."""
-        t = float(t)
-        got = self._A.get(t)
-        if got is None:
-            got = self._batch_kernels([t])[t]
-            self._cache_put(self._A, t, got)
-        return got
+        return self._batch_kernels([t])[float(t)]
 
     def correction_matrix(self, t: float) -> np.ndarray:
         """Correction kernel matrix K(t); requires t > 0."""
-        t = float(t)
-        got = self._K.get(t)
-        if got is None:
-            if not t > 0:
-                raise ValueError(f"time must be positive, got {t}")
-            got = self._correction_from(self.kernel_matrix(t))
-            self._cache_put(self._K, t, got)
-        return got
+        if not t > 0:
+            raise ValueError(f"time must be positive, got {t}")
+        return self._correction_from(self.kernel_matrix(t))
 
     # -- the K^(m) ladder ------------------------------------------------------
 
@@ -403,7 +416,8 @@ class ParametrixSolver:
         # endpoint boundary-layer width of the kernel integrands
         return self.grid.dx**2 / (2.0 * self.coeffs.cbar)
 
-    def _conv_plan(self, t: float, nodes: np.ndarray, bp: np.ndarray, ppp: int) -> _ConvPlan:
+    def _conv_plan(self, t: float, nodes: np.ndarray, weights: np.ndarray,
+                   bp: np.ndarray, ppp: int) -> _ConvPlan:
         """Integration plan for a target t in (0, horizon]."""
         k = int(np.searchsorted(bp, t, side="left")) - 1
         k = min(max(k, 0), bp.size - 2)
@@ -441,7 +455,7 @@ class ParametrixSolver:
             abscissae = nodes[panel_idx]
             interp = np.array([_lagrange_weights(abscissae, t - tp) for tp in tau_pts])
             segments.append(_ConvSegment(tau_pts, tau_w, interp, panel_idx))
-        return _ConvPlan(k, full_idx, segments)
+        return _ConvPlan(k, full_idx, t - nodes[full_idx], weights[full_idx], segments)
 
     def _build_ladder(self, horizon: float) -> _Ladder:
         if not horizon > 0:
@@ -459,7 +473,7 @@ class ParametrixSolver:
             return _Ladder(horizon, nodes, weights, bp, ppp, phi_nodes,
                            1, [0.0], 0.0, 0.0, 0.0)
 
-        plans = [self._conv_plan(float(x), nodes, bp, ppp) for x in xs]
+        plans = [self._conv_plan(float(x), nodes, weights, bp, ppp) for x in xs]
         by_panel: dict[int, list[int]] = {}
         for i, plan in enumerate(plans):
             by_panel.setdefault(plan.panel, []).append(i)
@@ -467,33 +481,21 @@ class ParametrixSolver:
 
         def add_orders(lo: int, hi: int) -> None:
             for m in range(lo, hi + 1):
-                store[m] = [np.zeros_like(k1_list[0]) for _ in xs]
+                store[m] = [None] * xs.size
             for k in sorted(by_panel):
                 targets = by_panel[k]
                 # kernels of this panel group, built once and shared by orders
                 times = set()
                 for i in targets:
-                    plan = plans[i]
-                    times.update(float(xs[i] - nodes[q]) for q in plan.full_idx)
-                    for seg in plan.segments:
-                        times.update(float(tp) for tp in seg.tau_pts)
+                    times.update(plans[i].kernel_times())
                 amap_k = self._batch_kernels(sorted(times))
                 kmat = {t: self._correction_from(a) for t, a in amap_k.items()}
                 del amap_k
                 for m in range(lo, hi + 1):
                     prev = store[m - 1]
                     for i in targets:
-                        plan = plans[i]
-                        acc = np.zeros_like(k1_list[0])
-                        for q in plan.full_idx:
-                            acc += weights[q] * (kmat[float(xs[i] - nodes[q])] @ prev[q])
-                        for seg in plan.segments:
-                            for p, tp in enumerate(seg.tau_pts):
-                                g = np.zeros_like(k1_list[0])
-                                for c, node_i in enumerate(seg.panel_idx):
-                                    if seg.interp[p, c] != 0.0:
-                                        g += seg.interp[p, c] * prev[node_i]
-                                acc += seg.tau_w[p] * (kmat[float(tp)] @ g)
+                        acc = _convolve(plans[i], kmat, prev.__getitem__,
+                                        np.zeros_like(k1_list[0]), 1.0)
                         store[m][i] = acc * vol
 
         m_done = 1
@@ -545,47 +547,35 @@ class ParametrixSolver:
 
     # -- Gamma -----------------------------------------------------------------
 
-    def _gamma_ladder_for(self, t: float, horizon: float | None) -> _Ladder:
-        lad = self.ladder(float(horizon) if horizon is not None else float(t))
+    def _gamma(self, t: float, horizon: float | None, rhs: np.ndarray | None) -> np.ndarray:
+        """Gamma(t) from the ladder on (0, horizon], horizon defaulting to t:
+        the matrix when ``rhs`` is None, else the matrix product Gamma(t) @ rhs."""
+        t = float(t)
+        if t < 0:
+            raise ValueError(f"time must be nonnegative, got {t}")
+        vol = self.grid.cell_volume
+        if t == 0.0:
+            dirac = np.eye(self.grid.site_count) / vol
+            return dirac if rhs is None else dirac @ rhs
+        lad = self.ladder(t if horizon is None else float(horizon))
         if t > lad.horizon * (1.0 + 1e-12):
             raise ValueError(f"time {t} beyond ladder horizon {lad.horizon}")
-        return lad
-
-    def _gamma_from_ladder(self, t: float, lad: _Ladder,
-                           column: int | None = None) -> np.ndarray:
-        """Gamma(t) (matrix, or one column) from a built ladder."""
-        vol = self.grid.cell_volume
-        plan = self._conv_plan(t, lad.nodes, lad.breakpoints, lad.ppp)
-        times = [float(t - lad.nodes[q]) for q in plan.full_idx] + [float(t)]
-        for seg in plan.segments:
-            times += [float(tp) for tp in seg.tau_pts]
-        amap = self._batch_kernels(times)
-
-        def phi_part(q: int) -> np.ndarray:
-            mat = lad.phi_nodes[q]
-            return mat if column is None else mat[:, column]
-
-        out = amap[float(t)].copy() if column is None else amap[float(t)][:, column].copy()
-        for q in plan.full_idx:
-            out += lad.weights[q] * (amap[float(t - lad.nodes[q])] @ phi_part(q)) * vol
-        for seg in plan.segments:
-            for p, tp in enumerate(seg.tau_pts):
-                g = None
-                for c, node_i in enumerate(seg.panel_idx):
-                    term = seg.interp[p, c] * phi_part(int(node_i))
-                    g = term if g is None else g + term
-                out += seg.tau_w[p] * (amap[float(tp)] @ g) * vol
-        return out
+        plan = self._conv_plan(t, lad.nodes, lad.weights, lad.breakpoints, lad.ppp)
+        amap = self._batch_kernels(plan.kernel_times() + [t])
+        if rhs is None:
+            return _convolve(plan, amap, lad.phi_nodes.__getitem__, amap[t].copy(), vol)
+        phi_rhs = functools.cache(lambda q: lad.phi_nodes[q] @ rhs)
+        return _convolve(plan, amap, phi_rhs, amap[t] @ rhs, vol)
 
     def gamma_matrix(self, t: float) -> np.ndarray:
         """Full fundamental-solution matrix at time t (own horizon)."""
-        return self._gamma_from_ladder(float(t), self.ladder(t))
+        return self._gamma(t, None, None)
 
     def gamma_column(self, beta: Sequence[int], t: float) -> Field:
-        """One column a -> Gamma_{a, beta}(t) as a Field."""
-        col = self._gamma_from_ladder(float(t), self.ladder(t),
-                                      column=self.grid.flat_index(beta))
-        return Field(self.grid, col.reshape(self.grid.shape))
+        """One column a -> Gamma_{a, beta}(t) as a Field (own horizon)."""
+        unit = np.zeros(self.grid.site_count)
+        unit[self.grid.flat_index(beta)] = 1.0
+        return Field(self.grid, self._gamma(t, None, unit).reshape(self.grid.shape))
 
     def gamma_apply(self, t: float, v: np.ndarray, horizon: float | None = None) -> np.ndarray:
         """Convolution application sum_b Gamma_{a,b}(t) v_b dx^d.
@@ -595,37 +585,7 @@ class ParametrixSolver:
         handled by the layer-resolving tau rule of the plan.
         """
         v = np.asarray(v, dtype=float).reshape(-1)
-        vol = self.grid.cell_volume
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        if t == 0.0:
-            return v.copy()
-        lad = self._gamma_ladder_for(t, horizon)
-        plan = self._conv_plan(float(t), lad.nodes, lad.breakpoints, lad.ppp)
-        times = [float(t - lad.nodes[q]) for q in plan.full_idx] + [float(t)]
-        for seg in plan.segments:
-            times += [float(tp) for tp in seg.tau_pts]
-        amap = self._batch_kernels(times)
-        out = amap[float(t)] @ v * vol
-        phi_v: dict[int, np.ndarray] = {}
-
-        def phi_apply(q: int) -> np.ndarray:
-            got = phi_v.get(q)
-            if got is None:
-                got = lad.phi_nodes[q] @ v
-                phi_v[q] = got
-            return got
-
-        for q in plan.full_idx:
-            out += lad.weights[q] * (amap[float(t - lad.nodes[q])] @ phi_apply(int(q))) * vol * vol
-        for seg in plan.segments:
-            for p, tp in enumerate(seg.tau_pts):
-                g = np.zeros_like(v)
-                for c, node_i in enumerate(seg.panel_idx):
-                    if seg.interp[p, c] != 0.0:
-                        g += seg.interp[p, c] * phi_apply(int(node_i))
-                out += seg.tau_w[p] * (amap[float(tp)] @ g) * vol * vol
-        return out
+        return self._gamma(t, horizon, v) * self.grid.cell_volume
 
     def gamma_operator(self, t: float, horizon: float | None = None) -> np.ndarray:
         """The Gamma(t) matrix under a given ladder horizon, cached.
@@ -635,15 +595,11 @@ class ParametrixSolver:
         """
         key = (float(t), float(horizon) if horizon is not None else float(t))
         got = self._gamma_ops.get(key)
-        if got is not None:
-            return got
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        if t == 0.0:
-            got = np.eye(self.grid.site_count) / self.grid.cell_volume
-        else:
-            got = self._gamma_from_ladder(float(t), self._gamma_ladder_for(t, key[1]))
-        self._cache_put(self._gamma_ops, key, got)
+        if got is None:
+            got = self._gamma(t, key[1], None)
+            if len(self._gamma_ops) >= self._CACHE_CAP:
+                self._gamma_ops.pop(next(iter(self._gamma_ops)))
+            self._gamma_ops[key] = got
         return got
 
     def propagation_defect(self, s: float, t: float) -> float:
@@ -655,11 +611,6 @@ class ParametrixSolver:
         g_s = self.gamma_matrix(s)
         g_ts = self.gamma_matrix(t - s)
         return float(np.abs(g_t - g_s @ g_ts * vol).max()) * vol
-
-
-def _restricted_weights(nodes: np.ndarray, t: float) -> np.ndarray:
-    """Product weights over the nodes below t for int_0^t."""
-    return product_weights(nodes, t)
 
 
 def _fit_growth(norms: Sequence[float], horizon: float) -> tuple[float, float]:
@@ -705,36 +656,6 @@ def k_matrix(coeffs: Coefficients, t: float) -> TwoPointField:
     """The correction kernel K(t) as a TwoPointField."""
     solver = ParametrixSolver(coeffs)
     return TwoPointField.from_matrix(coeffs.grid, solver.correction_matrix(t))
-
-
-def k_iterate(prev_on_nodes: Sequence[np.ndarray], nodes: Sequence[float],
-              coeffs: Coefficients, t: float,
-              solver: ParametrixSolver | None = None) -> TwoPointField:
-    """One ladder step: K^(m)(t) from K^(m-1) sampled on ascending nodes.
-
-    The nodes must lie strictly inside (0, t); the product-trapezoid
-    weights integrate over (0, t) using exactly those samples together
-    with exact evaluations of K(t - s_q).
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 1 or (nodes.size > 1 and np.any(np.diff(nodes) <= 0)):
-        raise ValueError("nodes must be strictly ascending")
-    if len(prev_on_nodes) != nodes.size:
-        raise ValueError(f"{len(prev_on_nodes)} sample matrices for {nodes.size} nodes")
-    if nodes.size and not (nodes[0] > 0 and nodes[-1] < t):
-        raise ValueError("nodes must lie strictly inside (0, t)")
-    solver = solver or ParametrixSolver(coeffs)
-    w = _restricted_weights(nodes, t)
-    vol = coeffs.grid.cell_volume
-    n_sites = coeffs.grid.site_count
-    acc = np.zeros((n_sites, n_sites))
-    for q in range(nodes.size):
-        prev = np.asarray(prev_on_nodes[q], dtype=float)
-        if prev.shape != acc.shape:
-            raise ValueError("sample matrix shape mismatch")
-        if w[q] != 0.0:
-            acc += w[q] * (solver.correction_matrix(float(t - nodes[q])) @ prev)
-    return TwoPointField.from_matrix(coeffs.grid, acc * vol)
 
 
 def phi(coeffs: Coefficients, horizon: float, quad: TimeQuadrature | None = None,

@@ -1,4 +1,4 @@
-"""Time quadrature on (0, t): graded composite rules and Volterra weights.
+"""Time quadrature on (0, t): graded composite Gauss rules and collocation data.
 
 The integrands met here (kernel convolutions in time) are smooth inside
 (0, t) but lose derivatives at both endpoints on the dx^2 time scale, so
@@ -93,58 +93,6 @@ class TimeQuadrature:
         return np.concatenate(s_list), np.concatenate(w_list), bp, ppp
 
 
-def _quadratic_integrals(z: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Integrals over [a, b] of the three Lagrange basis polynomials on z."""
-    out = np.empty(3)
-    for j in range(3):
-        others = [z[k] for k in range(3) if k != j]
-        denom = (z[j] - others[0]) * (z[j] - others[1])
-        p, q = others
-        def anti(x):
-            return x**3 / 3.0 - (p + q) * x**2 / 2.0 + p * q * x
-        out[j] = (anti(b) - anti(a)) / denom
-    return out
-
-
-def product_weights(nodes: np.ndarray, t: float) -> np.ndarray:
-    """Product-integration weights for int_0^t g from samples at ``nodes``.
-
-    Interior gaps integrate the local parabola through three neighbouring
-    nodes (third order); the end segments (0, s_0) and (s_last, t) use
-    constant extension, which the grading keeps harmless because the end
-    gaps are the finest.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    n = nodes.size
-    w = np.zeros(n)
-    if n == 0:
-        return w
-    w[0] += nodes[0]
-    w[n - 1] += t - nodes[n - 1]
-    if n == 1:
-        return w
-    if n == 2:
-        w[0] += 0.5 * (nodes[1] - nodes[0])
-        w[1] += 0.5 * (nodes[1] - nodes[0])
-        return w
-    for q in range(n - 1):
-        lo = q - 1 if q >= 1 else 0
-        lo = min(lo, n - 3)
-        stencil = np.array([lo, lo + 1, lo + 2])
-        w[stencil] += _quadratic_integrals(nodes[stencil], nodes[q], nodes[q + 1])
-    return w
-
-
-def volterra_weights(times: np.ndarray) -> list[np.ndarray]:
-    """Per-target product weights on a fixed ascending node set.
-
-    ``W[i]`` has length i and approximates int_0^{s_i} g(u) du from the
-    samples g(s_0 .. s_{i-1}) via ``product_weights``.
-    """
-    times = np.asarray(times, dtype=float)
-    return [product_weights(times[:i], float(times[i])) for i in range(times.size)]
-
-
 @lru_cache(maxsize=16)
 def collocation_rule(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spectral Volterra collocation data on the reference panel [0, 1].
@@ -184,7 +132,3 @@ def collocation_inner_weights(p: int) -> np.ndarray:
     x = 0.5 * (xg + 1.0)
     return 0.5 * x[:, None] * wg[None, :]
 
-
-def panel_error_decay(values: list[float]) -> bool:
-    """True when successive refinement errors are non-increasing."""
-    return all(b <= a * (1.0 + 1e-12) for a, b in zip(values, values[1:]))

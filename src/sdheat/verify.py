@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -40,26 +39,19 @@ def _report(suite: str, ok: bool, metrics: dict, config: dict) -> dict:
 
 # -- constant-coefficient kernel suites --------------------------------------
 
-def suite_mass(threads: int = 1) -> dict:
+def suite_mass() -> dict:
     """Kernel mass over a rule-sized periodic box equals one."""
     cfg = {"dims": [1, 2], "dx": [1.0, 0.25, 1.0 / 16.0], "t": [0.1, 1.0, 10.0], "c": 1.0}
     worst = 0.0
     worst_at = None
-
-    def one(args):
-        dx, t = args
-        n = recommended_radius(t, 1.0, dx)
-        arr = bessel.iv_scaled_array(n, 2.0 * t / dx**2)
-        return float(arr[0] + 2.0 * arr[1:].sum())
-
-    jobs = [(dx, t) for dx in cfg["dx"] for t in cfg["t"]]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        sums = list(pool.map(one, jobs))
-    for (dx, t), axis_sum in zip(jobs, sums):
-        for d in cfg["dims"]:
-            dev = abs(axis_sum**d - 1.0)
-            if dev > worst:
-                worst, worst_at = dev, {"d": d, "dx": dx, "t": t}
+    for dx in cfg["dx"]:
+        for t in cfg["t"]:
+            arr = bessel.iv_scaled_array(recommended_radius(t, 1.0, dx), 2.0 * t / dx**2)
+            axis_sum = float(arr[0] + 2.0 * arr[1:].sum())
+            for d in cfg["dims"]:
+                dev = abs(axis_sum**d - 1.0)
+                if dev > worst:
+                    worst, worst_at = dev, {"d": d, "dx": dx, "t": t}
     return _report("mass", worst <= 1e-12, {"max_deviation": worst, "argmax": worst_at}, cfg)
 
 
@@ -398,13 +390,10 @@ _SUITE_FN: dict[str, Callable[..., dict]] = {
 }
 
 
-def run_suite(name: str, threads: int = 1) -> dict:
+def run_suite(name: str) -> dict:
     """Run one named suite; raises KeyError for unknown names."""
     fn = _SUITE_FN[name]
     start = time.monotonic()
-    if name == "mass":
-        rep = fn(threads=threads)
-    else:
-        rep = fn()
+    rep = fn()
     rep["metrics"]["runtime_s"] = round(time.monotonic() - start, 3)
     return rep

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdheat import lattice
 from sdheat.lattice import (
     Field,
     GridSpec,
@@ -230,24 +231,13 @@ class TestNorms:
 
 
 class TestTwoPointStorage:
-    def test_lazy_dense_agree(self):
-        g = grid1(dx=0.5, radius=2)
-
-        def ev(a, b):
-            return float(a[0] * 2 + b[0])
-
-        lazy = TwoPointField(g, evaluate=ev)
-        dense = lazy.dense()
-        for a in g.index_iter():
-            for b in g.index_iter():
-                assert dense[g.flat_index(a), g.flat_index(b)] == ev(a, b)
-        assert lazy.value((1,), (-2,)) == ev((1,), (-2,))
-
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         g = grid1(radius=2)
-        lazy = TwoPointField(g, evaluate=lambda a, b: 0.0, budget=4)
+        monkeypatch.setattr(lattice, "DENSE_BUDGET", 24)
         with pytest.raises(ValueError):
-            lazy.dense()
+            TwoPointField.from_matrix(g, np.zeros((5, 5)))
+        monkeypatch.setattr(lattice, "DENSE_BUDGET", 25)
+        assert TwoPointField.from_matrix(g, np.zeros((5, 5))).dense().shape == (5, 5)
 
 
 class TestSerialization:

@@ -178,3 +178,12 @@ class TestPotentialOracle:
         u0 = Field.constant(g, 1.5)
         out = evolve_with_potential(c, pot, src, 0.7, u0, tol=1e-12)
         assert np.abs(out.values - 1.5).max() <= 1e-12
+
+    def test_negative_potential_rejected(self):
+        # a negative Y breaks the l-infinity contraction the error certificate rests on
+        g = GridSpec(dx=0.5, dim=1, radius=8)
+        c = Coefficients.constant(g, 1.0)
+        pot = np.full(g.shape, 0.5)
+        pot[3] = -1e-3
+        with pytest.raises(ValueError):
+            evolve_with_potential(c, pot, None, 0.5, Field.constant(g, 1.0), tol=1e-12)

@@ -12,7 +12,6 @@ from sdheat.parametrix import (
     frozen_kernel,
     gamma,
     k1,
-    k_iterate,
     k_matrix,
     phi,
     propagation_defect,
@@ -99,38 +98,6 @@ class TestCorrectionKernel:
                 k1(a, b, 0.1, small_var_coeffs), rel=1e-10, abs=1e-12)
 
 
-class TestKIterate:
-    def test_zero_previous(self, small_var_coeffs):
-        nodes = np.array([0.02, 0.05, 0.08])
-        zeros = [np.zeros((small_var_coeffs.grid.site_count,) * 2)] * 3
-        out = k_iterate(zeros, nodes, small_var_coeffs, 0.1)
-        assert np.abs(out.dense()).max() == 0.0
-
-    def test_constant_coefficients(self):
-        g = GridSpec(dx=0.5, dim=1, radius=4)
-        c = Coefficients.constant(g, 1.0)
-        solver = ParametrixSolver(c)
-        nodes = np.array([0.02, 0.06])
-        prev = [solver.correction_matrix(t) for t in nodes]
-        out = k_iterate(prev, nodes, c, 0.1, solver=solver)
-        assert np.abs(out.dense()).max() == 0.0
-
-    def test_node_validation(self, small_var_coeffs):
-        s = small_var_coeffs.grid.site_count
-        with pytest.raises(ValueError):
-            k_iterate([np.zeros((s, s))], np.array([0.2]), small_var_coeffs, 0.1)
-        with pytest.raises(ValueError):
-            k_iterate([np.zeros((s, s))] * 2, np.array([0.05, 0.02]), small_var_coeffs, 0.1)
-
-    def test_second_order_ratio_shrinks_with_horizon(self, small_var_coeffs):
-        ratios = {}
-        for horizon in (0.1, 0.2):
-            solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=48), tol=1e-6)
-            lad = solver.ladder(horizon)
-            ratios[horizon] = lad.order_norms[1] / lad.order_norms[0]
-        assert ratios[0.1] < ratios[0.2]
-
-
 class TestPhi:
     def test_constant_coefficients_vanish(self):
         g = GridSpec(dx=0.5, dim=1, radius=6)
@@ -158,6 +125,14 @@ class TestPhi:
         scaled = [n * math.gamma(m / 2.0) / (c3**m * t ** ((m - 1) / 2.0))
                   for m, n in enumerate(series.order_sup_norms, start=1) if n > 0]
         assert max(scaled) <= series.fitted_c * (1.0 + 1e-9)
+
+    def test_second_order_ratio_shrinks_with_horizon(self, small_var_coeffs):
+        ratios = {}
+        for horizon in (0.1, 0.2):
+            solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=48), tol=1e-6)
+            lad = solver.ladder(horizon)
+            ratios[horizon] = lad.order_norms[1] / lad.order_norms[0]
+        assert ratios[0.1] < ratios[0.2]
 
 
 class TestGamma:
@@ -194,6 +169,55 @@ class TestGamma:
         mat = solver.gamma_matrix(0.2)
         row_mass = mat.sum(axis=1) * small_var_coeffs.grid.cell_volume
         assert np.abs(row_mass - 1.0).max() <= 1e-8
+
+
+class TestGammaEntryPoints:
+    """gamma_matrix, gamma_column, gamma_operator and gamma_apply are views
+    of one Gamma(t): they agree with each other and share the handling of
+    t < 0 (rejected) and t == 0 (the Dirac identity)."""
+
+    @pytest.fixture(scope="class", params=["periodic-wrap", "zero-extension"])
+    def solver(self, request):
+        grid = GridSpec(dx=0.125, dim=1, radius=24, boundary=request.param)
+        assert grid.site_count == 49
+        coeffs = Coefficients.from_function(
+            grid, lambda x: 1.0 + 0.3 * np.sin(2.0 * np.pi * x / 6.125))
+        return ParametrixSolver(coeffs, TimeQuadrature(nodes=32), tol=1e-6)
+
+    def test_column_is_matrix_column(self, solver):
+        t = 0.1
+        mat = solver.gamma_matrix(t)
+        for beta in ((0,), (-24,), (17,)):
+            col = solver.gamma_column(beta, t).flat()
+            ref = mat[:, solver.grid.flat_index(beta)]
+            assert np.abs(col - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_apply_is_operator_product(self, solver):
+        horizon = 0.1
+        v = np.random.default_rng(3).standard_normal(solver.grid.site_count)
+        for t in (0.037, 0.08, horizon):
+            got = solver.gamma_apply(t, v, horizon=horizon)
+            ref = solver.gamma_operator(t, horizon) @ v * solver.grid.cell_volume
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_negative_time_rejected(self, solver):
+        v = np.ones(solver.grid.site_count)
+        calls = (lambda: solver.gamma_matrix(-0.1),
+                 lambda: solver.gamma_column((0,), -0.1),
+                 lambda: solver.gamma_operator(-0.1, 0.1),
+                 lambda: solver.gamma_apply(-0.1, v, horizon=0.1))
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+
+    def test_zero_time_is_identity(self, solver):
+        grid = solver.grid
+        dirac = np.eye(grid.site_count) / grid.cell_volume
+        v = np.random.default_rng(4).standard_normal(grid.site_count)
+        assert np.array_equal(solver.gamma_matrix(0.0), dirac)
+        assert np.array_equal(solver.gamma_operator(0.0, 0.1), dirac)
+        assert np.array_equal(solver.gamma_column((0,), 0.0).values, Field.dirac(grid).values)
+        assert np.array_equal(solver.gamma_apply(0.0, v, horizon=0.1), v)
 
 
 class TestPropagation:

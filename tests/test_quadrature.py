@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdheat.quadrature import TimeQuadrature, gauss_legendre, product_weights, volterra_weights
+from sdheat.quadrature import TimeQuadrature, gauss_legendre
 
 
 class TestTimeQuadrature:
@@ -35,29 +35,6 @@ class TestTimeQuadrature:
             TimeQuadrature(rule="simpson")
         with pytest.raises(ValueError):
             TimeQuadrature().points(0.0)
-
-
-class TestProductWeights:
-    def test_smooth_integrand_converges(self):
-        f = np.cos
-        errs = []
-        for n in (40, 80):
-            nodes = (np.arange(n) + 0.5) * 2.0 / n
-            w = product_weights(nodes, 2.0)
-            errs.append(abs(np.sum(w * f(nodes)) - np.sin(2.0)))
-        assert errs[1] < errs[0] / 3.5
-
-    def test_single_node(self):
-        w = product_weights(np.array([0.5]), 1.0)
-        assert w.sum() == pytest.approx(1.0)
-
-    def test_volterra_targets(self):
-        times = np.array([0.1, 0.3, 0.7, 1.0])
-        ws = volterra_weights(times)
-        assert [w.size for w in ws] == [0, 1, 2, 3]
-        # each integrates constants over (0, s_i) exactly
-        for i in range(1, times.size):
-            assert ws[i].sum() == pytest.approx(times[i], rel=1e-13)
 
 
 def test_gauss_legendre_cached():
