@@ -1,165 +1,72 @@
-"""Right-hand sides of the kernel estimates, and empirical constant fitting.
+"""Right-hand sides of the kernel estimates.
 
 The semi-discrete kernels admit no Gaussian bound near t = 0; the
-central estimates here are Lorentzian,
+central estimates here are Lorentzian.  Along one direction, for the
+m-th difference at integer offset n,
 
-    rhs = (1/sqrt(2 cbar)  ^  sqrt(t)/dx)^{Z(a)}
-          * t^{-(d+m)/2}
-          * prod_j (1 + |x_j|^2/(2 cbar t) [+ |x_j|^3/(2 cbar t)^{3/2}])^{-1},
+    rhs = (1/sqrt(2 cbar)  ^  sqrt(t)/dx)^{[n = 0]}
+          * t^{-(1+m)/2}
+          * (1 + u^2 [+ u^3])^{-1},        u = |n dx| / sqrt(2 cbar t),
 
-with the min-factor active on the zero components of the offset (Z
-counts them) and the cubic tail present for the kernel bound but not for
-the fundamental-solution variants.  A genuine Gaussian bound with fully
-explicit constants (prefactor pi^{d/2} prod (4 c_j t)^{-1/2}, rate
-constant C0 = 252) holds on the region t >= max_j |a_j| dx^2 / (2 C0
-min_j c_j); and a classical two-regime bound driven by the function
+with the min-factor active only at the zero offset and the cubic tail
+present for the kernel bound but not for the fundamental-solution
+variants; in d dimensions the bound is the product of such factors with
+t^{-(d+m)/2}.  A genuine Gaussian bound with fully explicit constants
+(prefactor pi^{d/2} prod (4 c_j t)^{-1/2}, rate constant C0 = 252) holds
+on the region t >= max_j |a_j| dx^2 / (2 C0 min_j c_j); and a classical
+two-regime bound driven by the function
 F(g) = -log(g + sqrt(g^2+1)) + (sqrt(g^2+1) - 1)/g covers the unit-grid
 kernel away from the origin.
-
-``fit_bound`` extracts the implicit constants empirically: it reports
-the supremum of quantity/rhs over a sample set, its location, and
-per-spacing constants when the samples span several grid spacings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate
 
-from .heat_const import ConstCoeffs
 from .lattice import zeros_count
 
 #: Rate constant of the explicit Gaussian bound.
 C0_GAUSSIAN = 252.0
 
 
-@dataclass(frozen=True)
-class LorentzBoundParams:
-    """Shape parameters of the Lorentzian right-hand side."""
-
-    cbar: float
-    dx: float
-    d: int
-    m: int = 0
-    cubic_tail: bool = True
-
-    def __post_init__(self):
-        if not (self.cbar > 0 and self.dx > 0 and self.d >= 1):
-            raise ValueError("cbar, dx must be positive and d >= 1")
-        if self.m < 0 or (self.cubic_tail and self.m > 2):
-            raise ValueError("difference order m must be in {0,1,2} for kernel bounds, >= 0 otherwise")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Empirical constants of one bound over a sample sweep."""
-
-    sup_ratio: float
-    argmax_alpha: tuple[int, ...]
-    argmax_t: float
-    samples: int
-    per_dx_constants: tuple[tuple[float, float], ...] = ()
-    t_range: tuple[float, float] = (math.nan, math.nan)
-
-    @property
-    def fitted_constant(self) -> float:
-        return self.sup_ratio
-
-    @property
-    def dx_spread(self) -> float:
-        """Relative spread of the per-spacing constants, 0 if fewer than two."""
-        consts = [c for _, c in self.per_dx_constants]
-        if len(consts) < 2:
-            return 0.0
-        return (max(consts) - min(consts)) / max(max(consts), 1e-300)
-
-
-def small_time_factor(t: float, cbar: float, dx: float) -> float:
-    """The factor min(1/sqrt(2 cbar), sqrt(t)/dx) entering all bounds."""
-    return min(1.0 / math.sqrt(2.0 * cbar), math.sqrt(t) / dx)
-
-
-def lorentz_tail_axis(n: np.ndarray, t: float, cbar: float, dx: float,
-                      cubic_tail: bool) -> np.ndarray:
-    """Per-direction tail factor (1 + u^2 [+ u^3])^{-1}, u = |n dx|/sqrt(2 cbar t)."""
-    u2 = (np.asarray(n, dtype=float) * dx) ** 2 / (2.0 * cbar * t)
+def lorentz_rhs(offsets: np.ndarray, t: float, cbar: float, dx: float, m: int,
+                cubic_tail: bool = True) -> np.ndarray:
+    """Lorentzian bound of the m-th difference along one direction, at
+    each integer offset of ``offsets``.  Strictly positive."""
+    if not t > 0:
+        raise ValueError(f"time must be positive, got {t}")
+    n = np.asarray(offsets, dtype=float)
+    u2 = (n * dx) ** 2 / (2.0 * cbar * t)
     tail = 1.0 + u2
     if cubic_tail:
         tail = tail + u2**1.5
-    return 1.0 / tail
+    small_time = min(1.0 / math.sqrt(2.0 * cbar), math.sqrt(t) / dx)
+    st = np.where(n == 0, small_time, 1.0)
+    return st * t ** (-(1.0 + m) / 2.0) * (1.0 / tail)
 
 
-def lorentz_rhs(alpha: Sequence[int], t: float, params: LorentzBoundParams) -> float:
-    """Lorentzian bound at offset alpha and time t.  Strictly positive."""
-    if not t > 0:
-        raise ValueError(f"time must be positive, got {t}")
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != params.d:
-        raise ValueError(f"offset has {len(alpha)} components, bound is {params.d}-d")
-    z = zeros_count(alpha)
-    out = small_time_factor(t, params.cbar, params.dx) ** z
-    out *= t ** (-(params.d + params.m) / 2.0)
-    for a in alpha:
-        out *= float(lorentz_tail_axis(np.array([a]), t, params.cbar, params.dx,
-                                       params.cubic_tail)[0])
-    return out
+def gaussian_log_rhs(offsets: np.ndarray, t: float, c: float, dx: float,
+                     c_min: float) -> np.ndarray:
+    """Log of one direction's factor of the explicit Gaussian bound, at
+    each integer offset of ``offsets``; the d-dimensional log bound is
+    the sum of these factors over the directions.
 
-
-def k_rhs(alpha: Sequence[int], beta: Sequence[int], t: float, cbar: float, dx: float) -> float:
-    """Bound for the frozen-coefficient correction kernel: the Lorentzian
-    with one extra half power of t and no cubic tail, at offset alpha-beta."""
-    offset = tuple(int(a) - int(b) for a, b in zip(alpha, beta))
-    params = LorentzBoundParams(cbar=cbar, dx=dx, d=len(offset), m=1, cubic_tail=False)
-    return lorentz_rhs(offset, t, params)
-
-
-def gaussian_region(alpha: Sequence[int], t: float, coeffs: ConstCoeffs, dx: float) -> bool:
-    """Validity region of the explicit Gaussian bound."""
-    amax = max((abs(int(a)) for a in alpha), default=0)
-    return t >= amax * dx**2 / (2.0 * C0_GAUSSIAN * min(coeffs.c))
-
-
-def gaussian_log_rhs(alpha: Sequence[int], t: float, coeffs: ConstCoeffs, dx: float) -> float:
-    """Log of the Gaussian right-hand side (finite even when exp underflows)."""
-    if not t > 0:
-        raise ValueError(f"time must be positive, got {t}")
-    alpha = tuple(int(a) for a in alpha)
-    out = 0.5 * len(alpha) * math.log(math.pi)
-    for a, c in zip(alpha, coeffs.c):
-        out -= 0.5 * math.log(4.0 * c * t)
-        out -= (a * dx) ** 2 / (2.0 * C0_GAUSSIAN * c * t)
-    return out
-
-
-def gaussian_rhs(alpha: Sequence[int], t: float, coeffs: ConstCoeffs, dx: float) -> tuple[float, bool]:
-    """Explicit-constant Gaussian bound and its validity flag."""
-    return math.exp(gaussian_log_rhs(alpha, t, coeffs, dx)), gaussian_region(alpha, t, coeffs, dx)
-
-
-def gaussian_rhs_b(alpha: Sequence[int], t: float, coeffs: ConstCoeffs, dx: float,
-                   b: Sequence[float]) -> float:
-    """Free-parameter form of the Gaussian bound, for |b_j| <= 1/2.
-
-    Minimised over admissible b at b_j = a_j dx^2 / (C0 c_j t), where it
-    coincides with ``gaussian_rhs``.
+    ``c`` is the coefficient of this direction and ``c_min`` the least
+    coefficient over all directions, which sets the validity region
+    |a_j| <= 2 C0 c_min t / dx^2.  Outside it the bound makes no claim
+    and the factor is +inf.
     """
     if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
-    alpha = tuple(int(a) for a in alpha)
-    b = tuple(float(v) for v in b)
-    if len(b) != len(alpha):
-        raise ValueError("b must have one component per direction")
-    if any(abs(v) > 0.5 for v in b):
-        raise ValueError(f"components of b must lie in [-1/2, 1/2], got {b}")
-    out = 0.5 * len(alpha) * math.log(math.pi)
-    for a, c, bj in zip(alpha, coeffs.c, b):
-        out -= 0.5 * math.log(4.0 * c * t)
-        out += C0_GAUSSIAN * c * t / (2.0 * dx**2) * bj**2 - a * bj
-    return math.exp(out)
+    n = np.asarray(offsets, dtype=float)
+    log_rhs = -0.5 * math.log(4.0 * c * t) - (n * dx) ** 2 / (2.0 * C0_GAUSSIAN * c * t) \
+        + 0.5 * math.log(math.pi)
+    inside = np.abs(n) <= 2.0 * C0_GAUSSIAN * c_min * t / dx**2
+    return np.where(inside, log_rhs, math.inf)
 
 
 def pang_F(gamma: float) -> float:
@@ -234,53 +141,3 @@ def prop53_f(t: float, alpha: Sequence[int], dx: float, c1: float = 1.0) -> floa
     for a in alpha:
         out *= lorentz_tilde(c1 * t, a * dx)
     return out
-
-
-def fit_bound(points: Sequence[tuple], quantities: Sequence[float],
-              rhs: Callable[..., float] | Sequence[float]) -> BoundReport:
-    """Fit the implicit constant of a bound over a sample sweep.
-
-    ``points`` are (alpha, t) or (alpha, t, dx) tuples; ``rhs`` is either
-    an evaluator called with the point components or a matching sequence
-    of precomputed positive values.  The fitted constant is the supremum
-    of |quantity| / rhs; per-dx constants are reported when the points
-    carry spacings.
-    """
-    points = list(points)
-    if not points:
-        raise ValueError("empty sample set")
-    quantities = np.asarray(quantities, dtype=float)
-    if quantities.shape != (len(points),):
-        raise ValueError("quantities must align with points")
-    if not np.all(np.isfinite(quantities)):
-        raise ValueError("quantities must be finite")
-    if callable(rhs):
-        rhs_vals = np.array([rhs(*pt) for pt in points], dtype=float)
-    else:
-        rhs_vals = np.asarray(rhs, dtype=float)
-        if rhs_vals.shape != (len(points),):
-            raise ValueError("rhs values must align with points")
-    if not np.all(rhs_vals > 0):
-        raise ValueError("every sampled rhs must be positive")
-
-    ratios = np.abs(quantities) / rhs_vals
-    best = int(np.argmax(ratios))
-    alpha = tuple(int(a) for a in np.atleast_1d(points[best][0]))
-    times = np.array([pt[1] for pt in points], dtype=float)
-
-    per_dx: list[tuple[float, float]] = []
-    if len(points[0]) >= 3:
-        spacings = sorted({float(pt[2]) for pt in points})
-        if len(spacings) > 1:
-            for dx in spacings:
-                mask = np.array([float(pt[2]) == dx for pt in points])
-                per_dx.append((dx, float(ratios[mask].max())))
-
-    return BoundReport(
-        sup_ratio=float(ratios[best]),
-        argmax_alpha=alpha,
-        argmax_t=float(points[best][1]),
-        samples=len(points),
-        per_dx_constants=tuple(per_dx),
-        t_range=(float(times.min()), float(times.max())),
-    )

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,17 +31,6 @@ from .lattice import Field, GridSpec, _atomic_write, field_from_csv, field_to_cs
 from .parametrix import Coefficients, ParametrixSolver
 from .quadrature import TimeQuadrature
 from .solver import CauchyProblem, SolveReport, solve_inhomogeneous, solve_with_potential
-
-
-@dataclass
-class RunConfig:
-    """Echoable record of a parsed invocation; ``to_json`` is deterministic."""
-
-    subcommand: str
-    options: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -101,8 +89,7 @@ def cmd_kernel(args) -> int:
     c = args.c if len(args.c) > 1 else args.c * grid.dim
     coeffs = ConstCoeffs(tuple(c))
     _warn_radius(grid, args.t, coeffs.cbar)
-    slc = kernel_slice(grid, coeffs, args.t)
-    field_to_csv(slc.values, args.out)
+    field_to_csv(kernel_slice(grid, coeffs, args.t), args.out)
     return 0
 
 
@@ -229,7 +216,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     if args.suite not in verify.SUITES:
         return _usage_error(f"unknown suite {args.suite!r}; choose from {', '.join(verify.SUITES)}")
     np.random.seed(args.seed)
@@ -238,7 +225,8 @@ def cmd_verify(args, config: RunConfig) -> int:
     runtime = rep["metrics"].pop("runtime_s", None)
     if runtime is not None:
         print(f"suite {args.suite} finished in {runtime}s", file=sys.stderr)
-    rep["config_echo"] = json.loads(config.to_json())
+    rep["config_echo"] = {"subcommand": args.subcommand,
+                          "options": {k: v for k, v in vars(args).items() if k != "subcommand"}}
     _write_json(args.out, rep)
     return 0 if rep["pass"] else 3
 
@@ -303,8 +291,6 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    config = RunConfig(subcommand=args.subcommand,
-                       options={k: v for k, v in vars(args).items() if k != "subcommand"})
     try:
         if args.subcommand == "kernel":
             return cmd_kernel(args)
@@ -319,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "solve":
             return cmd_solve(args)
         if args.subcommand == "verify":
-            return cmd_verify(args, config)
+            return cmd_verify(args)
     except (ValueError, OSError) as exc:
         return _usage_error(str(exc))
     return _usage_error(f"unknown subcommand {args.subcommand!r}")

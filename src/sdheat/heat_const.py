@@ -1,4 +1,4 @@
-"""Constant-coefficient semi-discrete heat kernels and solvers.
+"""Constant-coefficient semi-discrete heat kernels.
 
 The fundamental solution of
 
@@ -13,22 +13,19 @@ factorises over directions into scaled Bessel functions:
 Three independent representations are implemented: the Bessel product
 (`kernel_nd`), a spectral trapezoid quadrature of the inverse Fourier
 integral (`kernel_spectral`), and the truncated operator-exponential
-series applied to the Dirac (`kernel_series_smalltime`).  On top of the
-kernel sit the semigroup application and the constant-coefficient
-Duhamel solver for inhomogeneous problems.
+series applied to the Dirac (`kernel_series_smalltime`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import bessel
-from .lattice import Field, GridSpec, convolve_translation, laplacian_dir
-from .quadrature import gauss_legendre
+from .lattice import Field, GridSpec, laplacian_dir
 
 
 @dataclass(frozen=True)
@@ -54,16 +51,6 @@ class ConstCoeffs:
     @property
     def cbar(self) -> float:
         return max(self.c)
-
-
-@dataclass(frozen=True)
-class KernelSlice:
-    """The kernel at one time, as a Field over the index box."""
-
-    grid: GridSpec
-    coeffs: ConstCoeffs
-    t: float
-    values: Field
 
 
 def recommended_radius(t: float, cbar: float, dx: float) -> int:
@@ -108,19 +95,19 @@ def kernel_axis_values(radius: int, t: float, c: float, dx: float) -> np.ndarray
     return np.concatenate([scaled[::-1], scaled[1:]])
 
 
-def kernel_slice(grid: GridSpec, coeffs: ConstCoeffs, t: float) -> KernelSlice:
+def kernel_slice(grid: GridSpec, coeffs: ConstCoeffs, t: float) -> Field:
     """Kernel restricted to the grid box, built from per-axis factors."""
     if coeffs.dim != grid.dim:
         raise ValueError("coefficient dimension does not match grid")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if t == 0.0:
-        return KernelSlice(grid, coeffs, 0.0, Field.dirac(grid))
+        return Field.dirac(grid)
     axes = [kernel_axis_values(grid.radius, t, c, grid.dx) for c in coeffs.c]
     vals = axes[0]
     for arr in axes[1:]:
         vals = np.multiply.outer(vals, arr)
-    return KernelSlice(grid, coeffs, t, Field(grid, vals))
+    return Field(grid, vals)
 
 
 def _spectral_nodes(n: int, r: float, floor: int) -> int:
@@ -210,41 +197,3 @@ def kernel_series_smalltime(t: float, coeffs: ConstCoeffs, grid: GridSpec, terms
         term = Field(grid, applied * (t / i))
         acc = acc + term.values
     return Field(grid, acc)
-
-
-def semigroup_apply(psi: Field, t: float, coeffs: ConstCoeffs) -> Field:
-    """Apply the solution operator: convolve psi with the kernel slice."""
-    slc = kernel_slice(psi.grid, coeffs, t)
-    return convolve_translation(slc.values, psi)
-
-
-def duhamel_const(psi: Field, source: Callable[[float], Field] | None, t: float,
-                  coeffs: ConstCoeffs, time_nodes: int = 64) -> Field:
-    """Duhamel solution u(t) = S(t) psi + int_0^t S(t-s) f(s) ds.
-
-    The time integral uses composite Gauss-Legendre with panels refined
-    geometrically toward s = t, where the kernel factor is least smooth.
-    """
-    if time_nodes < 8:
-        raise ValueError(f"need at least 8 time nodes, got {time_nodes}")
-    u = semigroup_apply(psi, t, coeffs).values.copy()
-    if source is not None and t > 0:
-        panels = max(1, time_nodes // 8)
-        # geometric refinement toward s = t
-        edges = [t]
-        width = t / 2.0
-        for _ in range(panels - 1):
-            edges.append(edges[-1] - width)
-            width /= 2.0
-        edges.append(0.0)
-        edges = np.array(edges[::-1])
-        x, w = gauss_legendre(8)
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            for xi, wi in zip(x, w):
-                s = a + half * (xi + 1.0)
-                f_s = source(s)
-                if not np.all(np.isfinite(f_s.values)):
-                    raise ValueError(f"source is not finite at s={s}")
-                u += half * wi * semigroup_apply(f_s, t - s, coeffs).values
-    return Field(psi.grid, u)

@@ -10,9 +10,8 @@ The module provides the forward/backward difference operators
     (D+_j f)_a = (f_{a+e_j} - f_a) / dx,
     (D-_j f)_a = (f_a - f_{a-e_j}) / dx,
 
-their composition (the directional second difference), discrete
-convolutions of one- and two-variable grid functions with the cell
-volume dx^d, and the weighted lp norms (sum |f|^p dx^d)^(1/p).
+their composition (the directional second difference), the weighted lp
+norms (sum |f|^p dx^d)^(1/p), and CSV serialisation of grid functions.
 """
 
 from __future__ import annotations
@@ -24,12 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import signal
 
 BOUNDARIES = ("periodic-wrap", "zero-extension")
-
-#: Dense two-point storage is allowed up to this many entries.
-DENSE_BUDGET = 2**26
 
 
 @dataclass(frozen=True)
@@ -174,44 +169,6 @@ class Field:
         return self.values.reshape(-1)
 
 
-class TwoPointField:
-    """A kernel G_{a,b}: one value per ordered pair of box indices, held
-    as a read-only dense (sites x sites) matrix in row-major flat order."""
-
-    def __init__(self, grid: GridSpec, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=float)
-        n = grid.site_count
-        if matrix.shape != (n, n):
-            raise ValueError(f"matrix shape {matrix.shape}, expected {(n, n)}")
-        if matrix.size > DENSE_BUDGET:
-            raise ValueError(f"dense storage of {matrix.size} entries exceeds budget {DENSE_BUDGET}")
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
-        self.grid = grid
-        self._matrix = matrix
-
-    @classmethod
-    def from_matrix(cls, grid: GridSpec, matrix: np.ndarray) -> "TwoPointField":
-        return cls(grid, matrix=matrix)
-
-    @classmethod
-    def dirac(cls, grid: GridSpec) -> "TwoPointField":
-        """Identity of the two-point convolution: dx^-d on the diagonal."""
-        n = grid.site_count
-        return cls(grid, matrix=np.eye(n) * grid.dx ** (-grid.dim))
-
-    def dense(self) -> np.ndarray:
-        return self._matrix
-
-    def value(self, alpha: Sequence[int], beta: Sequence[int]) -> float:
-        return float(self._matrix[self.grid.flat_index(alpha), self.grid.flat_index(beta)])
-
-    def column(self, beta: Sequence[int]) -> Field:
-        """The slice a -> G_{a, beta} as a Field."""
-        col = self._matrix[:, self.grid.flat_index(beta)]
-        return Field(self.grid, col.reshape(self.grid.shape))
-
-
 def forward_diff(f: Field, j: int) -> Field:
     """Forward difference in direction j (1-based)."""
     ax = _check_direction(f.grid, j)
@@ -229,9 +186,7 @@ def backward_diff(f: Field, j: int) -> Field:
 def laplacian_dir(f: Field, j: int) -> Field:
     """Directional second difference (f_{a-e_j} - 2 f_a + f_{a+e_j}) / dx^2."""
     ax = _check_direction(f.grid, j)
-    up = shift_array(f.values, ax, 1, f.grid.periodic)
-    down = shift_array(f.values, ax, -1, f.grid.periodic)
-    return Field(f.grid, (up - 2.0 * f.values + down) / f.grid.dx**2)
+    return Field(f.grid, laplacian_array(f.values, ax, f.grid.dx, f.grid.periodic))
 
 
 def laplacian_array(values: np.ndarray, axis: int, dx: float, periodic: bool) -> np.ndarray:
@@ -241,58 +196,19 @@ def laplacian_array(values: np.ndarray, axis: int, dx: float, periodic: bool) ->
     return (up - 2.0 * values + down) / dx**2
 
 
-def _require_same_grid(a, b) -> GridSpec:
-    if a.grid != b.grid:
-        raise ValueError("grid mismatch between operands")
-    return a.grid
-
-
-def convolve_2p(F: TwoPointField, G: TwoPointField) -> TwoPointField:
-    """Two-point convolution (F * G)_{a,b} = sum_e F_{a,e} G_{e,b} dx^d."""
-    grid = _require_same_grid(F, G)
-    mat = F.dense() @ G.dense() * grid.cell_volume
-    return TwoPointField.from_matrix(grid, mat)
-
-
-def convolve_translation(f: Field, g: Field) -> Field:
-    """Translation convolution (f * g)_a = sum_e f_{a-e} g_e dx^d."""
-    grid = _require_same_grid(f, g)
-    if grid.periodic:
-        spec = np.fft.fftn(f.values) * np.fft.fftn(g.values)
-        out = np.real(np.fft.ifftn(spec))
-        # circular convolution of position arrays lands at a + 2N; re-centre
-        out = np.roll(out, -grid.radius, axis=tuple(range(grid.dim)))
-    else:
-        out = signal.convolve(f.values, g.values, mode="same", method="auto")
-    return Field(grid, out * grid.cell_volume)
-
-
 def lp_norm(f: Field, p: float) -> float:
     """Weighted lp norm (sum |f|^p dx^d)^(1/p); sup norm for p = inf."""
-    return _lp_of_array(f.flat(), p, f.grid.cell_volume)
-
-
-def _lp_of_array(vals: np.ndarray, p: float, volume: float, axis=None) -> float:
+    vals = f.flat()
     if p == math.inf:
-        if vals.size == 0:
-            return 0.0
-        return np.abs(vals).max(axis=axis)
+        return np.abs(vals).max()
     if not p >= 1:
         raise ValueError(f"lp norm requires p >= 1 or p = inf, got {p}")
-    return (np.sum(np.abs(vals) ** p, axis=axis) * volume) ** (1.0 / p)
-
-
-def mixed_norm(F: TwoPointField, p_alpha: float, p_beta: float) -> float:
-    """Mixed norm of a two-point field: beta-norm first, then alpha-norm."""
-    mat = F.dense()
-    vol = F.grid.cell_volume
-    inner = _lp_of_array(mat, p_beta, vol, axis=1)
-    return float(_lp_of_array(inner, p_alpha, vol))
+    return (np.sum(np.abs(vals) ** p) * f.grid.cell_volume) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
-# CSV serialisation: alpha_1..alpha_d[,beta_1..beta_d],value with 17
-# significant digits, rows in flat index order.
+# CSV serialisation: alpha_1..alpha_d,value with 17 significant digits,
+# rows in flat index order.
 # ---------------------------------------------------------------------------
 
 def _fmt(v: float) -> str:
@@ -336,22 +252,3 @@ def field_from_csv(path: str, dx: float, boundary: str = "periodic-wrap") -> Fie
     for alpha, v in rows:
         vals[grid.position(alpha)] = v
     return Field(grid, vals)
-
-
-def two_point_to_csv(F: TwoPointField, path: str) -> None:
-    grid = F.grid
-    mat = F.dense()
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"alpha_{k + 1}" for k in range(grid.dim)]
-            + [f"beta_{k + 1}" for k in range(grid.dim)]
-            + ["value"]
-        )
-        idx = list(grid.index_iter())
-        for i, alpha in enumerate(idx):
-            for k, beta in enumerate(idx):
-                writer.writerow([*alpha, *beta, _fmt(mat[i, k])])
-
-    _atomic_write(path, write)

@@ -2,8 +2,9 @@
 
 The integrands met here (kernel convolutions in time) are smooth inside
 (0, t) but lose derivatives at both endpoints on the dx^2 time scale, so
-the composite rules grade their panels toward 0 and t with a power-law
-map s = (t/2) * u^g applied from each end.
+the composite rule grades its panels toward 0 and t, geometrically from
+the layer width when one is given and otherwise with the power-law map
+s = (t/2) * u^2 applied from each end.
 """
 
 from __future__ import annotations
@@ -23,22 +24,21 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _graded_breakpoints(t: float, panels_per_half: int, grading: float,
-                        layer: float | None = None) -> np.ndarray:
+def _graded_breakpoints(t: float, panels_per_half: int, layer: float | None = None) -> np.ndarray:
     """Panel boundaries on (0, t), graded toward both endpoints, split at t/2.
 
     With a ``layer`` scale (the width of the integrand's endpoint
     boundary layers, dx^2/(2 cbar) for lattice kernels) the panels grow
     geometrically from a first panel of that width, which resolves the
     layer without starving the interior; otherwise the power map
-    s = (t/2) u^grading applies.
+    s = (t/2) u^2 applies.
     """
     if layer is not None and panels_per_half >= 2 and layer < t / 4.0:
         rho = (0.5 * t / layer) ** (1.0 / (panels_per_half - 1))
         left = np.concatenate([[0.0], layer * rho ** np.arange(panels_per_half)])
         left[-1] = 0.5 * t
     else:
-        u = (np.arange(panels_per_half + 1) / panels_per_half) ** grading
+        u = (np.arange(panels_per_half + 1) / panels_per_half) ** 2.0
         left = 0.5 * t * u
     right = t - left[::-1]
     return np.concatenate([left, right[1:]])
@@ -46,44 +46,27 @@ def _graded_breakpoints(t: float, panels_per_half: int, grading: float,
 
 @dataclass(frozen=True)
 class TimeQuadrature:
-    """Composite quadrature recipe for integrals over (0, t).
+    """Composite Gauss-Legendre recipe for integrals over (0, t).
 
-    ``nodes`` is the total node budget; the Gauss rule places eight
-    points per graded panel, the midpoint rule one per panel.  All nodes
-    are strictly interior and all weights positive.
+    ``nodes`` is the total node budget; the rule places eight points per
+    graded panel.  All nodes are strictly interior and all weights
+    positive.
     """
 
     nodes: int = 96
-    rule: str = "gauss-legendre-graded"
-    grading: float = 2.0
 
     def __post_init__(self):
         if self.nodes < 4:
             raise ValueError(f"need at least 4 nodes, got {self.nodes}")
-        if self.rule not in ("gauss-legendre-graded", "midpoint-graded"):
-            raise ValueError(f"unknown rule {self.rule!r}")
-        if self.grading < 1.0:
-            raise ValueError("grading exponent must be >= 1")
-
-    def points(self, t: float, layer: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending nodes and positive weights integrating over (0, t)."""
-        s, w, _, _ = self.points_with_panels(t, layer)
-        return s, w
 
     def points_with_panels(self, t: float, layer: float | None = None
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Nodes, weights, panel breakpoints, and nodes-per-panel."""
+        """Ascending nodes, positive weights, panel breakpoints, and nodes-per-panel."""
         if not t > 0:
             raise ValueError(f"horizon must be positive, got {t}")
-        if self.rule == "midpoint-graded":
-            per_half = max(2, self.nodes // 2)
-            bp = _graded_breakpoints(t, per_half, self.grading, layer)
-            s = 0.5 * (bp[1:] + bp[:-1])
-            w = np.diff(bp)
-            return s, w, bp, 1
         ppp = 8
         per_half = max(1, self.nodes // (2 * ppp))
-        bp = _graded_breakpoints(t, per_half, self.grading, layer)
+        bp = _graded_breakpoints(t, per_half, layer)
         x, wx = gauss_legendre(ppp)
         s_list, w_list = [], []
         for a, b in zip(bp[:-1], bp[1:]):

@@ -52,8 +52,9 @@ class CauchyProblem:
 class SolveReport:
     panels: int = 0
     picard_iters: int = 0
-    #: final fixed-point increment (potential solver) or centered ODE
-    #: residual when the caller can measure one
+    #: largest final Picard sweep change over the panels (potential
+    #: solver), or the centered ODE residual when the caller can measure
+    #: one; neither is a bound on the error of the solution
     residual: float = math.nan
 
 
@@ -92,6 +93,14 @@ def solve_with_potential(prob: CauchyProblem, t: float,
     Picard iteration on the Duhamel form, collocated at Gauss points of
     each panel; the panel length is halved (up to six times) whenever
     the iteration fails to reach ``tol`` within ``max_picard`` sweeps.
+
+    ``tol`` stops the sweeps: a panel is done once one sweep changes the
+    collocation values by at most tol * max(sup |u(t0)|, 1).  It is not a
+    bound on the error of the returned solution, which also carries the
+    quadrature and collocation error of the Gamma operators; nothing on
+    this path estimates that.  On the AC-11 problem at dx = 1/8 and
+    T = 0.25 with 48 quadrature nodes, tol = 1e-10 returns a solution
+    2.79e-7 from the certified oracle.
     """
     if max_picard < 8:
         raise ValueError("max_picard must be at least 8")

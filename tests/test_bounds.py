@@ -4,89 +4,55 @@ import numpy as np
 import pytest
 
 from sdheat import bounds
-from sdheat.heat_const import ConstCoeffs
 
 # -log(1 + sqrt(2)) + (sqrt(2) - 1), evaluated in extended precision
 PANG_F_1 = -0.4671600246464479
 
 
 class TestLorentzRhs:
-    def params(self, **kw):
-        base = dict(cbar=1.0, dx=0.5, d=1, m=0, cubic_tail=True)
-        base.update(kw)
-        return bounds.LorentzBoundParams(**base)
+    cbar, dx = 1.0, 0.5
+
+    def rhs(self, offsets, t, m=0, cubic_tail=True):
+        return bounds.lorentz_rhs(np.array(offsets), t, self.cbar, self.dx, m, cubic_tail)
 
     def test_origin_large_time(self):
         # t past the regime switch: the min picks 1/sqrt(2 cbar)
-        p = self.params()
         t = 1.0
-        assert bounds.lorentz_rhs((0,), t, p) == pytest.approx(t**-0.5 / math.sqrt(2.0))
+        assert self.rhs([0], t)[0] == pytest.approx(t**-0.5 / math.sqrt(2.0))
 
     def test_origin_small_time(self):
         # below the switch the sqrt(t)/dx factor cancels t^{-1/2}
-        p = self.params()
-        t = 0.01 * p.dx**2 / (2.0 * p.cbar)
-        assert bounds.lorentz_rhs((0,), t, p) == pytest.approx(1.0 / p.dx)
+        t = 0.01 * self.dx**2 / (2.0 * self.cbar)
+        assert self.rhs([0], t)[0] == pytest.approx(1.0 / self.dx)
 
     def test_order_scaling(self):
-        p0 = self.params(m=0)
-        p2 = self.params(m=2)
         t = 0.37
-        for a in (0, 3, -7):
-            assert bounds.lorentz_rhs((a,), t, p2) == pytest.approx(
-                bounds.lorentz_rhs((a,), t, p0) / t)
+        offsets = [0, 3, -7]
+        assert self.rhs(offsets, t, m=2) == pytest.approx(self.rhs(offsets, t, m=0) / t)
 
     def test_positive_and_errors(self):
-        p = self.params()
-        assert bounds.lorentz_rhs((5,), 2.0, p) > 0.0
+        assert self.rhs([5], 2.0)[0] > 0.0
         with pytest.raises(ValueError):
-            bounds.lorentz_rhs((0,), 0.0, p)
-        with pytest.raises(ValueError):
-            bounds.lorentz_rhs((0, 0), 1.0, p)
+            self.rhs([0], 0.0)
 
 
 class TestGaussian:
     def test_origin_region_and_value(self):
-        c = ConstCoeffs.of(1.0, 2.0)
+        c = (1.0, 2.0)
         for t in (1e-3, 1.0):
-            rhs, ok = bounds.gaussian_rhs((0, 0), t, c, 1.0)
-            assert ok
-            assert rhs == pytest.approx(math.pi / math.sqrt(4.0 * t * 4.0 * 2.0 * t))
+            log_rhs = sum(bounds.gaussian_log_rhs(np.array([0]), t, cj, 1.0, min(c))[0]
+                          for cj in c)
+            assert math.isfinite(log_rhs)
+            assert math.exp(log_rhs) == pytest.approx(math.pi / math.sqrt(4.0 * t * 4.0 * 2.0 * t))
 
     def test_region_boundary(self):
-        c = ConstCoeffs.of(1.0)
         t = 10.0 / (2.0 * bounds.C0_GAUSSIAN)
-        _, ok = bounds.gaussian_rhs((10,), t, c, 1.0)
-        assert ok
-        _, ok_below = bounds.gaussian_rhs((10,), t * 0.999, c, 1.0)
-        assert not ok_below
+        assert math.isfinite(bounds.gaussian_log_rhs(np.array([10]), t, 1.0, 1.0, 1.0)[0])
+        assert bounds.gaussian_log_rhs(np.array([10]), t * 0.999, 1.0, 1.0, 1.0)[0] == math.inf
 
     def test_even(self):
-        c = ConstCoeffs.of(1.0)
-        a, _ = bounds.gaussian_rhs((7,), 1.0, c, 0.5)
-        b, _ = bounds.gaussian_rhs((-7,), 1.0, c, 0.5)
+        a, b = bounds.gaussian_log_rhs(np.array([7, -7]), 1.0, 1.0, 0.5, 1.0)
         assert a == b
-
-    def test_b_form_at_zero(self):
-        c = ConstCoeffs.of(1.0, 1.0)
-        v = bounds.gaussian_rhs_b((3, -2), 0.7, c, 1.0, (0.0, 0.0))
-        assert v == pytest.approx(math.pi / (4.0 * 0.7))
-
-    def test_b_form_optimizer(self):
-        c = ConstCoeffs.of(1.3)
-        dx, t, a = 0.5, 2.0, 5
-        b_star = a * dx**2 / (bounds.C0_GAUSSIAN * c.c[0] * t)
-        assert abs(b_star) <= 0.5
-        lhs = bounds.gaussian_rhs_b((a,), t, c, dx, (b_star,))
-        rhs, _ = bounds.gaussian_rhs((a,), t, c, dx)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-        # moving past the optimizer only increases the bound
-        for shift in (0.05, 0.15):
-            assert bounds.gaussian_rhs_b((a,), t, c, dx, (b_star + shift,)) >= lhs
-
-    def test_b_out_of_range(self):
-        with pytest.raises(ValueError):
-            bounds.gaussian_rhs_b((0,), 1.0, ConstCoeffs.of(1.0), 1.0, (0.6,))
 
 
 class TestPang:
@@ -149,47 +115,16 @@ class TestLorentzConvolution:
 
 
 class TestKRhs:
+    """The correction-kernel variant of the Lorentzian: one more half
+    power of t (m = 1) and no cubic tail."""
+
     def test_diagonal_large_time(self):
         cbar, dx = 1.0, 0.5
-        t = 1.0
-        v = bounds.k_rhs((3,), (3,), t, cbar, dx)
-        assert v == pytest.approx(t**-1.0 / math.sqrt(2.0 * cbar))
+        t = 2.0
+        v = bounds.lorentz_rhs(np.array([0]), t, cbar, dx, 1, cubic_tail=False)
+        assert v[0] == pytest.approx(t**-1.0 / math.sqrt(2.0 * cbar))
 
     def test_offset_symmetry(self):
-        v1 = bounds.k_rhs((4,), (1,), 0.3, 1.0, 0.25)
-        v2 = bounds.k_rhs((1,), (4,), 0.3, 1.0, 0.25)
-        assert v1 == v2
-
-    def test_matches_lorentz_variant(self):
-        p = bounds.LorentzBoundParams(cbar=2.0, dx=0.5, d=1, m=1, cubic_tail=False)
-        assert bounds.k_rhs((5,), (2,), 0.7, 2.0, 0.5) == bounds.lorentz_rhs((3,), 0.7, p)
-
-
-class TestFitBound:
-    def test_zero_quantity(self):
-        pts = [((0,), 0.5), ((1,), 0.5)]
-        rep = bounds.fit_bound(pts, [0.0, 0.0], lambda a, t: 1.0)
-        assert rep.sup_ratio == 0.0
-
-    def test_quantity_equals_rhs(self):
-        pts = [((0,), 0.1), ((2,), 1.0)]
-        rhs = [2.0, 3.0]
-        rep = bounds.fit_bound(pts, [2.0, 3.0], rhs)
-        assert rep.sup_ratio == 1.0
-        assert rep.t_range == (0.1, 1.0)
-
-    def test_per_dx_and_argmax(self):
-        pts = [((0,), 0.5, 0.25), ((0,), 0.5, 0.5)]
-        rep = bounds.fit_bound(pts, [1.0, 3.0], [1.0, 1.0])
-        assert rep.sup_ratio == 3.0
-        assert rep.argmax_t == 0.5
-        assert dict(rep.per_dx_constants) == {0.25: 1.0, 0.5: 3.0}
-        assert rep.dx_spread == pytest.approx(2.0 / 3.0)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            bounds.fit_bound([], [], [])
-        with pytest.raises(ValueError):
-            bounds.fit_bound([((0,), 1.0)], [1.0], [0.0])
-        with pytest.raises(ValueError):
-            bounds.fit_bound([((0,), 1.0)], [math.nan], [1.0])
+        offsets = np.arange(-6, 7)
+        v = bounds.lorentz_rhs(offsets, 0.3, 1.0, 0.25, 1, cubic_tail=False)
+        assert np.array_equal(v, v[::-1])

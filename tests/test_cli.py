@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sdheat.cli import RunConfig, main
+from sdheat.cli import main
 
 IV_0_1 = 0.46575960759364043
 
@@ -19,14 +19,6 @@ def read_column(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return {int(r[0]): float(r[1]) for r in rows[1:]}
-
-
-class TestRunConfig:
-    def test_round_trip_bit_exact(self):
-        cfg = RunConfig("kernel", {"dx": 0.1, "t": 1.0 / 3.0, "c": [1.0, 2.0]})
-        text = cfg.to_json()
-        assert RunConfig("kernel", {"c": [1.0, 2.0], "t": 1.0 / 3.0, "dx": 0.1}).to_json() == text
-        assert RunConfig(**json.loads(text)) == cfg
 
 
 class TestKernel:

@@ -5,7 +5,6 @@ import pytest
 
 from sdheat.heat_const import (
     ConstCoeffs,
-    duhamel_const,
     kernel_1d,
     kernel_axis_values,
     kernel_nd,
@@ -13,12 +12,9 @@ from sdheat.heat_const import (
     kernel_slice,
     kernel_spectral,
     recommended_radius,
-    semigroup_apply,
     spectral_factor,
 )
-from sdheat.lattice import Field, GridSpec, convolve_translation, lp_norm
-from sdheat.oracle import residual
-from sdheat.parametrix import Coefficients
+from sdheat.lattice import Field, GridSpec
 
 IV_0_1 = 0.46575960759364043
 
@@ -112,8 +108,8 @@ class TestSliceAndSemigroup:
         for t in (0.1, 1.0):
             g = GridSpec(dx=0.25, dim=1, radius=recommended_radius(t, 1.0, 0.25))
             slc = kernel_slice(g, ConstCoeffs.of(1.0), t)
-            assert np.all(slc.values.values > 0.0)
-            assert abs(slc.values.flat().sum() * g.dx - 1.0) <= 1e-12
+            assert np.all(slc.values > 0.0)
+            assert abs(slc.flat().sum() * g.dx - 1.0) <= 1e-12
 
     def test_semigroup_property(self):
         t, s = 0.4, 0.3
@@ -122,27 +118,10 @@ class TestSliceAndSemigroup:
         a_t = kernel_slice(g, c, t).values
         a_s = kernel_slice(g, c, s).values
         a_ts = kernel_slice(g, c, t + s).values
-        conv = convolve_translation(a_t, a_s)
-        assert np.abs(conv.values - a_ts.values).max() <= 1e-11
-
-    def test_dirac_recovers_slice(self):
-        g = GridSpec(dx=0.5, dim=1, radius=recommended_radius(0.5, 1.0, 0.5))
-        c = ConstCoeffs.of(1.0)
-        out = semigroup_apply(Field.dirac(g), 0.5, c)
-        assert np.abs(out.values - kernel_slice(g, c, 0.5).values.values).max() <= 1e-12
-
-    def test_constants_preserved(self):
-        g = GridSpec(dx=0.5, dim=1, radius=recommended_radius(1.0, 1.0, 0.5))
-        out = semigroup_apply(Field.constant(g, 1.0), 1.0, ConstCoeffs.of(1.0))
-        assert np.abs(out.values - 1.0).max() <= 1e-12
-
-    def test_contraction(self):
-        g = GridSpec(dx=0.5, dim=1, radius=recommended_radius(0.5, 1.0, 0.5))
-        rng = np.random.default_rng(4)
-        psi = Field(g, rng.standard_normal(g.shape))
-        out = semigroup_apply(psi, 0.5, ConstCoeffs.of(1.0))
-        for p in (1.0, 2.0, math.inf):
-            assert lp_norm(out, p) <= lp_norm(psi, p) * (1.0 + 1e-13)
+        # the box radius keeps both tails negligible, so the truncated
+        # linear convolution over offsets -N..N is the lattice one
+        conv = np.convolve(a_t, a_s, mode="same") * g.dx
+        assert np.abs(conv - a_ts).max() <= 1e-11
 
     def test_lp_decay_scaling_stable(self):
         # ||D+^m a(t)||_p t^{(1+m)/2 - 1/(2p)} stays bounded, and its sup
@@ -165,43 +144,3 @@ class TestSliceAndSemigroup:
                     sups.append(max(vals))
                 spread = (max(sups) - min(sups)) / max(sups)
                 assert np.isfinite(sups).all() and spread < 0.10, (m, p, sups)
-
-
-class TestDuhamelConst:
-    def test_no_source_is_semigroup(self):
-        g = GridSpec(dx=0.5, dim=1, radius=recommended_radius(0.5, 1.0, 0.5))
-        rng = np.random.default_rng(8)
-        psi = Field(g, rng.standard_normal(g.shape))
-        c = ConstCoeffs.of(1.0)
-        u = duhamel_const(psi, None, 0.5, c)
-        assert np.abs(u.values - semigroup_apply(psi, 0.5, c).values).max() == 0.0
-
-    def test_constant_source_grows_linearly(self):
-        g = GridSpec(dx=0.5, dim=1, radius=recommended_radius(0.8, 1.0, 0.5))
-        ones = Field.constant(g, 1.0)
-        u = duhamel_const(Field.constant(g, 0.0), lambda s: ones, 0.8, ConstCoeffs.of(1.0))
-        assert np.abs(u.values - 0.8).max() <= 1e-10
-
-    def test_ode_residual(self):
-        dx = 0.25
-        g = GridSpec(dx=dx, dim=1, radius=recommended_radius(0.5, 1.0, dx))
-        c = ConstCoeffs.of(1.0)
-        rng = np.random.default_rng(7)
-        length = g.npts * dx
-        x = g.axis_coordinates()
-        psi = Field(g, sum(rng.normal() * np.cos(2 * np.pi * k * x / length)
-                           + rng.normal() * np.sin(2 * np.pi * k * x / length) for k in range(3)))
-        fv = Field(g, sum(rng.normal() * np.cos(2 * np.pi * k * x / length) for k in range(3)))
-        h = 1e-3
-        us = [duhamel_const(psi, lambda s: fv, t, c, time_nodes=64)
-              for t in (0.5 - h, 0.5, 0.5 + h)]
-        res = residual(us, [0.5 - h, 0.5, 0.5 + h], Coefficients.constant(g, 1.0),
-                       f=lambda s: fv)
-        assert res <= 1e-6
-
-    def test_rejects_nonfinite_source(self):
-        g = GridSpec(dx=1.0, dim=1, radius=4)
-        bad = Field(g, np.full(g.shape, 1.0))
-        bad_fn = lambda s: Field(g, np.full(g.shape, np.inf))  # noqa: E731
-        with pytest.raises(ValueError):
-            duhamel_const(bad, bad_fn, 0.1, ConstCoeffs.of(1.0))

@@ -4,20 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdheat import lattice
 from sdheat.lattice import (
     Field,
     GridSpec,
-    TwoPointField,
     backward_diff,
-    convolve_2p,
-    convolve_translation,
     field_from_csv,
     field_to_csv,
     forward_diff,
     laplacian_dir,
     lp_norm,
-    mixed_norm,
     zeros_count,
 )
 
@@ -134,68 +129,6 @@ class TestDifferences:
             assert abs(lhs - rhs) <= 1e-12
 
 
-class TestConvolutions:
-    def test_two_point_dirac_identity(self):
-        g = grid1(dx=0.5, radius=3)
-        rng = np.random.default_rng(0)
-        F = TwoPointField.from_matrix(g, rng.standard_normal((g.site_count,) * 2))
-        G = TwoPointField.dirac(g)
-        assert np.allclose(convolve_2p(F, G).dense(), F.dense())
-
-    def test_two_point_indicator(self):
-        g = grid1(dx=1.0, radius=2)
-        eye = TwoPointField.from_matrix(g, np.eye(g.site_count))
-        out = convolve_2p(eye, eye).dense()
-        assert np.allclose(out, np.eye(g.site_count))
-
-    def test_grid_mismatch(self):
-        a = TwoPointField.dirac(grid1(radius=2))
-        b = TwoPointField.dirac(grid1(radius=3))
-        with pytest.raises(ValueError):
-            convolve_2p(a, b)
-
-    @pytest.mark.parametrize("exps", [(1, 1, math.inf, 1), (2, 2, 2, 2),
-                                      (math.inf, 1, math.inf, math.inf)])
-    def test_young_inequality(self, exps):
-        p1, p2, q1, q2 = exps
-        g = grid1(dx=0.5, radius=4)
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            F = TwoPointField.from_matrix(g, rng.standard_normal((g.site_count,) * 2))
-            G = TwoPointField.from_matrix(g, rng.standard_normal((g.site_count,) * 2))
-            lhs = mixed_norm(convolve_2p(F, G), p1, q2)
-            rhs = mixed_norm(F, p1, p2) * mixed_norm(G, q1, q2)
-            assert lhs <= rhs * (1.0 + 1e-12)
-
-    def test_translation_dirac(self):
-        g = grid1(dx=0.5, radius=4)
-        rng = np.random.default_rng(1)
-        f = Field(g, rng.standard_normal(g.shape))
-        out = convolve_translation(f, Field.dirac(g))
-        assert np.abs(out.values - f.values).max() < 1e-12
-
-    def test_translation_commutes_periodic(self):
-        g = grid1(radius=5)
-        rng = np.random.default_rng(2)
-        f = Field(g, rng.standard_normal(g.shape))
-        h = Field(g, rng.standard_normal(g.shape))
-        assert np.allclose(convolve_translation(f, h).values,
-                           convolve_translation(h, f).values)
-
-    def test_dirac_squared(self):
-        g = grid1(dx=0.5, radius=3)
-        d = Field.dirac(g)
-        out = convolve_translation(d, d)
-        assert abs(out.value((0,)) - 2.0) < 1e-12  # = 1/dx
-
-    def test_zero_extension_convolution(self):
-        g = grid1(dx=1.0, radius=2, boundary="zero-extension")
-        d = Field.dirac(g)
-        f = Field(g, np.arange(5.0))
-        out = convolve_translation(f, d)
-        assert np.allclose(out.values, f.values)
-
-
 class TestNorms:
     def test_dirac_l1(self):
         for d in (1, 2):
@@ -219,26 +152,6 @@ class TestNorms:
         assert lp_norm(Field.constant(g, 0.0), 2.0) == 0.0
         assert lp_norm(Field.dirac(g), 2.0) > 0.0
 
-    def test_mixed_norm_order(self):
-        # beta-norm first: rows of distinct scales distinguish the order
-        g = GridSpec(dx=1.0, dim=1, radius=1)
-        mat = np.array([[3.0, 0, 0], [0, 4.0, 0], [0, 0, 0]])
-        F = TwoPointField.from_matrix(g, mat)
-        # beta inf-norm per row -> (3, 4, 0); then alpha l1 -> 7
-        assert abs(mixed_norm(F, 1.0, math.inf) - 7.0) < 1e-14
-        # alpha-first would give a different number; check the exact value
-        assert abs(mixed_norm(F, math.inf, 1.0) - 4.0) < 1e-14
-
-
-class TestTwoPointStorage:
-    def test_budget(self, monkeypatch):
-        g = grid1(radius=2)
-        monkeypatch.setattr(lattice, "DENSE_BUDGET", 24)
-        with pytest.raises(ValueError):
-            TwoPointField.from_matrix(g, np.zeros((5, 5)))
-        monkeypatch.setattr(lattice, "DENSE_BUDGET", 25)
-        assert TwoPointField.from_matrix(g, np.zeros((5, 5))).dense().shape == (5, 5)
-
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -257,13 +170,3 @@ class TestSerialization:
         field_to_csv(Field.dirac(g), path)
         header = Path(path).read_text().splitlines()[0].strip()
         assert header == "alpha_1,alpha_2,value"
-
-    def test_two_point_schema(self, tmp_path):
-        from sdheat.lattice import two_point_to_csv
-        g = GridSpec(dx=1.0, dim=1, radius=1)
-        path = str(tmp_path / "g.csv")
-        two_point_to_csv(TwoPointField.dirac(g), path)
-        lines = Path(path).read_text().splitlines()
-        assert lines[0] == "alpha_1,beta_1,value"
-        assert len(lines) == 1 + g.site_count**2
-        assert lines[1].split(",") == ["-1", "-1", "1"]

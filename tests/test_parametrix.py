@@ -6,16 +6,7 @@ import pytest
 from sdheat import bounds, oracle
 from sdheat.heat_const import kernel_1d, kernel_nd, recommended_radius
 from sdheat.lattice import Field, GridSpec, forward_diff
-from sdheat.parametrix import (
-    Coefficients,
-    ParametrixSolver,
-    frozen_kernel,
-    gamma,
-    k1,
-    k_matrix,
-    phi,
-    propagation_defect,
-)
+from sdheat.parametrix import Coefficients, ParametrixSolver, k1
 from sdheat.quadrature import TimeQuadrature
 
 
@@ -41,16 +32,22 @@ class TestCoefficients:
 
 
 class TestFrozenKernel:
+    """Columns of ``kernel_matrix(t)``: b -> the kernel of the equation
+    with coefficients frozen at b, at offsets a - b."""
+
     def test_initial_dirac(self, small_var_coeffs):
-        dxd = small_var_coeffs.grid.dx ** -1
-        assert frozen_kernel((3,), (3,), 0.0, small_var_coeffs) == dxd
-        assert frozen_kernel((4,), (3,), 0.0, small_var_coeffs) == 0.0
+        grid = small_var_coeffs.grid
+        mat = ParametrixSolver(small_var_coeffs).kernel_matrix(0.0)
+        b = grid.flat_index((3,))
+        assert mat[b, b] == grid.dx ** -1
+        assert mat[grid.flat_index((4,)), b] == 0.0
 
     def test_constant_matches_kernel_nd(self):
         g = GridSpec(dx=0.5, dim=1, radius=8)
         c = Coefficients.constant(g, 1.3)
+        mat = ParametrixSolver(c).kernel_matrix(0.2)
         for beta in ((0,), (5,)):
-            v = frozen_kernel((2,), beta, 0.2, c)
+            v = mat[g.flat_index((2,)), g.flat_index(beta)]
             assert v == pytest.approx(kernel_nd((2 - beta[0],), 0.2, c.frozen(beta), 0.5))
 
     def test_mass_per_base_point(self):
@@ -58,9 +55,9 @@ class TestFrozenKernel:
         grid = GridSpec(dx=dx, dim=1, radius=recommended_radius(t, 1.3, dx))
         coeffs = Coefficients.from_function(
             grid, lambda x: 1.0 + 0.3 * np.sin(2.0 * np.pi * x / (grid.npts * dx)))
+        mat = ParametrixSolver(coeffs).kernel_matrix(t)
         for beta in ((0,), (7,)):
-            total = sum(frozen_kernel((k,), beta, t, coeffs)
-                        for k in range(-grid.radius, grid.radius + 1))
+            total = mat[:, grid.flat_index(beta)].sum()
             assert abs(total * grid.dx - 1.0) <= 1e-12
 
 
@@ -71,7 +68,7 @@ class TestCorrectionKernel:
     def test_constant_coefficients_vanish(self):
         g = GridSpec(dx=0.5, dim=1, radius=6)
         c = Coefficients.constant(g, 2.0)
-        mat = k_matrix(c, 0.3).dense()
+        mat = ParametrixSolver(c).correction_matrix(0.3)
         assert np.abs(mat).max() == 0.0
 
     def test_tanh_profile_against_direct_formula(self):
@@ -101,25 +98,28 @@ class TestCorrectionKernel:
 class TestPhi:
     def test_constant_coefficients_vanish(self):
         g = GridSpec(dx=0.5, dim=1, radius=6)
-        series = phi(Coefficients.constant(g, 1.0), 0.2, TimeQuadrature(nodes=16), tol=1e-8)
+        solver = ParametrixSolver(Coefficients.constant(g, 1.0), TimeQuadrature(nodes=16), tol=1e-8)
+        series = solver.phi_series(0.2)
         assert series.m_max == 1
         assert all(np.abs(v).max() == 0.0 for v in series.values)
         assert series.tail_estimate == 0.0
 
     def test_tail_tolerance_honoured(self, small_var_coeffs):
-        series = phi(small_var_coeffs, 0.2, TimeQuadrature(nodes=32), tol=1e-6)
+        solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=32), tol=1e-6)
+        series = solver.phi_series(0.2)
         assert series.tail_estimate <= 1e-6
         assert 1 <= series.m_max <= 20
 
     def test_tightening_tolerance_changes_little(self, small_var_coeffs):
         quad = TimeQuadrature(nodes=32)
-        loose = phi(small_var_coeffs, 0.2, quad, tol=1e-4)
-        tight = phi(small_var_coeffs, 0.2, quad, tol=1e-5)
+        loose = ParametrixSolver(small_var_coeffs, quad, tol=1e-4).phi_series(0.2)
+        tight = ParametrixSolver(small_var_coeffs, quad, tol=1e-5).phi_series(0.2)
         dev = max(np.abs(a - b).max() for a, b in zip(loose.values, tight.values))
         assert dev <= 1e-4
 
     def test_factorial_decay_of_orders(self, small_var_coeffs):
-        series = phi(small_var_coeffs, 0.25, TimeQuadrature(nodes=48), tol=1e-10)
+        solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=48), tol=1e-10)
+        series = solver.phi_series(0.25)
         t = series.horizon
         c3 = series.fitted_c3
         scaled = [n * math.gamma(m / 2.0) / (c3**m * t ** ((m - 1) / 2.0))
@@ -141,7 +141,7 @@ class TestGamma:
         t = 0.1
         g = GridSpec(dx=dx, dim=1, radius=recommended_radius(t, 1.0, dx))
         c = Coefficients.constant(g, 1.0)
-        col = gamma(c, (0,), t, TimeQuadrature(nodes=16), tol=1e-8)
+        col = ParametrixSolver(c, TimeQuadrature(nodes=16), tol=1e-8).gamma_column((0,), t)
         direct = np.array([kernel_nd((a,), t, c.frozen((0,)), dx)
                            for a in range(-g.radius, g.radius + 1)])
         assert np.abs(col.flat() - direct).max() <= 1e-12 * dx**-1
@@ -164,11 +164,36 @@ class TestGamma:
         ref = oracle.gamma_oracle(small_var_coeffs, (3,), t, tol=1e-11)
         assert np.abs(col.values - ref.values).max() <= 1e-6
 
+    @pytest.mark.parametrize("boundary", ["periodic-wrap", "zero-extension"])
+    def test_oracle_equivalence_both_boundaries(self, boundary):
+        # columns far from the edge, where the infinite-lattice Gamma of a
+        # zero-extension grid and the oracle's absorbing generator agree
+        grid = GridSpec(dx=0.25, dim=1, radius=24, boundary=boundary)
+        length = grid.npts * grid.dx
+        coeffs = Coefficients.from_function(
+            grid, lambda x: 1.0 + 0.3 * np.sin(2.0 * np.pi * x / length))
+        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=48), tol=1e-8)
+        for beta in ((0,), (6,)):
+            col = solver.gamma_column(beta, 0.1)
+            ref = oracle.gamma_oracle(coeffs, beta, 0.1, tol=1e-12)
+            assert np.abs(col.values - ref.values).max() <= 1e-9
+
     def test_constants_preserved(self, small_var_coeffs):
         solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=48), tol=1e-8)
         mat = solver.gamma_matrix(0.2)
         row_mass = mat.sum(axis=1) * small_var_coeffs.grid.cell_volume
         assert np.abs(row_mass - 1.0).max() <= 1e-8
+
+
+class TestDenseBudget:
+    def test_oversized_grid_rejected_before_allocation(self, monkeypatch):
+        grid = GridSpec(dx=1.0, dim=2, radius=46)
+        assert grid.site_count == 8649
+        coeffs = Coefficients.constant(grid, 1.0)
+        monkeypatch.setattr(ParametrixSolver, "_offset_tables",
+                            lambda self: pytest.fail("offset tables built"))
+        with pytest.raises(ValueError, match="dense budget"):
+            ParametrixSolver(coeffs)
 
 
 class TestGammaEntryPoints:
@@ -225,7 +250,8 @@ class TestPropagation:
         dx = 0.25
         g = GridSpec(dx=dx, dim=1, radius=recommended_radius(0.2, 1.0, dx))
         c = Coefficients.constant(g, 1.0)
-        defect = propagation_defect(c, 0.1, 0.2, TimeQuadrature(nodes=16), tol=1e-8)
+        solver = ParametrixSolver(c, TimeQuadrature(nodes=16), tol=1e-8)
+        defect = solver.propagation_defect(0.1, 0.2)
         assert defect <= 1e-11
 
     def test_defect_decreases_under_refinement(self, small_var_coeffs):
@@ -272,8 +298,7 @@ class TestPointwiseBounds:
             for q in range(0, lad.nodes.size, 4):
                 s = float(lad.nodes[q])
                 col = lad.phi_nodes[q][:, b]
-                st = np.where(offs == 0, bounds.small_time_factor(s, cbar, dx), 1.0)
-                rhs = st * s**-1.0 * bounds.lorentz_tail_axis(offs, s, cbar, dx, False)
+                rhs = bounds.lorentz_rhs(offs, s, cbar, dx, 1, cubic_tail=False)
                 sup = max(sup, float((np.abs(col) / rhs).max()))
             sups[dx] = sup
         vals = list(sups.values())
@@ -295,9 +320,7 @@ class TestPointwiseBounds:
                 for _ in range(m):
                     vals = forward_diff(Field(grid, vals), 1).values
                 offs = np.arange(-grid.radius, grid.radius + 1)
-                st = np.where(offs == 0, bounds.small_time_factor(t, cbar, dx), 1.0)
-                rhs = st * t ** (-(1.0 + m) / 2.0) * bounds.lorentz_tail_axis(
-                    offs, t, cbar, dx, False)
+                rhs = bounds.lorentz_rhs(offs, t, cbar, dx, m, cubic_tail=False)
                 sup = max(sup, float((np.abs(vals) / rhs).max()))
             sups[dx] = sup
         vals = list(sups.values())

@@ -5,11 +5,10 @@ from sdheat.quadrature import TimeQuadrature, gauss_legendre
 
 
 class TestTimeQuadrature:
-    @pytest.mark.parametrize("rule", ["gauss-legendre-graded", "midpoint-graded"])
-    def test_nodes_interior_weights_positive(self, rule):
-        quad = TimeQuadrature(nodes=32, rule=rule)
+    def test_nodes_interior_weights_positive(self):
+        quad = TimeQuadrature(nodes=32)
         for t in (0.1, 1.0, 7.3):
-            s, w = quad.points(t)
+            s, w, _, _ = quad.points_with_panels(t)
             assert s[0] > 0.0 and s[-1] < t
             assert np.all(np.diff(s) > 0)
             assert np.all(w > 0)
@@ -18,13 +17,13 @@ class TestTimeQuadrature:
 
     def test_layer_panels_resolve_endpoints(self):
         quad = TimeQuadrature(nodes=96)
-        s, w = quad.points(1.0, layer=1e-3)
+        s, w, _, _ = quad.points_with_panels(1.0, layer=1e-3)
         assert s[0] < 1e-3
         assert 1.0 - s[-1] < 1e-3
 
     def test_polynomial_exactness(self):
         quad = TimeQuadrature(nodes=32)
-        s, w = quad.points(2.0)
+        s, w, _, _ = quad.points_with_panels(2.0)
         for k in (1, 3, 6):
             assert np.sum(w * s**k) == pytest.approx(2.0 ** (k + 1) / (k + 1), rel=1e-12)
 
@@ -32,9 +31,7 @@ class TestTimeQuadrature:
         with pytest.raises(ValueError):
             TimeQuadrature(nodes=2)
         with pytest.raises(ValueError):
-            TimeQuadrature(rule="simpson")
-        with pytest.raises(ValueError):
-            TimeQuadrature().points(0.0)
+            TimeQuadrature().points_with_panels(0.0)
 
 
 def test_gauss_legendre_cached():
