@@ -128,3 +128,15 @@ class TestKRhs:
         offsets = np.arange(-6, 7)
         v = bounds.lorentz_rhs(offsets, 0.3, 1.0, 0.25, 1, cubic_tail=False)
         assert np.array_equal(v, v[::-1])
+
+    def test_matches_lorentz_variant(self):
+        # the bound of K(alpha, beta) is the one-direction Lorentzian at
+        # alpha - beta; a matrix of pair offsets gives the Toeplitz matrix
+        # of the vector over offsets, entry for entry
+        alpha = np.arange(-4, 5)
+        v = bounds.lorentz_rhs(alpha[:, None] - alpha[None, :], 0.7, 2.0, 0.5, 1,
+                               cubic_tail=False)
+        row = bounds.lorentz_rhs(np.arange(-8, 9), 0.7, 2.0, 0.5, 1, cubic_tail=False)
+        for i in range(alpha.size):
+            assert np.array_equal(v[i], row[i:i + alpha.size][::-1])
+        assert v[5, 2] == bounds.lorentz_rhs(np.array([3]), 0.7, 2.0, 0.5, 1, cubic_tail=False)[0]

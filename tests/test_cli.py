@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sdheat.cli import main
+from sdheat.cli import _write_json, main
 
 IV_0_1 = 0.46575960759364043
 
@@ -19,6 +19,19 @@ def read_column(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return {int(r[0]): float(r[1]) for r in rows[1:]}
+
+
+class TestRunConfig:
+    def test_round_trip_bit_exact(self, tmp_path):
+        # the writer behind the verify report's config_echo: key order
+        # does not change the bytes, and floats come back bit-exact
+        cfg = {"subcommand": "kernel", "options": {"dx": 0.1, "t": 1.0 / 3.0, "c": [1.0, 2.0]}}
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        _write_json(str(a), cfg)
+        _write_json(str(b), {"options": {"c": [1.0, 2.0], "t": 1.0 / 3.0, "dx": 0.1},
+                             "subcommand": "kernel"})
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text()) == cfg
 
 
 class TestKernel:

@@ -14,9 +14,21 @@ from sdheat.heat_const import (
     recommended_radius,
     spectral_factor,
 )
-from sdheat.lattice import Field, GridSpec
+from sdheat.lattice import Field, GridSpec, lp_norm
+from sdheat.oracle import residual
+from sdheat.parametrix import Coefficients
+from sdheat.solver import CauchyProblem, solve_inhomogeneous
 
 IV_0_1 = 0.46575960759364043
+
+
+def semigroup(values, t, dx, c=1.0):
+    """e^{t c Delta} on a periodic 1-d box: circular convolution with the
+    kernel slice.  The box radius must keep the slice's tails negligible."""
+    n = values.size
+    grid = GridSpec(dx=dx, dim=1, radius=(n - 1) // 2)
+    a = kernel_slice(grid, ConstCoeffs.of(c), t).values
+    return np.convolve(np.tile(values, 3), a, mode="same")[n:2 * n] * dx
 
 
 class TestKernel1d:
@@ -123,6 +135,24 @@ class TestSliceAndSemigroup:
         conv = np.convolve(a_t, a_s, mode="same") * g.dx
         assert np.abs(conv - a_ts).max() <= 1e-11
 
+    def test_dirac_recovers_slice(self):
+        g = GridSpec(dx=0.5, dim=1, radius=recommended_radius(0.5, 1.0, 0.5))
+        out = semigroup(Field.dirac(g).values, 0.5, g.dx)
+        assert np.abs(out - kernel_slice(g, ConstCoeffs.of(1.0), 0.5).values).max() <= 1e-12
+
+    def test_constants_preserved(self):
+        g = GridSpec(dx=0.5, dim=1, radius=recommended_radius(1.0, 1.0, 0.5))
+        out = semigroup(np.ones(g.shape), 1.0, g.dx)
+        assert np.abs(out - 1.0).max() <= 1e-12
+
+    def test_contraction(self):
+        g = GridSpec(dx=0.5, dim=1, radius=recommended_radius(0.5, 1.0, 0.5))
+        rng = np.random.default_rng(4)
+        psi = Field(g, rng.standard_normal(g.shape))
+        out = Field(g, semigroup(psi.values, 0.5, g.dx))
+        for p in (1.0, 2.0, math.inf):
+            assert lp_norm(out, p) <= lp_norm(psi, p) * (1.0 + 1e-13)
+
     def test_lp_decay_scaling_stable(self):
         # ||D+^m a(t)||_p t^{(1+m)/2 - 1/(2p)} stays bounded, and its sup
         # over t moves by < 10% between spacings
@@ -144,3 +174,48 @@ class TestSliceAndSemigroup:
                     sups.append(max(vals))
                 spread = (max(sups) - min(sups)) / max(sups)
                 assert np.isfinite(sups).all() and spread < 0.10, (m, p, sups)
+
+
+class TestDuhamelConst:
+    """The production Duhamel solver at constant coefficients, where the
+    answer is known through the Bessel kernel."""
+
+    def test_no_source_is_semigroup(self):
+        g = GridSpec(dx=0.5, dim=1, radius=recommended_radius(0.5, 1.0, 0.5))
+        rng = np.random.default_rng(8)
+        psi = Field(g, rng.standard_normal(g.shape))
+        prob = CauchyProblem(Coefficients.constant(g, 1.0), psi, horizon=0.5)
+        u = solve_inhomogeneous(prob, 0.5)
+        assert np.abs(u.values - semigroup(psi.values, 0.5, g.dx)).max() <= 1e-13
+
+    def test_constant_source_grows_linearly(self):
+        g = GridSpec(dx=0.5, dim=1, radius=recommended_radius(0.8, 1.0, 0.5))
+        ones = Field.constant(g, 1.0)
+        prob = CauchyProblem(Coefficients.constant(g, 1.0), Field.constant(g, 0.0),
+                             source=lambda s: ones, horizon=0.8)
+        u = solve_inhomogeneous(prob, 0.8)
+        assert np.abs(u.values - 0.8).max() <= 1e-10
+
+    def test_ode_residual(self):
+        dx = 0.5
+        g = GridSpec(dx=dx, dim=1, radius=recommended_radius(0.5, 1.0, dx))
+        coeffs = Coefficients.constant(g, 1.0)
+        rng = np.random.default_rng(7)
+        length = g.npts * dx
+        x = g.axis_coordinates()
+        psi = Field(g, sum(rng.normal() * np.cos(2 * np.pi * k * x / length)
+                           + rng.normal() * np.sin(2 * np.pi * k * x / length) for k in range(3)))
+        fv = Field(g, sum(rng.normal() * np.cos(2 * np.pi * k * x / length) for k in range(3)))
+        h = 1e-3
+        prob = CauchyProblem(coeffs, psi, source=lambda s: fv, horizon=0.5 + h)
+        us = [solve_inhomogeneous(prob, t) for t in (0.5 - h, 0.5, 0.5 + h)]
+        res = residual(us, [0.5 - h, 0.5, 0.5 + h], coeffs, f=lambda s: fv)
+        assert res <= 1e-6
+
+    def test_rejects_nonfinite_source(self):
+        g = GridSpec(dx=1.0, dim=1, radius=4)
+        bad_fn = lambda s: Field(g, np.full(g.shape, np.inf))  # noqa: E731
+        prob = CauchyProblem(Coefficients.constant(g, 1.0), Field(g, np.full(g.shape, 1.0)),
+                             source=bad_fn, horizon=0.1)
+        with pytest.raises(ValueError):
+            solve_inhomogeneous(prob, 0.1)
