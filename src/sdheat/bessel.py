@@ -13,8 +13,8 @@ rho_k = I_k / I_{k-1} = r / (2k + r rho_{k+1}), which lie in [0, 1), so
 nothing overflows and no rescaling is needed; the normalisation
 sum_n e^{-r} I_n(r) = 1 is accumulated in the same backward sweep, and
 the values are products of the ratios.  The sweep is written once in
-Python floats for a single value (``iv_scaled``) and once vectorised over
-a batch of arguments (``iv_scaled_matrix``, ``iv_scaled_array``).
+Python floats for a single argument (``iv_scaled``, ``iv_scaled_array``)
+and once vectorised over a batch of arguments (``iv_scaled_matrix``).
 
 ``iv_scaled_quadrature`` is an independent cross-check built on the
 integral representation
@@ -30,7 +30,9 @@ magnitude estimate (which is independent of the routines under test).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 import mpmath
 import numpy as np
@@ -55,19 +57,23 @@ def _miller_start(n: int, r: float) -> int:
     return math.ceil(math.sqrt(n * n + 70.0 * r)) + 15
 
 
-def _miller_scalar(n: int, r: float) -> float:
-    """The sweep of ``iv_scaled_matrix`` for one order and one argument, in
-    Python floats: tens of times faster than a one-column batch."""
+def _miller_sweep(nmax: int, r: float) -> tuple[list[float], float]:
+    """The sweep of ``iv_scaled_matrix`` for one argument, in Python
+    floats: tens of times faster than a one-column batch.
+
+    Returns the ratios [0, rho_1, ..., rho_nmax] and the normalisation
+    1 / (e^{-r} I_0(r)), with every operation in the batch's order.
+    """
+    ratios = [0.0] * (nmax + 1)
     ratio = 0.0  # rho_{k+1} = I_{k+1} / I_k, zero above the start order
     tail = 1.0   # sum_{j >= k} I_j / I_k
-    value = 1.0  # I_n / I_0 = rho_1 ... rho_n
-    for k in range(_miller_start(n, r), 0, -1):
+    for k in range(_miller_start(nmax, r), 0, -1):
         tail = 1.0 + ratio * tail
         ratio = r / (2.0 * k + r * ratio)
-        if k <= n:
-            value *= ratio
+        if k <= nmax:
+            ratios[k] = ratio
     # 1 / (e^{-r} I_0) = 1 + 2 sum_{j >= 1} I_j / I_0 = 1 + 2 rho_1 tail_1
-    return value / (1.0 + 2.0 * ratio * tail)
+    return ratios, 1.0 + 2.0 * ratio * tail
 
 
 def iv_scaled(n: int, r: float) -> float:
@@ -80,12 +86,20 @@ def iv_scaled(n: int, r: float) -> float:
     n = abs(int(n))
     if n > 10**6:
         raise ValueError(f"order {n} out of the supported range |n| <= 1e6")
-    return _miller_scalar(n, r)
+    ratios, norm = _miller_sweep(n, r)
+    # I_n / I_0 = rho_n ... rho_1
+    return math.prod(ratios[n:0:-1]) / norm
 
 
 def iv_scaled_array(nmax: int, r: float) -> np.ndarray:
-    """All scaled orders [e^{-r} I_0(r), ..., e^{-r} I_nmax(r)] at once."""
-    return iv_scaled_matrix(int(nmax), np.array([_validate_r(r)]))[:, 0]
+    """All scaled orders [e^{-r} I_0(r), ..., e^{-r} I_nmax(r)] at once.
+
+    The same values as a one-column ``iv_scaled_matrix`` batch, bit for
+    bit, from the Python-float sweep.
+    """
+    ratios, norm = _miller_sweep(int(nmax), _validate_r(r))
+    ratios[0] = 1.0 / norm
+    return np.array(list(itertools.accumulate(ratios, operator.mul)))
 
 
 def iv_scaled_matrix(nmax: int, r_values: np.ndarray) -> np.ndarray:

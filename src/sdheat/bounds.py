@@ -22,12 +22,9 @@ kernel away from the origin.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 from scipy import integrate
-
-from .lattice import zeros_count
 
 #: Rate constant of the explicit Gaussian bound.
 C0_GAUSSIAN = 252.0
@@ -96,8 +93,9 @@ def pang_rhs(n: int, t: float) -> float:
     return math.exp(log_pref + an * pang_F(an / (2.0 * t)))
 
 
-def lorentz_tilde(tau: float, z: float) -> float:
-    """The normalised Lorentz profile tau^{-1/2} (1 + z^2/tau)^{-1}."""
+def lorentz_tilde(tau: float, z: float | np.ndarray) -> float | np.ndarray:
+    """The normalised Lorentz profile tau^{-1/2} (1 + z^2/tau)^{-1}, at one
+    z or elementwise over an array of them."""
     return 1.0 / (math.sqrt(tau) * (1.0 + z * z / tau))
 
 
@@ -131,13 +129,17 @@ def lorentz_conv_quadrature(x: float, y: float, s: float, t: float) -> float:
     return total
 
 
-def prop53_f(t: float, alpha: Sequence[int], dx: float, c1: float = 1.0) -> float:
+def prop53_f(t: float, offsets: np.ndarray, dx: float, c1: float = 1.0) -> np.ndarray:
     """The self-reproducing Lorentz-product profile of the convolution
-    estimate: (1 ^ c1 t/dx^2)^{Z(a)/2} t^{-1/2} prod_j Ltilde(c1 t, a_j dx)."""
+    estimate, (1 ^ c1 t/dx^2)^{Z(a)/2} t^{-1/2} prod_j Ltilde(c1 t, a_j dx),
+    at each multi-index a of ``offsets`` (shape (..., d); the result has
+    shape (...)).  Z(a) counts the zero components of a."""
     if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
-    alpha = tuple(int(a) for a in alpha)
-    out = min(1.0, c1 * t / dx**2) ** (zeros_count(alpha) / 2.0) / math.sqrt(t)
-    for a in alpha:
-        out *= lorentz_tilde(c1 * t, a * dx)
+    a = np.asarray(offsets)
+    small = min(1.0, c1 * t / dx**2)
+    factors = np.array([small ** (z / 2.0) for z in range(a.shape[-1] + 1)])
+    out = factors[np.count_nonzero(a == 0, axis=-1)] / math.sqrt(t)
+    for j in range(a.shape[-1]):
+        out *= lorentz_tilde(c1 * t, a[..., j] * dx)
     return out

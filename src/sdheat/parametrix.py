@@ -16,20 +16,25 @@ and their sum Phi = sum_m K^(m).  The fundamental solution is then
     Gamma(t) = A(t) + int_0^t A(t-s) * Phi(s) ds.
 
 Numerically, one fixed set of graded Gauss panels on (0, horizon) serves
-every time integral, and one routine (``_convolve``) evaluates them all:
-the K^(m) iterates at every node, and Gamma as a matrix, as one column
-or applied to a vector.  Panels well below the target time keep their
+every time integral.  Panels well below the target time keep their
 Gauss weights; the last few boundary-layer widths below it are
 integrated in tau = t - s at fresh Gauss points, where the kernel is
 evaluated exactly and the smooth recursive factor is interpolated inside
-its panel.  The per-order sup norms decay like
+its panel.  That plan is linear in the recursive factor, so it is one
+weight matrix C (one row per kernel time, one column per node), and one
+contraction (``_contract``) turns C and the kernel matrices of the
+target into W = sum_r C[r, c] F(tau_r), stacked over the nodes c.  The
+ladder contracts each target once, with its correction kernels, and then
+runs every order as one product per target, K^(m)(x_i) = dx^d W_i @
+K^(m-1); Gamma contracts its own target with the frozen kernels A and
+applies W to Phi (or to Phi times a vector).  Kernel matrices live only
+while their target is contracted.  The per-order sup norms decay like
 C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order is chosen by
 fitting C and C3 to the measured norms and summing the analytic tail.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -130,13 +135,14 @@ class PhiSeries:
     Carries the truncation order, the per-order sup norms measured at
     the horizon, the fitted growth constants, and the analytic tail
     estimate that justified stopping.  The summed matrices live in
-    ``values`` (one per node, flat two-point layout).
+    ``values``, shape (nodes, sites, sites): one flat two-point matrix
+    per node.
     """
 
     grid: GridSpec
     horizon: float
     times: np.ndarray
-    values: tuple[np.ndarray, ...]
+    values: np.ndarray
     m_max: int
     tol: float
     order_sup_norms: tuple[float, ...]
@@ -218,39 +224,46 @@ class _ConvPlan:
     is interpolated inside whichever panel each piece lands in.
     """
 
-    panel: int
     full_idx: np.ndarray
     full_tau: np.ndarray
     full_w: np.ndarray
     segments: list[_ConvSegment]
 
-    def kernel_times(self) -> list[float]:
-        """Every tau at which the plan evaluates the kernel F(tau)."""
-        times = [float(tau) for tau in self.full_tau]
+    def matrix(self) -> tuple[list[float], np.ndarray]:
+        """The plan as one linear map of the node values G_c.
+
+        Returns the distinct kernel times tau_r and the weights C, one row
+        per time and one column per node up to the last one the plan
+        reads, with int_0^t F(t-s) G(s) ds = sum_{r,c} C[r, c] F(tau_r) G_c.
+        """
+        # full panels lie below every segment's panel
+        n = 1 + max(int(seg.panel_idx[-1]) for seg in self.segments)
+        rows: dict[float, int] = {}
+        c = np.zeros((self.full_tau.size + sum(seg.tau_pts.size for seg in self.segments), n))
+        for q, tau, w in zip(self.full_idx, self.full_tau, self.full_w):
+            c[rows.setdefault(float(tau), len(rows)), q] += w
         for seg in self.segments:
-            times += [float(tp) for tp in seg.tau_pts]
-        return times
+            for p, tp in enumerate(seg.tau_pts):
+                row = rows.setdefault(float(tp), len(rows))
+                c[row, seg.panel_idx] += seg.tau_w[p] * seg.interp[p]
+        return list(rows), c[:len(rows)]
 
 
-def _convolve(plan: _ConvPlan, kernels: dict[float, np.ndarray],
-              block: Callable[[int], np.ndarray], out: np.ndarray, scale: float) -> np.ndarray:
-    """Add scale * int_0^t F(t-s) G(s) ds along ``plan`` to ``out`` and return it.
-
-    ``kernels`` maps each time of ``plan.kernel_times()`` to the matrix
-    F(tau); ``block(q)`` is G at node q, shaped like ``out``: a matrix
-    (K^(m-1) or Phi) or a vector (Phi_q v).  Full panels use their Gauss
-    weights; each tau segment interpolates G from its panel's nodes.
-    """
-    for q, tau, w in zip(plan.full_idx, plan.full_tau, plan.full_w):
-        out += (w * scale) * (kernels[float(tau)] @ block(q))
-    for seg in plan.segments:
-        for p, tp in enumerate(seg.tau_pts):
-            g = np.zeros_like(out)
-            for c, node_i in enumerate(seg.panel_idx):
-                if seg.interp[p, c] != 0.0:
-                    g += seg.interp[p, c] * block(node_i)
-            out += (seg.tau_w[p] * scale) * (kernels[float(tp)] @ g)
-    return out
+def _contract(weights: np.ndarray, kernels: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Contract a plan's weights C (``_ConvPlan.matrix``) with its kernel
+    matrices F(tau_r), stacked as (times, s, s), into W of shape (s, n*s):
+    the block of node c is sum_r C[r, c] F(tau_r).  W @ G, with the node
+    values G_0..G_{n-1} stacked as rows, is then the plan's integral.
+    ``out``, when given, is a contiguous buffer of s*n*s entries that
+    receives W."""
+    n = weights.shape[1]
+    s = kernels.shape[1]
+    if out is None:
+        out = np.empty(s * n * s)
+    # one (n x times) @ (times x s) product per kernel row, written in W's layout
+    np.matmul(weights.T, kernels.transpose(1, 0, 2), out=out.reshape(s, n, s))
+    return out.reshape(s, n * s)
 
 
 @dataclass
@@ -260,7 +273,7 @@ class _Ladder:
     weights: np.ndarray
     breakpoints: np.ndarray
     ppp: int
-    phi_nodes: list[np.ndarray]
+    phi_nodes: np.ndarray  # Phi at every node, shape (nodes, sites, sites)
     m_max: int
     order_norms: list[float]
     fitted_c: float
@@ -272,9 +285,12 @@ class ParametrixSolver:
     """Builds frozen kernels, the correction ladder, and Gamma.
 
     Kernel matrices are produced by vectorised scaled-Bessel batches, one
-    per ladder panel group or Gamma assembly, and dropped as soon as they
-    are consumed.  Built ladders are kept per horizon, and a bounded
-    cache keeps the ``gamma_operator`` matrices.
+    per ladder target or Gamma assembly, contracted with the target's
+    plan weights into one matrix W and dropped.  A ladder build keeps the
+    W of every target while it runs its orders (about N^2 s^2 / 2
+    entries for N nodes and s sites); a built ladder keeps only Phi, per
+    horizon.  Gamma is not cached: each call assembles it afresh, and
+    callers that apply one operator many times keep it themselves.
 
     On ``zero-extension`` grids the frozen kernels are the infinite-lattice
     kernels restricted to the box, so Gamma is the infinite-lattice
@@ -284,8 +300,6 @@ class ParametrixSolver:
     dx = 1/8, radius 24 and T = 0.2, the column at beta = (20,) is 0.19
     from the oracle in l1.
     """
-
-    _CACHE_CAP = 160
 
     def __init__(self, coeffs: Coefficients, quad: TimeQuadrature | None = None,
                  tol: float = 1e-8):
@@ -301,7 +315,6 @@ class ParametrixSolver:
                              f"of {_DENSE_ENTRIES} entries")
         self._cflat = [coeffs.flat(j) for j in range(self.grid.dim)]
         self._offabs = self._offset_tables()
-        self._gamma_ops: dict[tuple[float, float], np.ndarray] = {}
         self._ladders: dict[float, _Ladder] = {}
 
     # -- kernel matrices -----------------------------------------------------
@@ -455,7 +468,7 @@ class ParametrixSolver:
             abscissae = nodes[panel_idx]
             interp = np.array([_lagrange_weights(abscissae, t - tp) for tp in tau_pts])
             segments.append(_ConvSegment(tau_pts, tau_w, interp, panel_idx))
-        return _ConvPlan(k, full_idx, t - nodes[full_idx], weights[full_idx], segments)
+        return _ConvPlan(full_idx, t - nodes[full_idx], weights[full_idx], segments)
 
     def _build_ladder(self, horizon: float) -> _Ladder:
         if not horizon > 0:
@@ -463,43 +476,32 @@ class ParametrixSolver:
         nodes, weights, bp, ppp = self.quad.points_with_panels(horizon, layer=self._layer_scale())
         xs = np.append(nodes, horizon)
         vol = self.grid.cell_volume
+        s = self.grid.site_count
 
         amap = self._batch_kernels(xs)
-        k1_list = [self._correction_from(amap[float(x)]) for x in xs]
+        prev = np.stack([self._correction_from(amap[float(x)]) for x in xs])
         del amap
 
-        if float(np.abs(k1_list[-1]).max()) == 0.0:
-            phi_nodes = [np.zeros_like(k1_list[0]) for _ in nodes]
-            return _Ladder(horizon, nodes, weights, bp, ppp, phi_nodes,
+        if float(np.abs(prev[-1]).max()) == 0.0:
+            return _Ladder(horizon, nodes, weights, bp, ppp, np.zeros_like(prev[:-1]),
                            1, [0.0], 0.0, 0.0, 0.0)
 
-        plans = [self._conv_plan(float(x), nodes, weights, bp, ppp) for x in xs]
-        by_panel: dict[int, list[int]] = {}
-        for i, plan in enumerate(plans):
-            by_panel.setdefault(plan.panel, []).append(i)
-        store: dict[int, list[np.ndarray]] = {1: k1_list}
+        # one contracted plan per target, its kernels built and dropped with it,
+        # K^(m)(x_i) = dx^d W_i @ K^(m-1) at the first n_i nodes; every W lies
+        # in one buffer, which goes back to the system in one piece
+        plans = [self._conv_plan(float(x), nodes, weights, bp, ppp).matrix() for x in xs]
+        sizes = [c.shape[1] * s * s for _, c in plans]
+        pieces = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        contracted = []
+        for (times, c), piece in zip(plans, pieces):
+            kmap = self._batch_kernels(times)
+            kernels = np.stack([self._correction_from(kmap.pop(tau)) for tau in times])
+            contracted.append(_contract(c, kernels, piece))
+            del kernels  # before the next target's batch
 
-        def add_orders(lo: int, hi: int) -> None:
-            for m in range(lo, hi + 1):
-                store[m] = [None] * xs.size
-            for k in sorted(by_panel):
-                targets = by_panel[k]
-                # kernels of this panel group, built once and shared by orders
-                times = set()
-                for i in targets:
-                    times.update(plans[i].kernel_times())
-                amap_k = self._batch_kernels(sorted(times))
-                kmat = {t: self._correction_from(a) for t, a in amap_k.items()}
-                del amap_k
-                for m in range(lo, hi + 1):
-                    prev = store[m - 1]
-                    for i in targets:
-                        acc = _convolve(plans[i], kmat, prev.__getitem__,
-                                        np.zeros_like(k1_list[0]), 1.0)
-                        store[m][i] = acc * vol
-
+        phi = prev[:-1].copy()
         m_done = 1
-        norms = [float(np.abs(k1_list[-1]).max())]
+        norms = [float(np.abs(prev[-1]).max())]
         while True:
             if m_done == 1:
                 target = min(3, _M_CAP)
@@ -515,19 +517,19 @@ class ParametrixSolver:
                         f"order {target} is {_series_tail(c_fit, c3_fit, horizon, target):.3g}")
                 if target <= m_done:
                     break
-            add_orders(m_done + 1, target)
+            for _ in range(m_done + 1, target + 1):
+                cur = np.empty_like(prev)
+                for i, w in enumerate(contracted):
+                    np.matmul(w, prev[:w.shape[1] // s].reshape(-1, s), out=cur[i])
+                cur *= vol
+                phi += cur[:-1]
+                norms.append(float(np.abs(cur[-1]).max()))
+                prev = cur
             m_done = target
-            norms = [float(np.abs(store[m][-1]).max()) for m in sorted(store)]
 
         c_fit, c3_fit = _fit_growth(norms, horizon)
         tail = _series_tail(c_fit, c3_fit, horizon, m_done)
-        phi_nodes = []
-        for q in range(nodes.size):
-            acc = np.zeros_like(k1_list[0])
-            for m in store:
-                acc += store[m][q]
-            phi_nodes.append(acc)
-        return _Ladder(horizon, nodes, weights, bp, ppp, phi_nodes,
+        return _Ladder(horizon, nodes, weights, bp, ppp, phi,
                        m_done, norms, c_fit, c3_fit, tail)
 
     def phi_series(self, horizon: float) -> PhiSeries:
@@ -536,7 +538,7 @@ class ParametrixSolver:
             grid=self.grid,
             horizon=lad.horizon,
             times=lad.nodes,
-            values=tuple(lad.phi_nodes),
+            values=lad.phi_nodes,
             m_max=lad.m_max,
             tol=self.tol,
             order_sup_norms=tuple(lad.order_norms),
@@ -549,7 +551,12 @@ class ParametrixSolver:
 
     def _gamma(self, t: float, horizon: float | None, rhs: np.ndarray | None) -> np.ndarray:
         """Gamma(t) from the ladder on (0, horizon], horizon defaulting to t:
-        the matrix when ``rhs`` is None, else the matrix product Gamma(t) @ rhs."""
+        the matrix when ``rhs`` is None, else the vector Gamma(t) @ rhs.
+
+        The plan of t is contracted with the frozen kernels A into W, so
+        Gamma(t) = A(t) + dx^d W @ Phi or Gamma(t) rhs = A(t) rhs + dx^d W @ (Phi rhs),
+        with Phi at the nodes the plan reads.
+        """
         t = float(t)
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
@@ -560,12 +567,19 @@ class ParametrixSolver:
         lad = self.ladder(t if horizon is None else float(horizon))
         if t > lad.horizon * (1.0 + 1e-12):
             raise ValueError(f"time {t} beyond ladder horizon {lad.horizon}")
-        plan = self._conv_plan(t, lad.nodes, lad.weights, lad.breakpoints, lad.ppp)
-        amap = self._batch_kernels(plan.kernel_times() + [t])
+        times, c = self._conv_plan(t, lad.nodes, lad.weights, lad.breakpoints, lad.ppp).matrix()
+        amap = self._batch_kernels(times + [t])
+        w = _contract(c, np.stack([amap[tau] for tau in times]))
+        phi = lad.phi_nodes[:c.shape[1]]
         if rhs is None:
-            return _convolve(plan, amap, lad.phi_nodes.__getitem__, amap[t].copy(), vol)
-        phi_rhs = functools.cache(lambda q: lad.phi_nodes[q] @ rhs)
-        return _convolve(plan, amap, phi_rhs, amap[t] @ rhs, vol)
+            out = w @ phi.reshape(w.shape[1], -1)
+            a_t = amap[t]
+        else:
+            out = w @ (phi @ rhs).reshape(-1)
+            a_t = amap[t] @ rhs
+        out *= vol
+        out += a_t
+        return out
 
     def gamma_matrix(self, t: float) -> np.ndarray:
         """Full fundamental-solution matrix at time t (own horizon)."""
@@ -588,19 +602,13 @@ class ParametrixSolver:
         return self._gamma(t, horizon, v) * self.grid.cell_volume
 
     def gamma_operator(self, t: float, horizon: float | None = None) -> np.ndarray:
-        """The Gamma(t) matrix under a given ladder horizon, cached.
+        """The Gamma(t) matrix under a given ladder horizon (default t).
 
-        ``mat @ v * dx^d`` applies it; repeated applications at the same
-        time (Picard sweeps) amortise the kernel builds this way.
+        ``mat @ v * dx^d`` applies it.  It is assembled afresh on every
+        call; a caller that applies the same operator many times keeps
+        it, as ``solve_with_potential`` does over its Picard sweeps.
         """
-        key = (float(t), float(horizon) if horizon is not None else float(t))
-        got = self._gamma_ops.get(key)
-        if got is None:
-            got = self._gamma(t, key[1], None)
-            if len(self._gamma_ops) >= self._CACHE_CAP:
-                self._gamma_ops.pop(next(iter(self._gamma_ops)))
-            self._gamma_ops[key] = got
-        return got
+        return self._gamma(t, horizon, None)
 
     def propagation_defect(self, s: float, t: float) -> float:
         """sup |Gamma(t) - Gamma(s) * Gamma(t-s)| dx^d over index pairs."""

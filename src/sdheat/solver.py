@@ -101,6 +101,10 @@ def solve_with_potential(prob: CauchyProblem, t: float,
     this path estimates that.  On the AC-11 problem at dx = 1/8 and
     T = 0.25 with 48 quadrature nodes, tol = 1e-10 returns a solution
     2.79e-7 from the certified oracle.
+
+    Each Gamma(tau) the panels need is assembled once per call and kept
+    until it returns, so panels of equal length (after a halving) share
+    their operators.
     """
     if max_picard < 8:
         raise ValueError("max_picard must be at least 8")
@@ -110,6 +114,7 @@ def solve_with_potential(prob: CauchyProblem, t: float,
     grid = prob.coeffs.grid
     y = prob.potential.flat() if prob.potential is not None else np.zeros(grid.site_count)
     report = report if report is not None else SolveReport()
+    ops: dict[float, np.ndarray] = {}
 
     u0 = prob.psi.flat().copy()
     t0 = 0.0
@@ -118,7 +123,7 @@ def solve_with_potential(prob: CauchyProblem, t: float,
     while t0 < t - 1e-14 * max(t, 1.0):
         h = min(h, t - t0)
         step = _picard_panel(solver, prob, y, u0, t0, h, tol, max_picard,
-                             colloc_points, horizon=max(t, prob.horizon))
+                             colloc_points, max(t, prob.horizon), ops)
         if step is None:
             halvings += 1
             if halvings > 6:
@@ -136,23 +141,22 @@ def solve_with_potential(prob: CauchyProblem, t: float,
 
 def _picard_panel(solver: ParametrixSolver, prob: CauchyProblem, y: np.ndarray,
                   u0: np.ndarray, t0: float, h: float, tol: float, max_picard: int,
-                  p: int, horizon: float):
+                  p: int, horizon: float, ops: dict[float, np.ndarray]):
     """One panel of the collocated Picard iteration.
 
-    Returns (end value, iterations) or None when the sweep limit is hit.
-    The integral int_0^{x_r} Gamma(x_r - s) g(s) ds is evaluated at inner
-    Gauss nodes with g interpolated from the collocation values, so the
-    rule needs Gamma only at nonnegative time offsets.  All Gamma
-    matrices of the panel are materialised once; the sweeps are then
-    pure matrix-vector work.
+    Returns (end value, iterations, last sweep change) or None when the
+    sweep limit is hit.  The integral int_0^{x_r} Gamma(x_r - s) g(s) ds
+    is evaluated at inner Gauss nodes with g interpolated from the
+    collocation values, so the rule needs Gamma only at nonnegative time
+    offsets.  Every Gamma(tau) matrix is taken from ``ops`` (keyed by
+    tau, all under ``horizon``) or assembled once and added to it; the
+    sweeps are then pure matrix-vector work.
     """
     x, inner, interp = collocation_rule(p)
     iw = collocation_inner_weights(p)
     vol = prob.coeffs.grid.cell_volume
     sigma = h * x
     glw = gauss_legendre(p)[1]
-
-    ops: dict[float, np.ndarray] = {}
 
     def gamma_of(tau: float, v: np.ndarray) -> np.ndarray:
         tau = float(tau)

@@ -254,11 +254,11 @@ def suite_prop53() -> dict:
         for t in ts:
             for frac in np.linspace(0.1, 0.9, 9):
                 s = frac * t
-                f_ts = np.array([bounds.prop53_f(t - s, (k,), dx) for k in offs])
-                f_s = np.array([bounds.prop53_f(s, (k,), dx) for k in offs])
+                f_ts = bounds.prop53_f(t - s, offs[:, None], dx)
+                f_s = bounds.prop53_f(s, offs[:, None], dx)
                 conv = np.convolve(f_ts, f_s)[n: 3 * n + 1] * dx
                 keep = np.abs(offs) <= n // 2
-                rhs = np.array([bounds.prop53_f(t, (k,), dx) for k in offs[keep]])
+                rhs = bounds.prop53_f(t, offs[keep, None], dx)
                 rhs = rhs * math.sqrt(t) / math.sqrt(s * (t - s))
                 sup = max(sup, float((conv[keep] / rhs).max()))
         per_dx[dx] = sup

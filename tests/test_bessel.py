@@ -59,6 +59,16 @@ class TestIvScaled:
             for n in (0, 1, 13, 25):
                 assert arr[n] == pytest.approx(bessel.iv_scaled(n, r), rel=1e-13, abs=1e-300)
 
+    def test_array_matches_matrix(self):
+        rs = np.concatenate([np.logspace(-3.0, 4.0, 29), [0.0, 29.9, 30.0, 30.1]])
+        for nmax in (0, 1, 17, 64):
+            mat = bessel.iv_scaled_matrix(nmax, rs)
+            for j, r in enumerate(rs):
+                arr = bessel.iv_scaled_array(nmax, float(r))
+                ref = mat[:, j]
+                assert arr.shape == ref.shape
+                assert np.all(np.abs(arr - ref) <= 1e-13 * np.abs(ref))
+
     def test_matrix_matches_scalar(self):
         rs = np.array([0.0, 1e-2, 3.0, 29.0, 31.0, 222.2])
         mat = bessel.iv_scaled_matrix(20, rs)

@@ -6,7 +6,7 @@ import pytest
 from sdheat import bounds, oracle
 from sdheat.heat_const import kernel_1d, kernel_nd, recommended_radius
 from sdheat.lattice import Field, GridSpec, forward_diff
-from sdheat.parametrix import Coefficients, ParametrixSolver, k1
+from sdheat.parametrix import Coefficients, ParametrixSolver, _contract, k1
 from sdheat.quadrature import TimeQuadrature
 
 
@@ -133,6 +133,55 @@ class TestPhi:
             lad = solver.ladder(horizon)
             ratios[horizon] = lad.order_norms[1] / lad.order_norms[0]
         assert ratios[0.1] < ratios[0.2]
+
+
+class TestContraction:
+    """The contracted plan W (``_ConvPlan.matrix`` then ``_contract``) against
+    a direct evaluation of the plan's pieces, and its kernel budget."""
+
+    @staticmethod
+    def _direct(plan, kernel, g):
+        out = sum(w * (kernel(tau) @ g[q])
+                  for q, tau, w in zip(plan.full_idx, plan.full_tau, plan.full_w))
+        for seg in plan.segments:
+            for p, tp in enumerate(seg.tau_pts):
+                g_p = sum(seg.interp[p, c] * g[node] for c, node in enumerate(seg.panel_idx))
+                out = out + seg.tau_w[p] * (kernel(tp) @ g_p)
+        return out
+
+    def test_matches_direct_plan_evaluation(self, small_var_coeffs):
+        solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=24), tol=1e-6)
+        horizon = 0.1
+        nodes, weights, bp, ppp = solver.quad.points_with_panels(
+            horizon, layer=solver._layer_scale())
+        s = solver.grid.site_count
+        rng = np.random.default_rng(5)
+        g_mat = rng.standard_normal((nodes.size, s, s))
+        g_vec = rng.standard_normal((nodes.size, s))
+        for t in (float(nodes[3]), float(nodes[-1]), 0.061, horizon):
+            plan = solver._conv_plan(t, nodes, weights, bp, ppp)
+            times, c = plan.matrix()
+            w = _contract(c, np.stack([solver.correction_matrix(tau) for tau in times]))
+            n = c.shape[1]
+            for g in (g_mat, g_vec):
+                got = w @ g[:n].reshape((n * s,) + g.shape[2:])
+                ref = self._direct(plan, solver.correction_matrix, g)
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_ladder_builds_each_kernel_once(self, small_var_coeffs, monkeypatch):
+        solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=24), tol=1e-8)
+        horizon = 0.2
+        calls = []
+        real = ParametrixSolver._correction_from
+        monkeypatch.setattr(ParametrixSolver, "_correction_from",
+                            lambda self, a: calls.append(1) or real(self, a))
+        lad = solver.ladder(horizon)
+        assert lad.m_max > 3  # more than one batch of orders
+        targets = np.append(lad.nodes, horizon)
+        plan_times = sum(len(solver._conv_plan(float(x), lad.nodes, lad.weights,
+                                               lad.breakpoints, lad.ppp).matrix()[0])
+                         for x in targets)
+        assert len(calls) == plan_times + targets.size
 
 
 class TestGamma:

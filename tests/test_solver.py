@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sdheat import solver as solver_mod
 from sdheat.heat_const import recommended_radius
 from sdheat.lattice import Field, GridSpec
 from sdheat.oracle import evolve_with_potential
@@ -113,6 +114,36 @@ class TestSolveWithPotential:
         assert u.values.min() >= -1e-10
         assert rep.panels >= 1 and rep.picard_iters >= 1
         assert gradient_sup(u) < 10.0
+
+    def test_equal_panels_share_operators(self, monkeypatch):
+        # the first panel is refused, so the solve runs two half panels of
+        # equal length, which need the same Gamma(tau) operators
+        g, coeffs = small_problem()
+        prob = CauchyProblem(coeffs, Field.constant(g, 1.0),
+                             potential=Field.constant(g, 0.5), horizon=0.1)
+        real_panel = solver_mod._picard_panel
+        panel_lengths = []
+
+        def refuse_first(*args, **kwargs):
+            panel_lengths.append(args[5])
+            return None if len(panel_lengths) == 1 else real_panel(*args, **kwargs)
+
+        builds: dict[float, int] = {}
+        real_operator = ParametrixSolver.gamma_operator
+
+        def counted(self, t, horizon=None):
+            builds[float(t)] = builds.get(float(t), 0) + 1
+            return real_operator(self, t, horizon)
+
+        monkeypatch.setattr(solver_mod, "_picard_panel", refuse_first)
+        monkeypatch.setattr(ParametrixSolver, "gamma_operator", counted)
+        rep = SolveReport()
+        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=16), tol=1e-6)
+        u = solve_with_potential(prob, 0.1, tol=1e-10, solver=solver, report=rep)
+        assert panel_lengths == [0.1, 0.05, 0.05]
+        assert rep.panels == 2
+        assert builds and set(builds.values()) == {1}
+        assert np.all(np.isfinite(u.values))
 
     def test_max_picard_validation(self):
         g, coeffs = small_problem()
