@@ -198,8 +198,7 @@ def cmd_solve(args) -> int:
             if potential is None:
                 u = solve_inhomogeneous(prob, float(t), solver=solver)
             else:
-                u = solve_with_potential(prob, float(t), tol=args.tol, solver=solver,
-                                         report=report)
+                u = solve_with_potential(prob, float(t), solver=solver, report=report)
             slices.append(u)
             field_to_csv(u, f"{args.out}.t{i + 1}.csv")
     except RuntimeError as exc:
@@ -210,7 +209,6 @@ def cmd_solve(args) -> int:
         # centered ODE residual over the emitted uniform slices
         res = oracle.residual(slices, [float(t) for t in times], coeffs, f=source)
     _write_json(args.out + ".json", {"panels": report.panels,
-                                     "picard_iters": report.picard_iters,
                                      "residual": res,
                                      "times": [float(t) for t in times]})
     return 0

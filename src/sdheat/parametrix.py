@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import bessel
-from .heat_const import ConstCoeffs, kernel_1d
+from .heat_const import kernel_1d
 from .lattice import Field, GridSpec, laplacian_array, shift_array
 from .quadrature import TimeQuadrature, _lagrange_weights, gauss_legendre
 
@@ -120,12 +120,6 @@ class Coefficients:
     def at(self, alpha: Sequence[int]) -> tuple[float, ...]:
         pos = self.grid.position(alpha)
         return tuple(float(self.values[j][pos]) for j in range(self.grid.dim))
-
-    def frozen(self, beta: Sequence[int]) -> ConstCoeffs:
-        return ConstCoeffs(self.at(beta))
-
-    def is_constant(self) -> bool:
-        return bool(self.c_max == self.c_min)
 
 
 @dataclass(frozen=True)
@@ -606,7 +600,7 @@ class ParametrixSolver:
 
         ``mat @ v * dx^d`` applies it.  It is assembled afresh on every
         call; a caller that applies the same operator many times keeps
-        it, as ``solve_with_potential`` does over its Picard sweeps.
+        it, as ``solve_with_potential`` does for the panels of one call.
         """
         return self._gamma(t, horizon, None)
 

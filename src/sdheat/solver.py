@@ -6,12 +6,14 @@ The inhomogeneous problem  u' = L u + f,  u(0) = psi  is solved by
 
 with the time integral on scaled Gauss nodes s = t xi_q so that the rule
 varies smoothly with the evaluation time.  With a potential term
-(u' = L u - Y u + f) the solution is the fixed point of
+(u' = L u - Y u + f) the solution satisfies the linear Volterra equation
 
     u = Gamma psi + int Gamma(t-s) (f(s) - Y u(s)) ds,
 
-computed by Picard iteration with spectral collocation in time on panels
-[t0, t0 + h]; a panel that fails to contract is halved and retried.
+which is collocated at Gauss points of equal panels [t0, t0 + h], one
+linear solve per panel (panelwise Volterra collocation: H. Brunner,
+*Collocation Methods for Volterra Integral and Related Functional
+Equations*, 2004).
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ import numpy as np
 from .lattice import Field, forward_diff
 from .parametrix import Coefficients, ParametrixSolver
 from .quadrature import TimeQuadrature, collocation_inner_weights, collocation_rule, gauss_legendre
+
+#: collocation points per panel of the potential solver
+_COLLOC_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -44,18 +49,31 @@ class CauchyProblem:
             raise ValueError("initial data grid does not match coefficients")
         if not np.all(np.isfinite(self.psi.values)):
             raise ValueError("initial data must be finite")
-        if self.potential is not None and self.potential.grid != self.coeffs.grid:
-            raise ValueError("potential grid does not match coefficients")
+        if self.potential is not None:
+            if self.potential.grid != self.coeffs.grid:
+                raise ValueError("potential grid does not match coefficients")
+            if not np.all(np.isfinite(self.potential.values)):
+                raise ValueError("potential must be finite")
 
 
 @dataclass
 class SolveReport:
     panels: int = 0
+    #: always 0: the potential solver does not iterate; kept for code
+    #: that still reads the field
     picard_iters: int = 0
-    #: largest final Picard sweep change over the panels (potential
+    #: largest relative residual of the panel linear solves (potential
     #: solver), or the centered ODE residual when the caller can measure
     #: one; neither is a bound on the error of the solution
     residual: float = math.nan
+
+
+def _source_at(prob: CauchyProblem, s: float) -> np.ndarray:
+    """The flat source values at time s, checked finite."""
+    f_s = prob.source(s).flat()
+    if not np.all(np.isfinite(f_s)):
+        raise ValueError(f"source is not finite at s={s}")
+    return f_s
 
 
 def solve_inhomogeneous(prob: CauchyProblem, t: float,
@@ -76,132 +94,96 @@ def solve_inhomogeneous(prob: CauchyProblem, t: float,
         xi = 0.5 * (xi + 1.0)
         for q in range(source_nodes):
             s = t * float(xi[q])
-            f_s = prob.source(s)
-            if not np.all(np.isfinite(f_s.values)):
-                raise ValueError(f"source is not finite at s={s}")
-            u = u + 0.5 * t * w[q] * solver.gamma_apply(t - s, f_s.flat(), horizon=horizon)
+            u = u + 0.5 * t * w[q] * solver.gamma_apply(t - s, _source_at(prob, s), horizon=horizon)
     return Field(grid, u.reshape(grid.shape))
 
 
 def solve_with_potential(prob: CauchyProblem, t: float,
                          quad: TimeQuadrature | None = None, tol: float = 1e-10,
-                         max_picard: int = 24, solver: ParametrixSolver | None = None,
-                         colloc_points: int = 8,
+                         solver: ParametrixSolver | None = None,
                          report: SolveReport | None = None) -> Field:
-    """Fixed-point solution of u' = L u - Y u + f up to time t.
+    """Collocated solution of u' = L u - Y u + f up to time t.
 
-    Picard iteration on the Duhamel form, collocated at Gauss points of
-    each panel; the panel length is halved (up to six times) whenever
-    the iteration fails to reach ``tol`` within ``max_picard`` sweeps.
+    [0, t] is cut into n = max(1, ceil(t max|Y|)) panels of equal
+    length h.  On the panel from t0, the values u_r at the collocation
+    points t0 + sigma_r (Gauss points of (0, h)) solve
 
-    ``tol`` stops the sweeps: a panel is done once one sweep changes the
-    collocation values by at most tol * max(sup |u(t0)|, 1).  It is not a
-    bound on the error of the returned solution, which also carries the
-    quadrature and collocation error of the Gamma operators; nothing on
-    this path estimates that.  On the AC-11 problem at dx = 1/8 and
-    T = 0.25 with 48 quadrature nodes, tol = 1e-10 returns a solution
-    2.79e-7 from the certified oracle.
+        u_r + sum_m M[r, m] Y u_m = Gamma(sigma_r) u(t0) dx^d + sum_m M[r, m] f_m,
 
-    Each Gamma(tau) the panels need is assembled once per call and kept
-    until it returns, so panels of equal length (after a halving) share
-    their operators.
+    where M[r, m] integrates Gamma(sigma_r - s) dx^d against the Lagrange
+    basis function of node m over s in (0, sigma_r) by inner Gauss
+    nodes, so the rule needs Gamma only at positive time offsets.  M
+    depends on h alone, so each Gamma(tau) is assembled, and I + M Y
+    inverted, once per call; every panel is then one matrix-vector
+    product.  The panel end value is the Gauss rule for
+    Gamma(h) u(t0) dx^d + int_0^h Gamma(h - s) (f - Y u)(s) ds dx^d
+    on the collocation values.  Panels no longer than 1 / max Y keep the
+    collocation polynomial accurate where Y makes the solution decay
+    fast; the panel length does not follow the lattice time scale
+    dx^2 / (4 c), and rough data on panels many of those long lose
+    digits (2.8e-8 on a panel 16 of them long).
+
+    ``tol`` only sets the series tolerance of the default ``solver``
+    (10 tol, at most 1e-8).  It is not a bound on the error of the
+    returned solution, which carries the quadrature and collocation
+    error of the Gamma operators; nothing on this path estimates that.
+    On the AC-11 problem at dx = 1/8 and T = 0.25 with 48 quadrature
+    nodes, tol = 1e-10 returns a solution 2.79e-7 from the certified
+    oracle.  ``report`` gets the panel count and the largest relative
+    residual of the panel solves.
     """
-    if max_picard < 8:
-        raise ValueError("max_picard must be at least 8")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     solver = solver or ParametrixSolver(prob.coeffs, quad, tol=min(1e-8, tol * 10))
     grid = prob.coeffs.grid
-    y = prob.potential.flat() if prob.potential is not None else np.zeros(grid.site_count)
     report = report if report is not None else SolveReport()
+    u0 = prob.psi.flat().copy()
+    if t == 0:
+        return Field(grid, u0.reshape(grid.shape))
+    y = prob.potential.flat() if prob.potential is not None else np.zeros(grid.site_count)
+    p, s = _COLLOC_POINTS, grid.site_count
+    n = max(1, math.ceil(t * float(np.abs(y).max())))
+    h = t / n
+    horizon = max(t, prob.horizon)
     ops: dict[float, np.ndarray] = {}
 
-    u0 = prob.psi.flat().copy()
-    t0 = 0.0
-    h = t - t0
-    halvings = 0
-    while t0 < t - 1e-14 * max(t, 1.0):
-        h = min(h, t - t0)
-        step = _picard_panel(solver, prob, y, u0, t0, h, tol, max_picard,
-                             colloc_points, max(t, prob.horizon), ops)
-        if step is None:
-            halvings += 1
-            if halvings > 6:
-                raise RuntimeError(
-                    f"Picard iteration failed to contract after 6 panel halvings (panel {h:g})")
-            h = 0.5 * h
-            continue
-        u0, iters, delta = step
-        report.panels += 1
-        report.picard_iters += iters
-        report.residual = delta if math.isnan(report.residual) else max(report.residual, delta)
-        t0 += h
-    return Field(grid, u0.reshape(grid.shape))
-
-
-def _picard_panel(solver: ParametrixSolver, prob: CauchyProblem, y: np.ndarray,
-                  u0: np.ndarray, t0: float, h: float, tol: float, max_picard: int,
-                  p: int, horizon: float, ops: dict[float, np.ndarray]):
-    """One panel of the collocated Picard iteration.
-
-    Returns (end value, iterations, last sweep change) or None when the
-    sweep limit is hit.  The integral int_0^{x_r} Gamma(x_r - s) g(s) ds
-    is evaluated at inner Gauss nodes with g interpolated from the
-    collocation values, so the rule needs Gamma only at nonnegative time
-    offsets.  Every Gamma(tau) matrix is taken from ``ops`` (keyed by
-    tau, all under ``horizon``) or assembled once and added to it; the
-    sweeps are then pure matrix-vector work.
-    """
-    x, inner, interp = collocation_rule(p)
-    iw = collocation_inner_weights(p)
-    vol = prob.coeffs.grid.cell_volume
-    sigma = h * x
-    glw = gauss_legendre(p)[1]
-
-    def gamma_of(tau: float, v: np.ndarray) -> np.ndarray:
+    def gamma(tau: float) -> np.ndarray:
         tau = float(tau)
-        if tau == 0.0:
-            return v.copy()
         got = ops.get(tau)
         if got is None:
-            got = solver.gamma_operator(tau, horizon=horizon)
+            got = solver.gamma_operator(tau, horizon=horizon) * grid.cell_volume
             ops[tau] = got
-        return got @ v * vol
+        return got
 
-    base = [gamma_of(float(s), u0) for s in sigma]
+    x, inner, interp = collocation_rule(p)
+    sigma = h * x
+    start = np.stack([gamma(tau) for tau in sigma])
+    weights = h * collocation_inner_weights(p)[:, :, None] * interp
+    m = np.einsum("rqk,rqab->rakb", weights,
+                  np.stack([[gamma(tau) for tau in row] for row in sigma[:, None] - h * inner]))
+    m = m.reshape(p * s, p * s)
+    y_nodes = np.tile(y, p)
+    # numpy's LAPACK, not scipy's lu_factor: scipy's separate OpenBLAS
+    # thread pool contends with numpy's right after the Gamma assembly
+    # (measured 60-120 ms a call on potential-1d, 2 cores)
+    a_inv = np.linalg.inv(np.eye(p * s) + m * y_nodes)
+    step = gamma(h)
+    end_ops = np.stack([gamma(tau) for tau in h - h * x])
+    end_w = 0.5 * h * gauss_legendre(p)[1]
 
-    def g_of(u_val: np.ndarray, s_abs: float) -> np.ndarray:
-        out = -y * u_val
+    f = np.zeros((p, s))
+    for i in range(n):
         if prob.source is not None:
-            out = out + prob.source(s_abs).flat()
-        return out
-
-    u = [b.copy() for b in base]
-    iters = 0
-    for _sweep in range(max_picard):
-        iters += 1
-        g_nodes = [g_of(u[mth], t0 + h * float(x[mth])) for mth in range(p)]
-        new = []
-        delta = 0.0
-        for r in range(p):
-            acc = base[r].copy()
-            for q in range(p):
-                s_in = h * float(inner[r, q])
-                g_in = np.zeros_like(u0)
-                for mth in range(p):
-                    g_in += interp[r, q, mth] * g_nodes[mth]
-                acc += h * iw[r, q] * gamma_of(float(sigma[r] - s_in), g_in)
-            new.append(acc)
-            delta = max(delta, float(np.abs(acc - u[r]).max()))
-        u = new
-        scale = max(float(np.abs(u0).max()), 1.0)
-        if delta <= tol * scale:
-            end = gamma_of(h, u0)
-            for q in range(p):
-                g_in = g_of(u[q], t0 + h * float(x[q]))
-                end += h * 0.5 * glw[q] * gamma_of(h - h * float(x[q]), g_in)
-            return end, iters, delta
-    return None
+            f = np.stack([_source_at(prob, float(i * h + sg)) for sg in sigma])
+        rhs = (start @ u0).ravel() + m @ f.ravel()
+        u = a_inv @ rhs
+        defect = u + m @ (y_nodes * u) - rhs
+        res = float(np.abs(defect).max()) / max(float(np.abs(rhs).max()), np.finfo(float).tiny)
+        report.residual = res if math.isnan(report.residual) else max(report.residual, res)
+        g = f - y * u.reshape(p, s)
+        u0 = step @ u0 + np.einsum("qab,qb->a", end_ops, end_w[:, None] * g)
+    report.panels += n
+    return Field(grid, u0.reshape(grid.shape))
 
 
 def gradient_sup(u: Field) -> float:

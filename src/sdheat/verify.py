@@ -19,7 +19,7 @@ from .heat_const import ConstCoeffs, kernel_axis_values, recommended_radius, spe
 from .lattice import Field, GridSpec
 from .parametrix import Coefficients, ParametrixSolver
 from .quadrature import TimeQuadrature
-from .solver import CauchyProblem, SolveReport, gradient_sup, solve_inhomogeneous, solve_with_potential
+from .solver import CauchyProblem, gradient_sup, solve_inhomogeneous, solve_with_potential
 
 SUITES = ("mass", "bessel-cross", "spectral-cross", "lorentz-kernel", "gaussian",
           "gamma-oracle", "propagation", "lorentz-conv", "prop53", "duhamel",
@@ -316,13 +316,12 @@ def suite_potential() -> dict:
         pot = Field.from_function(g, lambda x: 0.5 + 0.5 * np.sin(2 * np.pi * x / length) ** 2)
         fs = Field.from_function(g, lambda x: 0.2 + 0.1 * np.cos(2 * np.pi * x / length))
         prob = CauchyProblem(cf, psi, source=lambda s: fs, potential=pot, horizon=0.25)
-        rep = SolveReport()
-        u = solve_with_potential(prob, 0.25, tol=1e-10, report=rep,
+        u = solve_with_potential(prob, 0.25,
                                  solver=ParametrixSolver(cf, TimeQuadrature(nodes=96), tol=1e-8))
         ref = oracle.evolve_with_potential(cf, pot.values, fs.values, 0.25, psi, tol=1e-12)
         dev_var = max(dev_var, float(np.abs(u.values - ref.values).max()))
         stats[dx] = {"sup": float(np.abs(u.values).max()), "grad": gradient_sup(u),
-                     "min": float(u.values.min()), "picard_iters": rep.picard_iters}
+                     "min": float(u.values.min())}
     sups = [v["sup"] for v in stats.values()]
     grads = [v["grad"] for v in stats.values()]
     stable = (max(sups) - min(sups)) / max(sups) < 0.10 and \

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdheat import bounds, oracle
-from sdheat.heat_const import kernel_1d, kernel_nd, recommended_radius
+from sdheat.heat_const import ConstCoeffs, kernel_1d, kernel_nd, recommended_radius
 from sdheat.lattice import Field, GridSpec, forward_diff
 from sdheat.parametrix import Coefficients, ParametrixSolver, _contract, k1
 from sdheat.quadrature import TimeQuadrature
@@ -24,12 +24,6 @@ class TestCoefficients:
         assert c.c_min == pytest.approx(2.0 - 0.25 * 2.0)
         assert c.cbar == pytest.approx(2.0 + 0.25 * 2.0)
 
-    def test_constant_flags(self):
-        g = GridSpec(dx=1.0, dim=2, radius=2)
-        c = Coefficients.constant(g, (1.0, 2.0))
-        assert c.is_constant() is False
-        assert Coefficients.constant(g, 1.5).is_constant() is True
-
 
 class TestFrozenKernel:
     """Columns of ``kernel_matrix(t)``: b -> the kernel of the equation
@@ -48,7 +42,7 @@ class TestFrozenKernel:
         mat = ParametrixSolver(c).kernel_matrix(0.2)
         for beta in ((0,), (5,)):
             v = mat[g.flat_index((2,)), g.flat_index(beta)]
-            assert v == pytest.approx(kernel_nd((2 - beta[0],), 0.2, c.frozen(beta), 0.5))
+            assert v == pytest.approx(kernel_nd((2 - beta[0],), 0.2, ConstCoeffs(c.at(beta)), 0.5))
 
     def test_mass_per_base_point(self):
         t, dx = 0.05, 0.125
@@ -191,7 +185,7 @@ class TestGamma:
         g = GridSpec(dx=dx, dim=1, radius=recommended_radius(t, 1.0, dx))
         c = Coefficients.constant(g, 1.0)
         col = ParametrixSolver(c, TimeQuadrature(nodes=16), tol=1e-8).gamma_column((0,), t)
-        direct = np.array([kernel_nd((a,), t, c.frozen((0,)), dx)
+        direct = np.array([kernel_nd((a,), t, ConstCoeffs(c.at((0,))), dx)
                            for a in range(-g.radius, g.radius + 1)])
         assert np.abs(col.flat() - direct).max() <= 1e-12 * dx**-1
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from sdheat import solver as solver_mod
 from sdheat.heat_const import recommended_radius
 from sdheat.lattice import Field, GridSpec
 from sdheat.oracle import evolve_with_potential
@@ -112,22 +114,15 @@ class TestSolveWithPotential:
         ref = evolve_with_potential(coeffs, pot.values, fsrc.values, 0.2, psi, tol=1e-12)
         assert np.abs(u.values - ref.values).max() <= 5e-3
         assert u.values.min() >= -1e-10
-        assert rep.panels >= 1 and rep.picard_iters >= 1
+        assert rep.panels == 1 and rep.residual <= 1e-12
         assert gradient_sup(u) < 10.0
 
     def test_equal_panels_share_operators(self, monkeypatch):
-        # the first panel is refused, so the solve runs two half panels of
-        # equal length, which need the same Gamma(tau) operators
+        # t max Y = 2.5, so three equal panels, which need the same
+        # Gamma(tau) operators
         g, coeffs = small_problem()
         prob = CauchyProblem(coeffs, Field.constant(g, 1.0),
-                             potential=Field.constant(g, 0.5), horizon=0.1)
-        real_panel = solver_mod._picard_panel
-        panel_lengths = []
-
-        def refuse_first(*args, **kwargs):
-            panel_lengths.append(args[5])
-            return None if len(panel_lengths) == 1 else real_panel(*args, **kwargs)
-
+                             potential=Field.constant(g, 25.0), horizon=0.1)
         builds: dict[float, int] = {}
         real_operator = ParametrixSolver.gamma_operator
 
@@ -135,22 +130,57 @@ class TestSolveWithPotential:
             builds[float(t)] = builds.get(float(t), 0) + 1
             return real_operator(self, t, horizon)
 
-        monkeypatch.setattr(solver_mod, "_picard_panel", refuse_first)
         monkeypatch.setattr(ParametrixSolver, "gamma_operator", counted)
         rep = SolveReport()
         solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=16), tol=1e-6)
-        u = solve_with_potential(prob, 0.1, tol=1e-10, solver=solver, report=rep)
-        assert panel_lengths == [0.1, 0.05, 0.05]
-        assert rep.panels == 2
+        u = solve_with_potential(prob, 0.1, solver=solver, report=rep)
+        assert rep.panels == 3
         assert builds and set(builds.values()) == {1}
         assert np.all(np.isfinite(u.values))
 
-    def test_max_picard_validation(self):
-        g, coeffs = small_problem()
+    @pytest.mark.parametrize("lam", [40.0, 2000.0])
+    def test_fast_decay(self, lam):
+        # one panel per unit of t max Y: at lam = 40 a single panel is 9%
+        # off, and at lam = 2000 the solve runs 500 panels
+        g = GridSpec(dx=0.25, dim=1, radius=8)
+        coeffs = Coefficients.constant(g, 1.0)
         prob = CauchyProblem(coeffs, Field.constant(g, 1.0),
+                             potential=Field.constant(g, lam), horizon=0.25)
+        rep = SolveReport()
+        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=16), tol=1e-8)
+        u = solve_with_potential(prob, 0.25, solver=solver, report=rep)
+        exact = math.exp(-lam * 0.25)
+        assert rep.panels == math.ceil(0.25 * lam)
+        assert np.abs(u.values - exact).max() <= 1e-12 * exact
+
+    def test_rejects_nonfinite_source(self):
+        g, coeffs = small_problem()
+        bad = Field(g, np.full(g.shape, np.nan))
+        prob = CauchyProblem(coeffs, Field.constant(g, 1.0), source=lambda s: bad,
                              potential=Field.constant(g, 1.0), horizon=0.1)
-        with pytest.raises(ValueError):
-            solve_with_potential(prob, 0.1, max_picard=4)
+        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=16), tol=1e-6)
+        with pytest.raises(ValueError, match="source is not finite"):
+            solve_with_potential(prob, 0.1, solver=solver)
+
+    # On dx = 1 the lattice time scale is 1/(4c), and a panel (h <= t <=
+    # 0.5, c <= 2) spans at most 4 of them.  Rough data on longer panels
+    # lose digits: the degree-7 collocation polynomial misses u's initial
+    # layer (2.8e-8 on a panel of 16 time scales: dx = 0.5, c = 2, t = 0.5).
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(radius=st.integers(2, 8), c=st.floats(0.5, 2.0), t=st.floats(0.05, 0.5),
+           t_max_y=st.floats(0.1, 20.0), data=st.data())
+    def test_matches_oracle_on_random_data(self, radius, c, t, t_max_y, data):
+        g = GridSpec(dx=1.0, dim=1, radius=radius)
+        coeffs = Coefficients.constant(g, c)
+        y = data.draw(arrays(np.float64, g.shape, elements=st.floats(1e-3, 1.0)))
+        y = y * (t_max_y / t / y.max())
+        psi = Field(g, data.draw(arrays(np.float64, g.shape, elements=st.floats(-1.0, 1.0))))
+        f = Field(g, data.draw(arrays(np.float64, g.shape, elements=st.floats(-1.0, 1.0))))
+        prob = CauchyProblem(coeffs, psi, source=lambda s: f, potential=Field(g, y), horizon=t)
+        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=16), tol=1e-8)
+        u = solve_with_potential(prob, t, solver=solver)
+        ref = evolve_with_potential(coeffs, y, f.values, t, psi, tol=1e-12)
+        assert np.abs(u.values - ref.values).max() <= 1e-9
 
 
 class TestCauchyProblem:
@@ -163,3 +193,11 @@ class TestCauchyProblem:
             CauchyProblem(coeffs, Field.constant(other, 1.0), horizon=1.0)
         with pytest.raises(ValueError):
             CauchyProblem(coeffs, Field(g, np.full(g.shape, np.nan)), horizon=1.0)
+
+    def test_rejects_nonfinite_potential(self):
+        g, coeffs = small_problem()
+        vals = np.ones(g.shape)
+        vals[3] = np.inf
+        pot = Field(g, vals)
+        with pytest.raises(ValueError, match="potential must be finite"):
+            CauchyProblem(coeffs, Field.constant(g, 1.0), potential=pot, horizon=1.0)
