@@ -15,20 +15,23 @@ and their sum Phi = sum_m K^(m).  The fundamental solution is then
 
     Gamma(t) = A(t) + int_0^t A(t-s) * Phi(s) ds.
 
+The frozen kernel factorises: A_{a,b}(t) = prod_j G_j[a_j, b] / dx^d with
+G_j[a_j, b] = e^{-r} I_{|a_j - b_j|}(r), r = 2 t c_b^j / dx^2, and D2_j acts
+on G_j alone.  Kernel and correction matrices are therefore broadcast
+products of (npts, s) direction tables, each gathered from a Bessel batch.
+
 Numerically, one fixed set of graded Gauss panels on (0, horizon) serves
-every time integral.  Panels well below the target time keep their
-Gauss weights; the last few boundary-layer widths below it are
-integrated in tau = t - s at fresh Gauss points, where the kernel is
-evaluated exactly and the smooth recursive factor is interpolated inside
-its panel.  That plan is linear in the recursive factor, so it is one
-weight matrix C (one row per kernel time, one column per node), and one
-contraction (``_contract``) turns C and the kernel matrices of the
-target into W = sum_r C[r, c] F(tau_r), stacked over the nodes c.  The
-ladder contracts each target once, with its correction kernels, and then
-runs every order as one product per target, K^(m)(x_i) = dx^d W_i @
-K^(m-1); Gamma contracts its own target with the frozen kernels A and
-applies W to Phi (or to Phi times a vector).  Kernel matrices live only
-while their target is contracted.  The per-order sup norms decay like
+every time integral.  Panels well below the target time keep their Gauss
+weights; the last few boundary-layer widths below it are integrated in
+tau = t - s at fresh Gauss points, where the kernel is exact and the
+smooth recursive factor is interpolated inside its panel.  So a plan is
+one weight matrix C (a row per kernel time, a column per node), and
+``_contract`` turns C and the target's kernels into W = sum_r C[r, c]
+F(tau_r), stacked over the nodes c.  The ladder contracts each target once
+with its correction kernels and runs every order as one product per
+target, K^(m)(x_i) = dx^d W_i @ K^(m-1); Gamma contracts its target with
+A and applies W to Phi (or to Phi times a vector).  Kernel matrices live
+only while their target is contracted.  The per-order sup norms decay like
 C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order is chosen by
 fitting C and C3 to the measured norms and summing the analytic tail.
 """
@@ -278,9 +281,10 @@ class _Ladder:
 class ParametrixSolver:
     """Builds frozen kernels, the correction ladder, and Gamma.
 
-    Kernel matrices are produced by vectorised scaled-Bessel batches, one
-    per ladder target or Gamma assembly, contracted with the target's
-    plan weights into one matrix W and dropped.  A ladder build keeps the
+    Kernel matrices are stacked per ladder target or Gamma assembly
+    (``_kernel_stack``), contracted with the target's plan weights into
+    one matrix W and dropped.  Construction keeps d index tables of shape
+    (npts, s), and builds no s x s array.  A ladder build keeps the
     W of every target while it runs its orders (about N^2 s^2 / 2
     entries for N nodes and s sites); a built ladder keeps only Phi, per
     horizon.  Gamma is not cached: each call assembles it afresh, and
@@ -308,24 +312,24 @@ class ParametrixSolver:
             raise ValueError(f"two-point storage {n}x{n} exceeds the dense budget "
                              f"of {_DENSE_ENTRIES} entries")
         self._cflat = [coeffs.flat(j) for j in range(self.grid.dim)]
-        self._offabs = self._offset_tables()
+        self._index = self._index_tables()
         self._ladders: dict[float, _Ladder] = {}
 
     # -- kernel matrices -----------------------------------------------------
 
-    def _offset_tables(self) -> list[np.ndarray]:
+    def _index_tables(self) -> list[np.ndarray]:
+        """Per direction j, flat indices into one time's (orders, sites)
+        slice of ``_axis_values``: entry [a_j, b] is |a_j - b_j| s + b (the
+        offset wrapped on periodic grids), shaped (npts, s) along box axis j."""
         grid = self.grid
-        comps = np.array(list(grid.index_iter()), dtype=np.int64).reshape(-1, grid.dim)
+        s = grid.site_count
+        pos = np.unravel_index(np.arange(s), grid.shape)
         tables = []
         for j in range(grid.dim):
-            diff = comps[:, j][:, None] - comps[:, j][None, :]
-            if grid.periodic:
-                diff = (diff + grid.radius) % grid.npts - grid.radius
-            tables.append(np.abs(diff).astype(np.int32))
+            diff = _wrap_component(grid, np.arange(grid.npts)[:, None] - pos[j])
+            tables.append((np.abs(diff) * s + np.arange(s)).reshape(
+                [grid.npts if i == j else 1 for i in range(grid.dim)] + [s]))
         return tables
-
-    def _max_order(self) -> int:
-        return self.grid.radius if self.grid.periodic else 2 * self.grid.radius
 
     def _image_count(self, r_max: float) -> int:
         """Wrap images needed so the neglected torus tail is below ~1e-18."""
@@ -339,75 +343,77 @@ class ParametrixSolver:
         return k
 
     def _axis_values(self, j: int, ts: np.ndarray) -> np.ndarray:
-        """Scaled per-direction kernel orders 0..nmax for a time batch,
-        wrap-summed on periodic grids; shape (nmax+1, len(ts), sites)."""
+        """Scaled per-direction kernel orders 0..nmax for a time batch, shape
+        (len(ts), nmax+1, sites).  On periodic grids they are wrap-summed into
+        genuine torus kernels, consistent with the lattice generator on the box."""
         grid = self.grid
         s = grid.site_count
-        nmax = self._max_order()
+        nmax = grid.radius if grid.periodic else 2 * grid.radius
         r = (2.0 * ts[:, None] * self._cflat[j][None, :] / grid.dx**2).reshape(-1)
         images = self._image_count(float(r.max()))
         top = images * grid.npts + nmax
-        b = bessel.iv_scaled_matrix(top, r)
-        folded = b[:nmax + 1].copy()
+        b = bessel.iv_scaled_matrix(top, r).reshape(top + 1, ts.size, s)
+        folded = b[:nmax + 1].transpose(1, 0, 2).copy()
         for k in range(1, images + 1):
             shift = k * grid.npts
-            # torus image at offset n - k*npts (order |shift - n|) and n + k*npts
-            n = np.arange(nmax + 1)
-            folded += b[shift - n] + b[shift + n]
-        return folded.reshape(nmax + 1, ts.size, s)
+            # torus images at offset n - k*npts (order shift - n) and n + k*npts
+            folded += (b[shift - nmax:shift + 1][::-1]
+                       + b[shift:shift + nmax + 1]).transpose(1, 0, 2)
+        return folded
 
-    def _batch_kernels(self, times: Sequence[float]) -> dict[float, np.ndarray]:
-        """Kernel matrices for many times at once (pure, not cached).
+    def _kernel_stack(self, times: Sequence[float], correction: bool = False) -> np.ndarray:
+        """Frozen kernels A(t), or with ``correction`` the correction kernels
+        K(t), stacked as (len(times), s, s) in the given order (not cached).
 
-        On periodic grids these are genuine torus kernels (wrapped image
-        sums), which keeps the matrix calculus exactly consistent with
-        the lattice generator on the box.
+        Term j of K is (c_a^j - c_b^j) D2 G_j times the other tables, D2 from
+        ``laplacian_array`` so the box's boundary rule holds.  Bessel values
+        come 8192 // s sorted times at a time.
         """
         grid = self.grid
-        out: dict[float, np.ndarray] = {}
-        todo = sorted({float(t) for t in times})
-        for t in todo:
-            if t < 0:
-                raise ValueError(f"time must be nonnegative, got {t}")
-            if t == 0.0:
-                out[0.0] = np.eye(grid.site_count) / grid.cell_volume
-        todo = [t for t in todo if t > 0.0]
-        if not todo:
-            return out
-        nmax = self._max_order()
         s = grid.site_count
+        vol = grid.cell_volume
+        times = np.asarray(times, dtype=float).reshape(-1)
+        order = np.argsort(times, kind="stable")
+        ts = times[order]
+        if ts.size and (ts[0] < 0 or (correction and ts[0] == 0)):
+            raise ValueError(f"time must be {'positive' if correction else 'nonnegative'}, "
+                             f"got {ts[0]}")
+        zeros = int(np.searchsorted(ts, 0.0, side="right"))
+        out = np.empty((ts.size, s, s)) if zeros == ts.size else None
+        scratch = np.empty((s, s)) if correction and grid.dim > 1 else None
         chunk = max(1, 8192 // s)
-        cols = np.arange(s)[None, :]
-        for lo in range(0, len(todo), chunk):
-            ts = np.array(todo[lo:lo + chunk])
-            per_dir = [self._axis_values(j, ts) for j in range(grid.dim)]
-            for k, t in enumerate(ts):
-                mat = per_dir[0][:, k, :][self._offabs[0], cols]
-                for j in range(1, grid.dim):
-                    mat = mat * per_dir[j][:, k, :][self._offabs[j], cols]
-                out[float(t)] = mat / grid.cell_volume
-        return out
-
-    def _correction_from(self, a_matrix: np.ndarray) -> np.ndarray:
-        """Correction kernel K = sum_j (c_a - c_b) D2_j A from a kernel matrix."""
-        grid = self.grid
-        s = grid.site_count
-        out = np.zeros((s, s))
-        shaped = a_matrix.reshape(*grid.shape, s)
-        for j in range(grid.dim):
-            d2 = laplacian_array(shaped, j, grid.dx, grid.periodic).reshape(s, s)
-            out += (self._cflat[j][:, None] - self._cflat[j][None, :]) * d2
+        for lo in range(zeros, ts.size, chunk):
+            per_dir = [self._axis_values(j, ts[lo:lo + chunk]) for j in range(grid.dim)]
+            if out is None:  # after the first Bessel batch, where a call peaks
+                out = np.empty((ts.size, s, s))
+            for k, q in enumerate(order[lo:lo + chunk]):
+                tables = [np.take(v[k], idx, mode="clip") for v, idx in zip(per_dir, self._index)]
+                mat = out[q]
+                box = mat.reshape(grid.shape + (s,))
+                if not correction:
+                    np.divide(math.prod(tables[1:], start=tables[0]), vol, out=box)
+                    continue
+                tables[0] /= vol  # carried into every term
+                for j, c in enumerate(self._cflat):
+                    term = mat if j == 0 else scratch
+                    np.subtract(c[:, None], c[None, :], out=term)
+                    shaped = term.reshape(box.shape)
+                    shaped *= laplacian_array(tables[j], j, grid.dx, grid.periodic)
+                    for table in tables[:j] + tables[j + 1:]:
+                        shaped *= table
+                    if j:
+                        mat += scratch
+        for q in order[:zeros]:
+            out[q] = np.eye(s) / vol
         return out
 
     def kernel_matrix(self, t: float) -> np.ndarray:
         """Frozen-kernel matrix A_{a,b}(t) (dense, flat layout)."""
-        return self._batch_kernels([t])[float(t)]
+        return self._kernel_stack([t])[0]
 
     def correction_matrix(self, t: float) -> np.ndarray:
         """Correction kernel matrix K(t); requires t > 0."""
-        if not t > 0:
-            raise ValueError(f"time must be positive, got {t}")
-        return self._correction_from(self.kernel_matrix(t))
+        return self._kernel_stack([t], correction=True)[0]
 
     # -- the K^(m) ladder ------------------------------------------------------
 
@@ -472,9 +478,7 @@ class ParametrixSolver:
         vol = self.grid.cell_volume
         s = self.grid.site_count
 
-        amap = self._batch_kernels(xs)
-        prev = np.stack([self._correction_from(amap[float(x)]) for x in xs])
-        del amap
+        prev = self._kernel_stack(xs, correction=True)
 
         if float(np.abs(prev[-1]).max()) == 0.0:
             return _Ladder(horizon, nodes, weights, bp, ppp, np.zeros_like(prev[:-1]),
@@ -488,10 +492,7 @@ class ParametrixSolver:
         pieces = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
         contracted = []
         for (times, c), piece in zip(plans, pieces):
-            kmap = self._batch_kernels(times)
-            kernels = np.stack([self._correction_from(kmap.pop(tau)) for tau in times])
-            contracted.append(_contract(c, kernels, piece))
-            del kernels  # before the next target's batch
+            contracted.append(_contract(c, self._kernel_stack(times, correction=True), piece))
 
         phi = prev[:-1].copy()
         m_done = 1
@@ -552,26 +553,23 @@ class ParametrixSolver:
         with Phi at the nodes the plan reads.
         """
         t = float(t)
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        vol = self.grid.cell_volume
-        if t == 0.0:
-            dirac = np.eye(self.grid.site_count) / vol
+        if t <= 0.0:  # negative times raise, t = 0 is the Dirac matrix
+            dirac = self.kernel_matrix(t)
             return dirac if rhs is None else dirac @ rhs
         lad = self.ladder(t if horizon is None else float(horizon))
         if t > lad.horizon * (1.0 + 1e-12):
             raise ValueError(f"time {t} beyond ladder horizon {lad.horizon}")
         times, c = self._conv_plan(t, lad.nodes, lad.weights, lad.breakpoints, lad.ppp).matrix()
-        amap = self._batch_kernels(times + [t])
-        w = _contract(c, np.stack([amap[tau] for tau in times]))
+        kernels = self._kernel_stack(times + [t])
+        w = _contract(c, kernels[:-1])
         phi = lad.phi_nodes[:c.shape[1]]
         if rhs is None:
             out = w @ phi.reshape(w.shape[1], -1)
-            a_t = amap[t]
+            a_t = kernels[-1]
         else:
             out = w @ (phi @ rhs).reshape(-1)
-            a_t = amap[t] @ rhs
-        out *= vol
+            a_t = kernels[-1] @ rhs
+        out *= self.grid.cell_volume
         out += a_t
         return out
 

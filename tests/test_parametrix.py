@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdheat import bounds, oracle
+from sdheat import bessel, bounds, oracle
 from sdheat.heat_const import ConstCoeffs, kernel_1d, kernel_nd, recommended_radius
-from sdheat.lattice import Field, GridSpec, forward_diff
+from sdheat.lattice import Field, GridSpec, forward_diff, laplacian_array, shift_array
 from sdheat.parametrix import Coefficients, ParametrixSolver, _contract, k1
 from sdheat.quadrature import TimeQuadrature
 
@@ -165,17 +168,72 @@ class TestContraction:
     def test_ladder_builds_each_kernel_once(self, small_var_coeffs, monkeypatch):
         solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=24), tol=1e-8)
         horizon = 0.2
-        calls = []
-        real = ParametrixSolver._correction_from
-        monkeypatch.setattr(ParametrixSolver, "_correction_from",
-                            lambda self, a: calls.append(1) or real(self, a))
+        times, batches = [], []
+        real_stack = ParametrixSolver._kernel_stack
+        monkeypatch.setattr(ParametrixSolver, "_kernel_stack",
+                            lambda self, ts, correction=False:
+                            times.extend(ts) or real_stack(self, ts, correction))
+        real_batch = bessel.iv_scaled_matrix
+        monkeypatch.setattr(bessel, "iv_scaled_matrix",
+                            lambda nmax, r: batches.append(r.size) or real_batch(nmax, r))
         lad = solver.ladder(horizon)
         assert lad.m_max > 3  # more than one batch of orders
         targets = np.append(lad.nodes, horizon)
         plan_times = sum(len(solver._conv_plan(float(x), lad.nodes, lad.weights,
                                                lad.breakpoints, lad.ppp).matrix()[0])
                          for x in targets)
-        assert len(calls) == plan_times + targets.size
+        assert len(times) == plan_times + targets.size == 497
+        # at most 8192 // s = 167 times per batch: one batch for the targets, one per plan
+        assert len(batches) == 1 + targets.size == 18
+
+
+class TestKernelStack:
+    """``_kernel_stack`` against the dense route: A gathered entry by entry
+    through s x s offset tables, and K = sum_j (c_a^j - c_b^j) D2_j A by
+    ``laplacian_array`` along a_j on the whole matrix.
+
+    A must be bit-identical.  The two routes round the second difference in
+    different orders, so K is held to 1e-14 of the terms D2 cancels, entry
+    by entry (the rows at a_j = -R and R included): on a kernel spread over
+    the whole box those terms exceed K by orders of magnitude."""
+
+    @staticmethod
+    def _dense(solver, t):
+        grid = solver.grid
+        s = grid.site_count
+        comps = np.array(list(grid.index_iter())).reshape(s, grid.dim)
+        a = np.ones((s, s))
+        for j in range(grid.dim):
+            off = comps[:, j][:, None] - comps[:, j][None, :]
+            if grid.periodic:
+                off = (off + grid.radius) % grid.npts - grid.radius
+            a = a * solver._axis_values(j, np.array([t]))[0][np.abs(off), np.arange(s)]
+        a = a / grid.cell_volume
+        shaped = a.reshape(*grid.shape, s)
+        k = np.zeros((s, s))
+        scale = np.zeros((s, s))
+        for j, c in enumerate(solver._cflat):
+            d2 = laplacian_array(shaped, j, grid.dx, grid.periodic).reshape(s, s)
+            k += (c[:, None] - c[None, :]) * d2
+            terms = sum(np.abs(shift_array(shaped, j, step, grid.periodic))
+                        for step in (-1, 0, 0, 1)).reshape(s, s) / grid.dx**2
+            scale += np.abs(c[:, None] - c[None, :]) * terms
+        return a, k, scale
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), radius=st.integers(1, 6),
+           dx=st.sampled_from([0.125, 0.25, 0.5]), seed=st.integers(0, 2**32 - 1),
+           times=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3))
+    def test_matches_dense_route(self, dim, periodic, radius, dx, seed, times):
+        grid = GridSpec(dx=dx, dim=dim, radius=radius,
+                        boundary="periodic-wrap" if periodic else "zero-extension")
+        vals = np.random.default_rng(seed).uniform(0.5, 2.0, (dim,) + grid.shape)
+        solver = ParametrixSolver(Coefficients(grid, vals))
+        stacks = zip(solver._kernel_stack(times), solver._kernel_stack(times, correction=True))
+        for t, (a, k) in zip(times, stacks):
+            a_ref, k_ref, scale = self._dense(solver, t)
+            assert np.array_equal(a, a_ref)
+            assert np.all(np.abs(k - k_ref) <= 1e-14 * scale)
 
 
 class TestGamma:
@@ -233,10 +291,23 @@ class TestDenseBudget:
         grid = GridSpec(dx=1.0, dim=2, radius=46)
         assert grid.site_count == 8649
         coeffs = Coefficients.constant(grid, 1.0)
-        monkeypatch.setattr(ParametrixSolver, "_offset_tables",
-                            lambda self: pytest.fail("offset tables built"))
+        monkeypatch.setattr(ParametrixSolver, "_index_tables",
+                            lambda self: pytest.fail("index tables built"))
         with pytest.raises(ValueError, match="dense budget"):
             ParametrixSolver(coeffs)
+
+    def test_largest_grid_accepted_without_dense_allocation(self):
+        # 7921^2 entries fit the budget; one s x s array would take 502 MB
+        grid = GridSpec(dx=1.0, dim=2, radius=44)
+        assert grid.site_count == 7921
+        coeffs = Coefficients.constant(grid, 1.0)
+        tracemalloc.start()
+        try:
+            ParametrixSolver(coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestGammaEntryPoints:
