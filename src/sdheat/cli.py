@@ -112,10 +112,10 @@ def cmd_gamma(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     field_to_csv(col, args.out)
-    lad = solver.ladder(args.time)
+    series = solver.phi_series(args.time)
     _write_json(args.out + ".json", {
-        "m_max": lad.m_max, "fitted_C3": lad.fitted_c3,
-        "quad_nodes": args.quad_nodes, "tail_estimate": lad.tail,
+        "m_max": series.m_max, "fitted_C3": series.fitted_c3,
+        "quad_nodes": args.quad_nodes, "tail_estimate": series.tail_estimate,
     })
     return 0
 

@@ -117,8 +117,8 @@ def expm_apply(gen: Generator, t: float, v: Field, tol: float = 1e-10) -> Field:
     """w = e^{tL} v with sup-norm error below tol * |v|_inf."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if v.grid != gen.grid:
         raise ValueError("grid mismatch between generator and field")
     out = _expm_substep(gen.apply, gen.norm_bound(), t, v.values, tol)

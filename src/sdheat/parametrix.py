@@ -20,12 +20,12 @@ G_j[a_j, b] = e^{-r} I_{|a_j - b_j|}(r), r = 2 t c_b^j / dx^2, and D2_j acts
 on G_j alone.  Kernel and correction matrices are therefore broadcast
 products of (npts, s) direction tables, each gathered from a Bessel batch.
 
-Numerically, one fixed set of graded Gauss panels on (0, horizon) serves
-every time integral.  Panels well below the target time keep their Gauss
-weights; the last few boundary-layer widths below it are integrated in
-tau = t - s at fresh Gauss points, where the kernel is exact and the
-smooth recursive factor is interpolated inside its panel.  So a plan is
-one weight matrix C (a row per kernel time, a column per node), and
+Numerically, one graded Gauss rule on (0, horizon) serves every time
+integral.  Panels well below the target time keep their Gauss weights;
+the last few boundary-layer widths below it are integrated in tau = t - s
+at fresh Gauss points, where the kernel is exact and the smooth recursive
+factor is interpolated inside its panel.  So the plan of a target is one
+weight matrix C (a row per kernel time, a column per node), and
 ``_contract`` turns C and the target's kernels into W = sum_r C[r, c]
 F(tau_r), stacked over the nodes c.  The ladder contracts each target once
 with its correction kernels and runs every order as one product per
@@ -34,6 +34,8 @@ A and applies W to Phi (or to Phi times a vector).  Kernel matrices live
 only while their target is contracted.  The per-order sup norms decay like
 C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order is chosen by
 fitting C and C3 to the measured norms and summing the analytic tail.
+A built ladder is one ``PhiSeries``: Phi on the nodes of the rule, the
+rule itself, and the truncation record, cached per horizon.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 from . import bessel
 from .heat_const import kernel_1d
 from .lattice import Field, GridSpec, laplacian_array, shift_array
-from .quadrature import TimeQuadrature, _lagrange_weights, gauss_legendre
+from .quadrature import PANEL_POINTS, TimeQuadrature, _lagrange_weights, gauss_legendre
 
 _M_CAP = 20
 
@@ -127,18 +129,23 @@ class Coefficients:
 
 @dataclass(frozen=True)
 class PhiSeries:
-    """The summed correction series on the quadrature nodes.
+    """The correction ladder of one horizon: Phi on the nodes of its time rule.
 
-    Carries the truncation order, the per-order sup norms measured at
-    the horizon, the fitted growth constants, and the analytic tail
-    estimate that justified stopping.  The summed matrices live in
-    ``values``, shape (nodes, sites, sites): one flat two-point matrix
-    per node.
+    ``times``, ``weights`` and ``breakpoints`` are the graded Gauss rule on
+    (0, horizon) that every time integral of the ladder and of Gamma uses:
+    ascending nodes, their weights, and the panel edges.  The summed
+    matrices live in ``values``, shape (nodes, sites, sites): one flat
+    two-point matrix per node.  The rest is the truncation record: the
+    order, the per-order sup norms measured at the horizon, the fitted
+    growth constants, and the analytic tail estimate that justified
+    stopping.
     """
 
     grid: GridSpec
     horizon: float
     times: np.ndarray
+    weights: np.ndarray
+    breakpoints: np.ndarray
     values: np.ndarray
     m_max: int
     tol: float
@@ -148,20 +155,14 @@ class PhiSeries:
     tail_estimate: float
 
 
-def _wrap_offset(grid: GridSpec, alpha: Sequence[int], beta: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for a, b in zip(alpha, beta):
-        d = int(a) - int(b)
-        if grid.periodic:
-            d = (d + grid.radius) % grid.npts - grid.radius
-        out.append(d)
-    return tuple(out)
-
-
 def _wrap_component(grid: GridSpec, d: int) -> int:
     if grid.periodic:
         return (d + grid.radius) % grid.npts - grid.radius
     return d
+
+
+def _wrap_offset(grid: GridSpec, alpha: Sequence[int], beta: Sequence[int]) -> tuple[int, ...]:
+    return tuple(_wrap_component(grid, int(a) - int(b)) for a, b in zip(alpha, beta))
 
 
 def k1(alpha: Sequence[int], beta: Sequence[int], t: float, coeffs: Coefficients) -> float:
@@ -196,59 +197,9 @@ def k1(alpha: Sequence[int], beta: Sequence[int], t: float, coeffs: Coefficients
     return out
 
 
-@dataclass
-class _ConvSegment:
-    """One tau piece of a convolution plan: Gauss points in tau = t - s,
-    with the recursive factor interpolated from one panel's nodes."""
-
-    tau_pts: np.ndarray
-    tau_w: np.ndarray
-    interp: np.ndarray
-    panel_idx: np.ndarray
-
-
-@dataclass
-class _ConvPlan:
-    """Integration plan for int_0^t F(t-s) G(s) ds on the ladder nodes.
-
-    Panels far enough below the target t contribute through their Gauss
-    nodes ``full_idx``, at kernel times ``full_tau`` = t - s_q with the
-    weights ``full_w``.  The remainder (within a few layer widths of
-    t, which may span panel edges) is handled in the variable
-    tau = t - s: F, which carries the dx^2-scale layer at tau = 0, is
-    evaluated exactly at fresh Gauss points on geometrically growing tau
-    pieces (split at panel edges), while the smooth recursive factor G
-    is interpolated inside whichever panel each piece lands in.
-    """
-
-    full_idx: np.ndarray
-    full_tau: np.ndarray
-    full_w: np.ndarray
-    segments: list[_ConvSegment]
-
-    def matrix(self) -> tuple[list[float], np.ndarray]:
-        """The plan as one linear map of the node values G_c.
-
-        Returns the distinct kernel times tau_r and the weights C, one row
-        per time and one column per node up to the last one the plan
-        reads, with int_0^t F(t-s) G(s) ds = sum_{r,c} C[r, c] F(tau_r) G_c.
-        """
-        # full panels lie below every segment's panel
-        n = 1 + max(int(seg.panel_idx[-1]) for seg in self.segments)
-        rows: dict[float, int] = {}
-        c = np.zeros((self.full_tau.size + sum(seg.tau_pts.size for seg in self.segments), n))
-        for q, tau, w in zip(self.full_idx, self.full_tau, self.full_w):
-            c[rows.setdefault(float(tau), len(rows)), q] += w
-        for seg in self.segments:
-            for p, tp in enumerate(seg.tau_pts):
-                row = rows.setdefault(float(tp), len(rows))
-                c[row, seg.panel_idx] += seg.tau_w[p] * seg.interp[p]
-        return list(rows), c[:len(rows)]
-
-
 def _contract(weights: np.ndarray, kernels: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
-    """Contract a plan's weights C (``_ConvPlan.matrix``) with its kernel
+    """Contract a plan's weights C (``_conv_plan``) with its kernel
     matrices F(tau_r), stacked as (times, s, s), into W of shape (s, n*s):
     the block of node c is sum_r C[r, c] F(tau_r).  W @ G, with the node
     values G_0..G_{n-1} stacked as rows, is then the plan's integral.
@@ -261,21 +212,6 @@ def _contract(weights: np.ndarray, kernels: np.ndarray,
     # one (n x times) @ (times x s) product per kernel row, written in W's layout
     np.matmul(weights.T, kernels.transpose(1, 0, 2), out=out.reshape(s, n, s))
     return out.reshape(s, n * s)
-
-
-@dataclass
-class _Ladder:
-    horizon: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    breakpoints: np.ndarray
-    ppp: int
-    phi_nodes: np.ndarray  # Phi at every node, shape (nodes, sites, sites)
-    m_max: int
-    order_norms: list[float]
-    fitted_c: float
-    fitted_c3: float
-    tail: float
 
 
 class ParametrixSolver:
@@ -301,8 +237,8 @@ class ParametrixSolver:
 
     def __init__(self, coeffs: Coefficients, quad: TimeQuadrature | None = None,
                  tol: float = 1e-8):
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+        if not tol > 0:
+            raise ValueError(f"tol must be positive, got {tol}")
         self.coeffs = coeffs
         self.grid = coeffs.grid
         self.quad = quad or TimeQuadrature()
@@ -313,7 +249,7 @@ class ParametrixSolver:
                              f"of {_DENSE_ENTRIES} entries")
         self._cflat = [coeffs.flat(j) for j in range(self.grid.dim)]
         self._index = self._index_tables()
-        self._ladders: dict[float, _Ladder] = {}
+        self._ladders: dict[float, PhiSeries] = {}
 
     # -- kernel matrices -----------------------------------------------------
 
@@ -417,7 +353,8 @@ class ParametrixSolver:
 
     # -- the K^(m) ladder ------------------------------------------------------
 
-    def ladder(self, horizon: float) -> _Ladder:
+    def ladder(self, horizon: float) -> PhiSeries:
+        """The correction ladder on (0, horizon], built once per horizon."""
         horizon = float(horizon)
         got = self._ladders.get(horizon)
         if got is None:
@@ -430,8 +367,23 @@ class ParametrixSolver:
         return self.grid.dx**2 / (2.0 * self.coeffs.cbar)
 
     def _conv_plan(self, t: float, nodes: np.ndarray, weights: np.ndarray,
-                   bp: np.ndarray, ppp: int) -> _ConvPlan:
-        """Integration plan for a target t in (0, horizon]."""
+                   bp: np.ndarray) -> tuple[list[float], np.ndarray]:
+        """Integration plan of int_0^t F(t-s) G(s) ds for a target t in
+        (0, horizon], on the rule ``nodes``, ``weights``, breakpoints ``bp``.
+
+        Returns the distinct kernel times tau_r and the weights C, one row
+        per time and one column per node up to the last one the plan reads,
+        with int_0^t F(t-s) G(s) ds = sum_{r,c} C[r, c] F(tau_r) G_c.
+
+        Panels far enough below t contribute through their Gauss nodes, at
+        kernel times t - s_q with the Gauss weights; their rows come first.
+        The remainder (within a few layer widths of t, which may span panel
+        edges) is handled in the variable tau = t - s: F, which carries the
+        dx^2-scale layer at tau = 0, is evaluated exactly at fresh Gauss
+        points on geometrically growing tau pieces (split at panel edges),
+        while the smooth recursive factor G is interpolated inside whichever
+        panel each piece lands in.
+        """
         k = int(np.searchsorted(bp, t, side="left")) - 1
         k = min(max(k, 0), bp.size - 2)
         lam = self._layer_scale()
@@ -440,7 +392,7 @@ class ParametrixSolver:
         sp = k
         while sp > 0 and t - bp[sp] < 3.0 * lam:
             sp -= 1
-        full_idx = np.arange(sp * ppp)
+        full = sp * PANEL_POINTS
         depth = t - float(bp[sp])
 
         # geometric tau edges out of the layer, split at panel crossings
@@ -453,27 +405,33 @@ class ParametrixSolver:
             edges.add(t - float(bp[kk]))
         edges = sorted(edges)
 
-        xg, wg = gauss_legendre(min(8, max(ppp, 4)))
-        segments = []
+        xg, wg = gauss_legendre(PANEL_POINTS)
+        pieces = []  # (tau points, tau weights, first node of the panel)
         for lo, hi in zip(edges[:-1], edges[1:]):
             if hi - lo <= 0.0:
                 continue
             half = 0.5 * (hi - lo)
-            tau_pts = lo + half * (xg + 1.0)
-            tau_w = half * wg
-            u_mid = t - 0.5 * (lo + hi)
-            pk = int(np.searchsorted(bp, u_mid, side="left")) - 1
+            pk = int(np.searchsorted(bp, t - 0.5 * (lo + hi), side="left")) - 1
             pk = min(max(pk, 0), bp.size - 2)
-            panel_idx = np.arange(pk * ppp, (pk + 1) * ppp)
-            abscissae = nodes[panel_idx]
-            interp = np.array([_lagrange_weights(abscissae, t - tp) for tp in tau_pts])
-            segments.append(_ConvSegment(tau_pts, tau_w, interp, panel_idx))
-        return _ConvPlan(full_idx, t - nodes[full_idx], weights[full_idx], segments)
+            pieces.append((lo + half * (xg + 1.0), half * wg, pk * PANEL_POINTS))
 
-    def _build_ladder(self, horizon: float) -> _Ladder:
+        # full panels lie below every piece's panel
+        n = PANEL_POINTS + max(first for _, _, first in pieces)
+        rows: dict[float, int] = {}
+        c = np.zeros((full + len(pieces) * PANEL_POINTS, n))
+        for q in range(full):
+            c[rows.setdefault(float(t - nodes[q]), len(rows)), q] += weights[q]
+        for tau_pts, tau_w, first in pieces:
+            panel = slice(first, first + PANEL_POINTS)
+            for tp, w in zip(tau_pts, tau_w):
+                row = rows.setdefault(float(tp), len(rows))
+                c[row, panel] += w * _lagrange_weights(nodes[panel], t - tp)
+        return list(rows), c[:len(rows)]
+
+    def _build_ladder(self, horizon: float) -> PhiSeries:
         if not horizon > 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
-        nodes, weights, bp, ppp = self.quad.points_with_panels(horizon, layer=self._layer_scale())
+        nodes, weights, bp = self.quad.points_with_panels(horizon, layer=self._layer_scale())
         xs = np.append(nodes, horizon)
         vol = self.grid.cell_volume
         s = self.grid.site_count
@@ -481,13 +439,13 @@ class ParametrixSolver:
         prev = self._kernel_stack(xs, correction=True)
 
         if float(np.abs(prev[-1]).max()) == 0.0:
-            return _Ladder(horizon, nodes, weights, bp, ppp, np.zeros_like(prev[:-1]),
-                           1, [0.0], 0.0, 0.0, 0.0)
+            return PhiSeries(self.grid, horizon, nodes, weights, bp, np.zeros_like(prev[:-1]),
+                             1, self.tol, (0.0,), 0.0, 0.0, 0.0)
 
         # one contracted plan per target, its kernels built and dropped with it,
         # K^(m)(x_i) = dx^d W_i @ K^(m-1) at the first n_i nodes; every W lies
         # in one buffer, which goes back to the system in one piece
-        plans = [self._conv_plan(float(x), nodes, weights, bp, ppp).matrix() for x in xs]
+        plans = [self._conv_plan(float(x), nodes, weights, bp) for x in xs]
         sizes = [c.shape[1] * s * s for _, c in plans]
         pieces = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
         contracted = []
@@ -524,23 +482,12 @@ class ParametrixSolver:
 
         c_fit, c3_fit = _fit_growth(norms, horizon)
         tail = _series_tail(c_fit, c3_fit, horizon, m_done)
-        return _Ladder(horizon, nodes, weights, bp, ppp, phi,
-                       m_done, norms, c_fit, c3_fit, tail)
+        return PhiSeries(self.grid, horizon, nodes, weights, bp, phi,
+                         m_done, self.tol, tuple(norms), c_fit, c3_fit, tail)
 
     def phi_series(self, horizon: float) -> PhiSeries:
-        lad = self.ladder(horizon)
-        return PhiSeries(
-            grid=self.grid,
-            horizon=lad.horizon,
-            times=lad.nodes,
-            values=lad.phi_nodes,
-            m_max=lad.m_max,
-            tol=self.tol,
-            order_sup_norms=tuple(lad.order_norms),
-            fitted_c=lad.fitted_c,
-            fitted_c3=lad.fitted_c3,
-            tail_estimate=lad.tail,
-        )
+        """The correction ladder on (0, horizon]; the same record as ``ladder``."""
+        return self.ladder(horizon)
 
     # -- Gamma -----------------------------------------------------------------
 
@@ -559,10 +506,10 @@ class ParametrixSolver:
         lad = self.ladder(t if horizon is None else float(horizon))
         if t > lad.horizon * (1.0 + 1e-12):
             raise ValueError(f"time {t} beyond ladder horizon {lad.horizon}")
-        times, c = self._conv_plan(t, lad.nodes, lad.weights, lad.breakpoints, lad.ppp).matrix()
+        times, c = self._conv_plan(t, lad.times, lad.weights, lad.breakpoints)
         kernels = self._kernel_stack(times + [t])
         w = _contract(c, kernels[:-1])
-        phi = lad.phi_nodes[:c.shape[1]]
+        phi = lad.values[:c.shape[1]]
         if rhs is None:
             out = w @ phi.reshape(w.shape[1], -1)
             a_t = kernels[-1]

@@ -14,6 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
+#: Gauss points per panel of the composite rule.
+PANEL_POINTS = 8
+
 
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -48,54 +51,56 @@ def _graded_breakpoints(t: float, panels_per_half: int, layer: float | None = No
 class TimeQuadrature:
     """Composite Gauss-Legendre recipe for integrals over (0, t).
 
-    ``nodes`` is the total node budget; the rule places eight points per
-    graded panel.  All nodes are strictly interior and all weights
-    positive.
+    ``nodes`` is the node budget, at least 16: the rule places
+    ``PANEL_POINTS`` = 8 points on each of an equal number of graded
+    panels per half of (0, t), so it uses 16 floor(nodes / 16) nodes
+    (a budget of 24 runs 16).  All nodes are strictly interior and all
+    weights positive.
     """
 
     nodes: int = 96
 
     def __post_init__(self):
-        if self.nodes < 4:
-            raise ValueError(f"need at least 4 nodes, got {self.nodes}")
+        if self.nodes < 2 * PANEL_POINTS:
+            raise ValueError(f"need at least {2 * PANEL_POINTS} nodes, got {self.nodes}")
 
     def points_with_panels(self, t: float, layer: float | None = None
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Ascending nodes, positive weights, panel breakpoints, and nodes-per-panel."""
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ascending nodes, positive weights, and panel breakpoints."""
         if not t > 0:
             raise ValueError(f"horizon must be positive, got {t}")
-        ppp = 8
-        per_half = max(1, self.nodes // (2 * ppp))
-        bp = _graded_breakpoints(t, per_half, layer)
-        x, wx = gauss_legendre(ppp)
+        bp = _graded_breakpoints(t, self.nodes // (2 * PANEL_POINTS), layer)
+        x, wx = gauss_legendre(PANEL_POINTS)
         s_list, w_list = [], []
         for a, b in zip(bp[:-1], bp[1:]):
             half = 0.5 * (b - a)
             s_list.append(a + half * (x + 1.0))
             w_list.append(half * wx)
-        return np.concatenate(s_list), np.concatenate(w_list), bp, ppp
+        return np.concatenate(s_list), np.concatenate(w_list), bp
 
 
 @lru_cache(maxsize=16)
-def collocation_rule(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def collocation_rule(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Spectral Volterra collocation data on the reference panel [0, 1].
 
-    Returns (x, inner, interp): collocation nodes x (Gauss points mapped
-    to (0,1)), for each node r the inner Gauss nodes of (0, x_r) as the
-    flattened array ``inner`` of shape (p, p), and ``interp`` of shape
-    (p, p, p) with interp[r, q, m] the Lagrange weight of the sample at
-    x_m when evaluating at inner[r, q].
+    Returns (x, inner, inner_w, interp): collocation nodes x (Gauss
+    points mapped to (0,1)); for each node r the inner Gauss nodes of
+    (0, x_r) as the array ``inner`` of shape (p, p), and their Gauss
+    weights scaled to (0, x_r) as ``inner_w`` (row sums x_r); and
+    ``interp`` of shape (p, p, p) with interp[r, q, m] the Lagrange
+    weight of the sample at x_m when evaluating at inner[r, q].
     """
     xg, wg = gauss_legendre(p)
     x = 0.5 * (xg + 1.0)
     inner = 0.5 * x[:, None] * (xg[None, :] + 1.0)
+    inner_w = 0.5 * x[:, None] * wg[None, :]
     interp = np.empty((p, p, p))
     for r in range(p):
         for q in range(p):
             interp[r, q] = _lagrange_weights(x, inner[r, q])
-    for arr in (x, inner, interp):
+    for arr in (x, inner, inner_w, interp):
         arr.setflags(write=False)
-    return x, inner, interp
+    return x, inner, inner_w, interp
 
 
 def _lagrange_weights(nodes: np.ndarray, point: float) -> np.ndarray:
@@ -106,12 +111,4 @@ def _lagrange_weights(nodes: np.ndarray, point: float) -> np.ndarray:
             if k != m:
                 w[m] *= (point - nodes[k]) / (nodes[m] - nodes[k])
     return w
-
-
-def collocation_inner_weights(p: int) -> np.ndarray:
-    """Gauss weights for the inner integrals of ``collocation_rule``,
-    already scaled to (0, x_r): shape (p, p) with row sums x_r."""
-    xg, wg = gauss_legendre(p)
-    x = 0.5 * (xg + 1.0)
-    return 0.5 * x[:, None] * wg[None, :]
 

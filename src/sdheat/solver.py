@@ -26,7 +26,7 @@ import numpy as np
 
 from .lattice import Field, forward_diff
 from .parametrix import Coefficients, ParametrixSolver
-from .quadrature import TimeQuadrature, collocation_inner_weights, collocation_rule, gauss_legendre
+from .quadrature import TimeQuadrature, collocation_rule, gauss_legendre
 
 #: collocation points per panel of the potential solver
 _COLLOC_POINTS = 8
@@ -155,10 +155,10 @@ def solve_with_potential(prob: CauchyProblem, t: float,
             ops[tau] = got
         return got
 
-    x, inner, interp = collocation_rule(p)
+    x, inner, inner_w, interp = collocation_rule(p)
     sigma = h * x
     start = np.stack([gamma(tau) for tau in sigma])
-    weights = h * collocation_inner_weights(p)[:, :, None] * interp
+    weights = h * inner_w[:, :, None] * interp
     m = np.einsum("rqk,rqab->rakb", weights,
                   np.stack([[gamma(tau) for tau in row] for row in sigma[:, None] - h * inner]))
     m = m.reshape(p * s, p * s)

@@ -1,5 +1,9 @@
 """The package's public names.  Adding or removing one changes this list."""
 
+from pathlib import Path
+
+import numpy as np
+
 import sdheat
 
 PUBLIC = {
@@ -18,3 +22,30 @@ def test_public_names():
     assert len(sdheat.__all__) == len(set(sdheat.__all__))
     assert set(sdheat.__all__) == PUBLIC
     assert all(hasattr(sdheat, name) for name in sdheat.__all__)
+
+
+def test_benchmark_entry_points(monkeypatch):
+    """What the benchmark under ``perfbench/`` uses of the package: the names
+    its tracer patches, its workloads' set-up, and the fields it reads."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+    import workloads
+
+    from sdheat.lattice import GridSpec
+    from sdheat.parametrix import Coefficients, ParametrixSolver
+    from sdheat.quadrature import TimeQuadrature
+    from sdheat.solver import SolveReport
+
+    for name, workload in workloads.WORKLOADS.items():
+        assert workload(0).prepare(), name
+    grid = GridSpec(dx=0.5, dim=1, radius=3)
+    coeffs = Coefficients.from_function(grid, lambda x: 1.0 + 0.3 * np.sin(x))
+    tracer = spans.Tracer()
+    # installing raises KeyError if a patched name has left its owner
+    with tracer.installed(), tracer.root("solve", "probe", 0):
+        series = ParametrixSolver(coeffs, TimeQuadrature(nodes=16)).phi_series(0.1)
+    assert series.m_max >= 1 and series.tail_estimate <= 1e-8
+    (ladder,) = [sp for sp in tracer.spans if sp.name == "parametrix.ladder"]
+    assert ladder.attrs == {"built": True, "m_max": series.m_max}
+    report = SolveReport()
+    assert report.picard_iters == 0 and report.panels == 0

@@ -76,6 +76,13 @@ class TestGammaOracleCompare:
         assert payload["l1"] <= 1e-4
         assert payload["linf"] <= 1e-3
 
+    def test_nan_tol_exit_2(self, tmp_path):
+        out = str(tmp_path / "gamma.csv")
+        assert run_cli("gamma", "--dim", "1", "--dx", "0.25", "--radius", "16",
+                       "--coeff", "sine:1,0.3,0.2", "--time", "0.1", "--quad-nodes", "16",
+                       "--tol", "nan", "--out", out) == 2
+        assert not Path(out).exists()
+
 
 class TestSolve:
     def test_smoke_with_potential(self, tmp_path):

@@ -102,6 +102,12 @@ class TestExpmApply:
         with pytest.raises(ValueError):
             expm_apply(Generator(c), -0.1, Field.dirac(g))
 
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_tol_must_be_positive(self, tol):
+        g, c = small_setup()
+        with pytest.raises(ValueError, match="tol"):
+            expm_apply(Generator(c), 0.1, Field.dirac(g), tol=tol)
+
 
 class TestGammaOracle:
     def test_constant_coefficients(self):

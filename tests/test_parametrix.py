@@ -128,41 +128,68 @@ class TestPhi:
         for horizon in (0.1, 0.2):
             solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=48), tol=1e-6)
             lad = solver.ladder(horizon)
-            ratios[horizon] = lad.order_norms[1] / lad.order_norms[0]
+            ratios[horizon] = lad.order_sup_norms[1] / lad.order_sup_norms[0]
         assert ratios[0.1] < ratios[0.2]
+
+    def test_ladder_is_phi_series(self, small_var_coeffs):
+        solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=16), tol=1e-6)
+        series = solver.phi_series(0.1)
+        assert solver.ladder(0.1) is series
+        assert series.weights.sum() == pytest.approx(0.1, rel=1e-13)
+        assert series.breakpoints[0] == 0.0 and series.breakpoints[-1] == 0.1
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_tol_must_be_positive(self, small_var_coeffs, tol):
+        with pytest.raises(ValueError, match="tol"):
+            ParametrixSolver(small_var_coeffs, tol=tol)
 
 
 class TestContraction:
-    """The contracted plan W (``_ConvPlan.matrix`` then ``_contract``) against
-    a direct evaluation of the plan's pieces, and its kernel budget."""
+    """The plan weights C (``_conv_plan``) on polynomials, the contracted
+    W (``_contract``) against the plan summed term by term, and the kernel
+    budget of a ladder."""
 
-    @staticmethod
-    def _direct(plan, kernel, g):
-        out = sum(w * (kernel(tau) @ g[q])
-                  for q, tau, w in zip(plan.full_idx, plan.full_tau, plan.full_w))
-        for seg in plan.segments:
-            for p, tp in enumerate(seg.tau_pts):
-                g_p = sum(seg.interp[p, c] * g[node] for c, node in enumerate(seg.panel_idx))
-                out = out + seg.tau_w[p] * (kernel(tp) @ g_p)
-        return out
+    HORIZON = 0.1
+
+    @classmethod
+    def _rule(cls, solver):
+        nodes, weights, bp = solver.quad.points_with_panels(
+            cls.HORIZON, layer=solver._layer_scale())
+        return nodes, weights, bp, (float(nodes[3]), float(nodes[-1]), 0.061, cls.HORIZON)
+
+    def test_plan_exact_on_polynomials(self, small_var_coeffs):
+        # int_0^t (t-s)^i s^k ds = t^(i+k+1) i! k! / (i+k+1)!, and the rule
+        # is exact for both factors below degree 8 (eight points a panel)
+        solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=24), tol=1e-6)
+        nodes, weights, bp, targets = self._rule(solver)
+        for t in targets:
+            times, c = solver._conv_plan(t, nodes, weights, bp)
+            tau = np.array(times)
+            s = nodes[:c.shape[1]]
+            for i in range(8):
+                for k in range(8):
+                    got = tau**i @ c @ s**k
+                    want = t ** (i + k + 1) * math.factorial(i) * math.factorial(k) \
+                        / math.factorial(i + k + 1)
+                    assert got == pytest.approx(want, rel=1e-12)
 
     def test_matches_direct_plan_evaluation(self, small_var_coeffs):
+        # W @ g = sum_{r,c} C[r, c] K(tau_r) g_c, summed term by term
         solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=24), tol=1e-6)
-        horizon = 0.1
-        nodes, weights, bp, ppp = solver.quad.points_with_panels(
-            horizon, layer=solver._layer_scale())
+        nodes, weights, bp, targets = self._rule(solver)
         s = solver.grid.site_count
         rng = np.random.default_rng(5)
         g_mat = rng.standard_normal((nodes.size, s, s))
         g_vec = rng.standard_normal((nodes.size, s))
-        for t in (float(nodes[3]), float(nodes[-1]), 0.061, horizon):
-            plan = solver._conv_plan(t, nodes, weights, bp, ppp)
-            times, c = plan.matrix()
-            w = _contract(c, np.stack([solver.correction_matrix(tau) for tau in times]))
+        for t in targets:
+            times, c = solver._conv_plan(t, nodes, weights, bp)
+            kernels = [solver.correction_matrix(tau) for tau in times]
+            w = _contract(c, np.stack(kernels))
             n = c.shape[1]
             for g in (g_mat, g_vec):
                 got = w @ g[:n].reshape((n * s,) + g.shape[2:])
-                ref = self._direct(plan, solver.correction_matrix, g)
+                ref = sum(c[r, q] * (kernel @ g[q])
+                          for r, kernel in enumerate(kernels) for q in range(n))
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_ladder_builds_each_kernel_once(self, small_var_coeffs, monkeypatch):
@@ -178,9 +205,9 @@ class TestContraction:
                             lambda nmax, r: batches.append(r.size) or real_batch(nmax, r))
         lad = solver.ladder(horizon)
         assert lad.m_max > 3  # more than one batch of orders
-        targets = np.append(lad.nodes, horizon)
-        plan_times = sum(len(solver._conv_plan(float(x), lad.nodes, lad.weights,
-                                               lad.breakpoints, lad.ppp).matrix()[0])
+        targets = np.append(lad.times, horizon)
+        plan_times = sum(len(solver._conv_plan(float(x), lad.times, lad.weights,
+                                               lad.breakpoints)[0])
                          for x in targets)
         assert len(times) == plan_times + targets.size == 497
         # at most 8192 // s = 167 times per batch: one batch for the targets, one per plan
@@ -409,9 +436,9 @@ class TestPointwiseBounds:
             sup = 0.0
             offs = np.arange(-grid.radius, grid.radius + 1)
             b = grid.flat_index((0,))
-            for q in range(0, lad.nodes.size, 4):
-                s = float(lad.nodes[q])
-                col = lad.phi_nodes[q][:, b]
+            for q in range(0, lad.times.size, 4):
+                s = float(lad.times[q])
+                col = lad.values[q][:, b]
                 rhs = bounds.lorentz_rhs(offs, s, cbar, dx, 1, cubic_tail=False)
                 sup = max(sup, float((np.abs(col) / rhs).max()))
             sups[dx] = sup
