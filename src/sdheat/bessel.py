@@ -34,7 +34,6 @@ import itertools
 import math
 import operator
 
-import mpmath
 import numpy as np
 
 
@@ -158,6 +157,8 @@ _EXP_NODE_CACHE: dict[tuple[float, int, int], list] = {}
 
 
 def _mp_exp_nodes(r: float, nodes: int, dps: int) -> list:
+    import mpmath  # only the oracle's extended-precision corner needs it
+
     key = (r, nodes, dps)
     cached = _EXP_NODE_CACHE.get(key)
     if cached is not None:
@@ -173,6 +174,8 @@ def _mp_exp_nodes(r: float, nodes: int, dps: int) -> list:
 
 
 def _trapezoid_mp(n: int, r: float, nodes: int, dps: int) -> float:
+    import mpmath
+
     expvals = _mp_exp_nodes(r, nodes, dps)
     with mpmath.workdps(dps):
         step = 2 * mpmath.pi / nodes

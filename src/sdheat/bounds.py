@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 #: Rate constant of the explicit Gaussian bound.
 C0_GAUSSIAN = 252.0
@@ -113,6 +112,8 @@ def lorentz_closed_form(x: float, y: float, s: float, t: float) -> float:
 
 def lorentz_conv_quadrature(x: float, y: float, s: float, t: float) -> float:
     """Adaptive quadrature of the defining Lorentz-convolution integral."""
+    from scipy import integrate  # the only scipy use; loaded on first call
+
     if not (0 < s < t):
         raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
 

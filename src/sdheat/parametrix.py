@@ -18,7 +18,9 @@ and their sum Phi = sum_m K^(m).  The fundamental solution is then
 The frozen kernel factorises: A_{a,b}(t) = prod_j G_j[a_j, b] / dx^d with
 G_j[a_j, b] = e^{-r} I_{|a_j - b_j|}(r), r = 2 t c_b^j / dx^2, and D2_j acts
 on G_j alone.  Kernel and correction matrices are therefore broadcast
-products of (npts, s) direction tables, each gathered from a Bessel batch.
+products of (npts, s) direction tables, each gathered from a Bessel batch;
+D2_j G_j is gathered the same way from the batch's second difference in
+the offset |a_j - b_j|.
 
 Numerically, one graded Gauss rule on (0, horizon) serves every time
 integral.  Panels well below the target time keep their Gauss weights;
@@ -29,9 +31,10 @@ weight matrix C (a row per kernel time, a column per node), and
 ``_contract`` turns C and the target's kernels into W = sum_r C[r, c]
 F(tau_r), stacked over the nodes c.  The ladder contracts each target once
 with its correction kernels and runs every order as one product per
-target, K^(m)(x_i) = dx^d W_i @ K^(m-1); Gamma contracts its target with
-A and applies W to Phi (or to Phi times a vector).  Kernel matrices live
-only while their target is contracted.  The per-order sup norms decay like
+panel of targets, K^(m)(x_i) = dx^d W_i @ K^(m-1); Gamma contracts its
+target with A and applies W to Phi (or to Phi times a vector).  Kernel
+matrices live only while their target is contracted.  The per-order sup
+norms decay like
 C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order is chosen by
 fitting C and C3 to the measured norms and summing the analytic tail.
 A built ladder is one ``PhiSeries``: Phi on the nodes of the rule, the
@@ -40,6 +43,7 @@ rule itself, and the truncation record, cached per horizon.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -48,7 +52,7 @@ import numpy as np
 
 from . import bessel
 from .heat_const import kernel_1d
-from .lattice import Field, GridSpec, laplacian_array, shift_array
+from .lattice import Field, GridSpec, shift_array
 from .quadrature import PANEL_POINTS, TimeQuadrature, _lagrange_weights, gauss_legendre
 
 _M_CAP = 20
@@ -267,16 +271,17 @@ class ParametrixSolver:
                 [grid.npts if i == j else 1 for i in range(grid.dim)] + [s]))
         return tables
 
-    def _image_count(self, r_max: float) -> int:
-        """Wrap images needed so the neglected torus tail is below ~1e-18."""
-        if not self.grid.periodic:
-            return 0
-        npts = self.grid.npts
-        k = 0
-        while k < 8 and bessel._debye_log_magnitude(
-                (k + 1) * npts - self.grid.radius, r_max) > -42.0:
-            k += 1
-        return k
+    def _top_order(self, r_max: float) -> int:
+        """Highest Bessel order ``_axis_values`` needs at arguments up to
+        r_max: the offsets of the box, plus on periodic grids the wrap images
+        it takes until the neglected torus tail is below ~1e-18."""
+        grid = self.grid
+        if not grid.periodic:
+            return 2 * grid.radius
+        images = 0
+        while bessel._debye_log_magnitude((images + 1) * grid.npts - grid.radius, r_max) > -42.0:
+            images += 1
+        return images * grid.npts + grid.radius
 
     def _axis_values(self, j: int, ts: np.ndarray) -> np.ndarray:
         """Scaled per-direction kernel orders 0..nmax for a time batch, shape
@@ -286,24 +291,40 @@ class ParametrixSolver:
         s = grid.site_count
         nmax = grid.radius if grid.periodic else 2 * grid.radius
         r = (2.0 * ts[:, None] * self._cflat[j][None, :] / grid.dx**2).reshape(-1)
-        images = self._image_count(float(r.max()))
-        top = images * grid.npts + nmax
+        top = self._top_order(float(r.max()))
         b = bessel.iv_scaled_matrix(top, r).reshape(top + 1, ts.size, s)
         folded = b[:nmax + 1].transpose(1, 0, 2).copy()
-        for k in range(1, images + 1):
-            shift = k * grid.npts
-            # torus images at offset n - k*npts (order shift - n) and n + k*npts
+        for shift in range(grid.npts, top - nmax + 1, grid.npts):
+            # torus images at offset n - shift (order shift - n) and n + shift
             folded += (b[shift - nmax:shift + 1][::-1]
                        + b[shift:shift + nmax + 1]).transpose(1, 0, 2)
         return folded
+
+    def _offset_second_difference(self, g: np.ndarray) -> np.ndarray:
+        """D2 of folded ``_axis_values`` tables g, taken in offset space:
+        (g[n+1] + g[n-1] - 2 g[n]) / dx^2 with g[-1] = g[1] (g is even) and
+        g[nmax+1] = g[nmax] (the torus wrap).  On zero-extension grids the
+        last order is read only by the box's edge rows, which
+        ``_kernel_stack`` rewrites."""
+        d2 = np.empty_like(g)
+        np.add(g[:, 2:], g[:, :-2], out=d2[:, 1:-1])
+        np.add(g[:, 1], g[:, 1], out=d2[:, 0])
+        np.add(g[:, -1], g[:, -2], out=d2[:, -1])
+        d2 -= 2.0 * g
+        d2 /= self.grid.dx**2
+        return d2
 
     def _kernel_stack(self, times: Sequence[float], correction: bool = False) -> np.ndarray:
         """Frozen kernels A(t), or with ``correction`` the correction kernels
         K(t), stacked as (len(times), s, s) in the given order (not cached).
 
-        Term j of K is (c_a^j - c_b^j) D2 G_j times the other tables, D2 from
-        ``laplacian_array`` so the box's boundary rule holds.  Bessel values
-        come 8192 // s sorted times at a time.
+        Term j of K is (c_a^j - c_b^j) D2 G_j times the other tables.  The
+        increments are formed once per call, and D2 G_j is gathered like
+        G_j from its offset-space second difference; on zero-extension
+        grids the edge rows a_j = -R, R are then rewritten from G_j with
+        zero outside the box.  Bessel values come 8192 // s sorted times at
+        a time, fewer when the top order exceeds 255, so a batch stays
+        within 2^21 values.
         """
         grid = self.grid
         s = grid.site_count
@@ -317,28 +338,40 @@ class ParametrixSolver:
         zeros = int(np.searchsorted(ts, 0.0, side="right"))
         out = np.empty((ts.size, s, s)) if zeros == ts.size else None
         scratch = np.empty((s, s)) if correction and grid.dim > 1 else None
-        chunk = max(1, 8192 // s)
-        for lo in range(zeros, ts.size, chunk):
-            per_dir = [self._axis_values(j, ts[lo:lo + chunk]) for j in range(grid.dim)]
+        lo = zeros
+        while lo < ts.size:
+            hi = min(ts.size, lo + max(1, 8192 // s))
+            rows = self._top_order(2.0 * float(ts[hi - 1]) * self.coeffs.c_max / grid.dx**2) + 1
+            hi = lo + max(1, min(hi - lo, 2**21 // (rows * s)))
+            per_dir = [self._axis_values(j, ts[lo:hi]) for j in range(grid.dim)]
+            if correction:
+                per_dir[0] /= vol  # carried into every term
+                diffs = [self._offset_second_difference(g) for g in per_dir]
             if out is None:  # after the first Bessel batch, where a call peaks
                 out = np.empty((ts.size, s, s))
-            for k, q in enumerate(order[lo:lo + chunk]):
+                if correction:
+                    incs = [np.subtract(c[:, None], c[None, :]).reshape(grid.shape + (s,))
+                            for c in self._cflat]
+            for k, q in enumerate(order[lo:hi]):
                 tables = [np.take(v[k], idx, mode="clip") for v, idx in zip(per_dir, self._index)]
                 mat = out[q]
                 box = mat.reshape(grid.shape + (s,))
                 if not correction:
                     np.divide(math.prod(tables[1:], start=tables[0]), vol, out=box)
                     continue
-                tables[0] /= vol  # carried into every term
-                for j, c in enumerate(self._cflat):
-                    term = mat if j == 0 else scratch
-                    np.subtract(c[:, None], c[None, :], out=term)
-                    shaped = term.reshape(box.shape)
-                    shaped *= laplacian_array(tables[j], j, grid.dx, grid.periodic)
+                for j, idx in enumerate(self._index):
+                    d2 = np.take(diffs[j][k], idx, mode="clip")
+                    if not grid.periodic:
+                        edge, g = d2.reshape(grid.npts, s), tables[j].reshape(grid.npts, s)
+                        edge[0] = (g[1] - 2.0 * g[0]) / grid.dx**2
+                        edge[-1] = (g[-2] - 2.0 * g[-1]) / grid.dx**2
+                    shaped = (mat if j == 0 else scratch).reshape(box.shape)
+                    np.multiply(incs[j], d2, out=shaped)
                     for table in tables[:j] + tables[j + 1:]:
                         shaped *= table
                     if j:
                         mat += scratch
+            lo = hi
         for q in order[:zeros]:
             out[q] = np.eye(s) / vol
         return out
@@ -423,9 +456,10 @@ class ParametrixSolver:
             c[rows.setdefault(float(t - nodes[q]), len(rows)), q] += weights[q]
         for tau_pts, tau_w, first in pieces:
             panel = slice(first, first + PANEL_POINTS)
-            for tp, w in zip(tau_pts, tau_w):
+            lagrange = _lagrange_weights(nodes[panel], t - tau_pts)
+            for tp, w, lw in zip(tau_pts, tau_w, lagrange):
                 row = rows.setdefault(float(tp), len(rows))
-                c[row, panel] += w * _lagrange_weights(nodes[panel], t - tp)
+                c[row, panel] += w * lw
         return list(rows), c[:len(rows)]
 
     def _build_ladder(self, horizon: float) -> PhiSeries:
@@ -446,11 +480,18 @@ class ParametrixSolver:
         # K^(m)(x_i) = dx^d W_i @ K^(m-1) at the first n_i nodes; every W lies
         # in one buffer, which goes back to the system in one piece
         plans = [self._conv_plan(float(x), nodes, weights, bp) for x in xs]
-        sizes = [c.shape[1] * s * s for _, c in plans]
-        pieces = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-        contracted = []
-        for (times, c), piece in zip(plans, pieces):
-            contracted.append(_contract(c, self._kernel_stack(times, correction=True), piece))
+        reads = [c.shape[1] for _, c in plans]
+        ends = np.cumsum([0] + [n * s * s for n in reads])
+        buffer = np.empty(ends[-1])
+        for (times, c), lo, hi in zip(plans, ends[:-1], ends[1:]):
+            _contract(c, self._kernel_stack(times, correction=True), buffer[lo:hi])
+        # the targets of a panel (the horizon joins the last) read the same
+        # n nodes and their W blocks are adjacent: one (targets s, n s) matrix
+        panels, lo = [], 0
+        for n, group in itertools.groupby(reads):
+            hi = lo + len(list(group))
+            panels.append((lo, hi, buffer[ends[lo]:ends[hi]].reshape(-1, n * s)))
+            lo = hi
 
         phi = prev[:-1].copy()
         m_done = 1
@@ -472,8 +513,9 @@ class ParametrixSolver:
                     break
             for _ in range(m_done + 1, target + 1):
                 cur = np.empty_like(prev)
-                for i, w in enumerate(contracted):
-                    np.matmul(w, prev[:w.shape[1] // s].reshape(-1, s), out=cur[i])
+                for lo, hi, w in panels:
+                    np.matmul(w, prev[:w.shape[1] // s].reshape(-1, s),
+                              out=cur[lo:hi].reshape(-1, s))
                 cur *= vol
                 phi += cur[:-1]
                 norms.append(float(np.abs(cur[-1]).max()))

@@ -103,12 +103,14 @@ def collocation_rule(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     return x, inner, inner_w, interp
 
 
-def _lagrange_weights(nodes: np.ndarray, point: float) -> np.ndarray:
+def _lagrange_weights(nodes: np.ndarray, points: float | np.ndarray) -> np.ndarray:
+    """Lagrange weights of ``nodes`` at a point, or one row per point of an
+    array; every row is formed in the same order as the scalar case."""
+    x = np.asarray(points, dtype=float)
     n = nodes.size
-    w = np.ones(n)
+    w = np.ones(x.shape + (n,))
     for m in range(n):
         for k in range(n):
             if k != m:
-                w[m] *= (point - nodes[k]) / (nodes[m] - nodes[k])
+                w[..., m] *= (x - nodes[k]) / (nodes[m] - nodes[k])
     return w
-

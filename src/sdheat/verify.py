@@ -179,10 +179,11 @@ def suite_gamma_oracle(solver96: ParametrixSolver | None = None) -> dict:
     """Parametrix column against the ODE oracle, three quadrature levels.
 
     The levels are node budgets; the rule uses 16 floor(budget / 16) nodes,
-    so the "24" level runs 16 nodes, then 48 and 96.
+    so the "24" level runs 16 nodes, then 48 and 96.  ``nodes`` echoes the
+    node counts of the rules that ran.
     """
     cfg = {"dx": "1/16", "radius": 64, "c": "1 + 0.5 sin(2 pi x)", "T": 0.25,
-           "beta": 0, "tol": 1e-8, "levels": [24, 48, 96]}
+           "beta": 0, "tol": 1e-8, "levels": [24, 48, 96], "nodes": []}
     coeffs = ac6_coefficients()
     T = 0.25
     ref = oracle.gamma_oracle(coeffs, (0,), T, tol=1e-10)
@@ -191,6 +192,7 @@ def suite_gamma_oracle(solver96: ParametrixSolver | None = None) -> dict:
         solver = solver96 if (nodes == 96 and solver96 is not None) else \
             ParametrixSolver(coeffs, TimeQuadrature(nodes=nodes), tol=1e-8)
         col = solver.gamma_column((0,), T)
+        cfg["nodes"].append(int(solver.ladder(T).times.size))
         dists.append(float(np.abs(col.flat() - ref.flat()).sum() * coeffs.grid.dx))
     monotone = all(b < a for a, b in zip(dists, dists[1:]))
     ok = monotone and dists[-1] <= 1e-2

@@ -57,9 +57,11 @@ def test_ac06_parametrix_vs_oracle(ac6_solver):
     rep = verify.suite_gamma_oracle(solver96=ac6_solver)
     rep["metrics"]["runtime_s"] = "-"
     dists = rep["metrics"]["l1_distances"]
+    nodes = rep["config_echo"]["nodes"]
     _announce("AC-6 parametrix vs oracle", rep,
-              f"l1 at 24/48/96 nodes = {[f'{d:.2e}' for d in dists]}, "
+              f"l1 at {'/'.join(map(str, nodes))} nodes = {[f'{d:.2e}' for d in dists]}, "
               f"monotone={rep['metrics']['monotone']}, final <= 1e-2")
+    assert nodes == [16, 48, 96]  # the budgets 24/48/96 as the rule rounds them
     assert rep["pass"], rep["metrics"]
 
 

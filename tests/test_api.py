@@ -1,5 +1,9 @@
 """The package's public names.  Adding or removing one changes this list."""
 
+import json
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -49,3 +53,41 @@ def test_benchmark_entry_points(monkeypatch):
     assert ladder.attrs == {"built": True, "m_max": series.m_max}
     report = SolveReport()
     assert report.picard_iters == 0 and report.panels == 0
+
+
+def test_compute_path_imports_numpy_only():
+    """scipy and mpmath load only where they are used: scipy for the adaptive
+    Lorentz-convolution quadrature, mpmath for the cancellation corner of
+    the Bessel quadrature oracle.  Checked in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = textwrap.dedent(f"""
+        import json, sys
+        sys.path.insert(0, {src!r})
+        import sdheat, sdheat.cli, sdheat.verify
+        from sdheat import bessel, bounds
+        from sdheat.lattice import GridSpec
+        from sdheat.parametrix import Coefficients, ParametrixSolver
+        from sdheat.quadrature import TimeQuadrature
+
+        def loaded():
+            return sorted({{"scipy", "mpmath"}} & set(sys.modules))
+
+        grid = GridSpec(dx=0.5, dim=1, radius=3)
+        coeffs = Coefficients.from_function(grid, lambda x: 1.0 + 0.3 * x / 3.0)
+        ParametrixSolver(coeffs, TimeQuadrature(nodes=16)).gamma_column((0,), 0.1)
+        out = {{"compute": loaded()}}
+        out["quad"] = bounds.lorentz_conv_quadrature(1.5, 0.0, 0.3, 1.0)
+        out["after_quad"] = loaded()
+        out["iv"] = bessel.iv_scaled_quadrature(45, 1e-3)
+        out["after_iv"] = loaded()
+        print(json.dumps(out))
+    """)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = json.loads(run.stdout)
+    assert out["compute"] == []
+    closed = sdheat.lorentz_closed_form(1.5, 0.0, 0.3, 1.0)
+    assert abs(out["quad"] - closed) <= 1e-8 * abs(closed)
+    assert out["after_quad"] == ["scipy"]
+    want = sdheat.iv_scaled(45, 1e-3)
+    assert abs(out["iv"] - want) <= 1e-10 * want
+    assert out["after_iv"] == ["mpmath", "scipy"]

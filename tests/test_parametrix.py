@@ -58,6 +58,36 @@ class TestFrozenKernel:
             assert abs(total * grid.dx - 1.0) <= 1e-12
 
 
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([1, 2]), radius=st.integers(1, 6),
+           dx=st.sampled_from([0.125, 0.25, 0.5]), t=st.floats(1e-3, 4.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_torus_mass_on_small_boxes(self, dim, radius, dx, t, seed):
+        # a kernel wider than the box wraps round the torus many times,
+        # and every image counts towards its unit mass
+        grid = GridSpec(dx=dx, dim=dim, radius=radius)
+        vals = np.random.default_rng(seed).uniform(0.5, 2.0, (dim,) + grid.shape)
+        mat = ParametrixSolver(Coefficients(grid, vals)).kernel_matrix(t)
+        assert np.abs(mat.sum(axis=0) * grid.cell_volume - 1.0).max() <= 1e-13
+
+    def test_bessel_batches_stay_bounded(self, monkeypatch):
+        # at r = 1024 the torus of 5 sites takes 56 images, so a
+        # stack passes fewer times per Bessel batch than 8192 // s
+        grid = GridSpec(dx=0.125, dim=1, radius=2)
+        solver = ParametrixSolver(Coefficients.constant(grid, 2.0))
+        sizes = []
+        real = bessel.iv_scaled_matrix
+
+        def counted(nmax, r):
+            sizes.append((nmax + 1) * len(r))
+            return real(nmax, r)
+
+        monkeypatch.setattr(bessel, "iv_scaled_matrix", counted)
+        stack = solver._kernel_stack(np.linspace(0.5, 4.0, 2000))
+        assert max(sizes) <= 2**21
+        assert np.array_equal(stack[-1], solver.kernel_matrix(4.0))
+
+
 class TestCorrectionKernel:
     def test_diagonal_zero(self, small_var_coeffs):
         assert k1((3,), (3,), 0.2, small_var_coeffs) == 0.0
