@@ -61,8 +61,7 @@ def recommended_radius(t: float, cbar: float, dx: float) -> int:
     a periodic box of this radius indistinguishable from the infinite
     lattice at test tolerances.
     """
-    r = 2.0 * cbar * max(t, 0.0) / dx**2
-    return max(1, int(math.ceil(r + 40.0 * math.sqrt(r + 1.0))))
+    return max(1, bessel.normalization_order(2.0 * cbar * max(t, 0.0) / dx**2))
 
 
 def kernel_1d(n: int, t: float, c: float, dx: float) -> float:
@@ -113,7 +112,7 @@ def kernel_slice(grid: GridSpec, coeffs: ConstCoeffs, t: float) -> Field:
 def _spectral_nodes(n: int, r: float, floor: int) -> int:
     # trapezoid aliasing error ~ scaled order M - |n|; push it past the
     # mass tail of the kernel
-    need = abs(n) + int(math.ceil(r + 40.0 * math.sqrt(r + 1.0))) + 16
+    need = abs(n) + bessel.normalization_order(r) + 16
     m = max(int(floor), 16)
     while m < need:
         m *= 2

@@ -8,6 +8,11 @@ per-step budget, and since L generates an l-infinity contraction (zero
 row sums, nonnegative off-diagonal couplings) the step errors add up
 without amplification.  That makes the returned tolerance a certificate
 rather than a heuristic.
+
+A constant source g and a nonnegative potential Y (M = L - Y, still a
+contraction) go through the same loop: the substep e^{hM} u + h phi1(hM) g
+has Taylor terms (h^k / k!) M^{k-1} (M u + g), so g enters the first
+term only and the remainder bound is the one of e^{hM} u.
 """
 
 from __future__ import annotations
@@ -48,20 +53,21 @@ class Generator:
 
 
 def _taylor_step(apply_op: Callable[[np.ndarray], np.ndarray], h: float, v: np.ndarray,
-                 op_bound: float, tol_step: float) -> np.ndarray:
-    """One substep of e^{hM} v with a rigorous remainder bound.
+                 op_bound: float, tol_step: float, g: np.ndarray | None = None) -> np.ndarray:
+    """One substep e^{hM} v + h phi1(hM) g with a rigorous remainder bound.
 
-    After the k-th term the remainder is bounded by |term_k| * q/(1-q)
-    with q = h*|M|/(k+1) once q < 1; terms are added until that bound
-    meets the step budget.
+    Term k >= 1 of the series is (h^k / k!) M^{k-1} (M v + g), so the
+    source enters the first term only.  After the k-th term the
+    remainder is bounded by |term_k| * q/(1-q) with q = h*|M|/(k+1) once
+    q < 1; terms are added until that bound meets the step budget
+    tol_step * (|v|_inf + h |g|_inf).
     """
     acc = v.copy()
-    term = v.copy()
-    scale = max(float(np.abs(v).max()), 1e-300)
-    k = 0
+    term = (apply_op(v) if g is None else apply_op(v) + g) * h
+    scale = float(np.abs(v).max()) + (0.0 if g is None else h * float(np.abs(g).max()))
+    scale = max(scale, 1e-300)
+    k = 1
     while True:
-        k += 1
-        term = apply_op(term) * (h / k)
         acc += term
         q = h * op_bound / (k + 1)
         if q < 1.0:
@@ -70,59 +76,34 @@ def _taylor_step(apply_op: Callable[[np.ndarray], np.ndarray], h: float, v: np.n
                 return acc
         if k > 500:
             raise RuntimeError("Taylor step failed to converge within the term budget")
-
-
-def _expm_substep(apply_op, op_bound: float, t: float, v: np.ndarray, tol: float,
-                  inhomogeneity: np.ndarray | None = None) -> np.ndarray:
-    """e^{tM} v, optionally with a constant source g: solves u' = M u + g.
-
-    The affine case augments the state with the constant g and uses
-    u(h) = e^{hM} u + h phi1(hM) g, with phi1 summed by the same
-    certified Taylor loop (phi1(z) = sum z^k / (k+1)!).
-    """
-    if t == 0.0:
-        return v.copy()
-    steps = max(1, math.ceil(t * op_bound / _THETA))
-    if steps > 10_000_000:
-        raise RuntimeError(f"tolerance unachievable within step budget: {steps} substeps required")
-    h = t / steps
-    tol_step = tol / steps
-    out = v.copy()
-    for _ in range(steps):
-        out = _taylor_step(apply_op, h, out, op_bound, tol_step)
-        if inhomogeneity is not None:
-            out = out + h * _phi1_apply(apply_op, h, inhomogeneity, op_bound, tol_step)
-    return out
-
-
-def _phi1_apply(apply_op, h: float, g: np.ndarray, op_bound: float, tol_step: float) -> np.ndarray:
-    acc = g.copy()
-    term = g.copy()
-    scale = max(float(np.abs(g).max()), 1e-300)
-    k = 0
-    while True:
         k += 1
-        term = apply_op(term) * (h / (k + 1))
-        acc += term
-        q = h * op_bound / (k + 2)
-        if q < 1.0:
-            remainder = float(np.abs(term).max()) * q / (1.0 - q)
-            if remainder <= tol_step * scale:
-                return acc
-        if k > 500:
-            raise RuntimeError("phi1 series failed to converge within the term budget")
+        term = apply_op(term) * (h / k)
 
 
-def expm_apply(gen: Generator, t: float, v: Field, tol: float = 1e-10) -> Field:
-    """w = e^{tL} v with sup-norm error below tol * |v|_inf."""
+def _evolve(apply_op: Callable[[np.ndarray], np.ndarray], op_bound: float, t: float,
+            v: Field, tol: float, g: np.ndarray | None = None) -> Field:
+    """u(t) for u' = M u + g, u(0) = v, in substeps h with h |M| <= theta."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if t == 0.0:
+        return v
+    steps = max(1, math.ceil(t * op_bound / _THETA))
+    if steps > 10_000_000:
+        raise RuntimeError(f"tolerance unachievable within step budget: {steps} substeps required")
+    h, tol_step = t / steps, tol / steps
+    out = v.values
+    for _ in range(steps):
+        out = _taylor_step(apply_op, h, out, op_bound, tol_step, g)
+    return Field(v.grid, out)
+
+
+def expm_apply(gen: Generator, t: float, v: Field, tol: float = 1e-10) -> Field:
+    """w = e^{tL} v with sup-norm error below tol * |v|_inf."""
     if v.grid != gen.grid:
         raise ValueError("grid mismatch between generator and field")
-    out = _expm_substep(gen.apply, gen.norm_bound(), t, v.values, tol)
-    return Field(gen.grid, out)
+    return _evolve(gen.apply, gen.norm_bound(), t, v, tol)
 
 
 def gamma_oracle(coeffs: Coefficients, beta: Sequence[int], t: float,
@@ -139,13 +120,21 @@ def evolve_with_potential(coeffs: Coefficients, potential: np.ndarray | None,
                           tol: float = 1e-10) -> Field:
     """Direct integration of u' = L u - Y u + f for constant-in-time f.
 
-    Y must be nonnegative: then L - Y is still an l-infinity contraction,
-    which the tolerance certificate rests on.
+    The sup-norm error is at most tol * (|psi|_inf + t |f|_inf): each
+    substep h meets its budget (tol/steps) (|u_k|_inf + h |f|_inf), and
+    since Y >= 0 makes L - Y an l-infinity contraction the step errors
+    add up without amplification, while |u_k|_inf <= |psi|_inf + k h |f|_inf
+    (to first order in tol; rounding is not counted).
     """
+    if psi.grid != coeffs.grid:
+        raise ValueError("grid mismatch between coefficients and initial data")
     gen = Generator(coeffs)
     y = None if potential is None else np.asarray(potential, dtype=float)
+    g = None if source is None else np.asarray(source, dtype=float)
     if y is not None and y.shape != coeffs.grid.shape:
         raise ValueError("potential shape mismatch")
+    if g is not None and g.shape != coeffs.grid.shape:
+        raise ValueError("source shape mismatch")
     if y is not None and not np.all(y >= 0.0):
         raise ValueError(f"potential must be nonnegative, min is {float(y.min())}")
 
@@ -156,9 +145,7 @@ def evolve_with_potential(coeffs: Coefficients, potential: np.ndarray | None,
         return out
 
     bound = gen.norm_bound() + (float(np.abs(y).max()) if y is not None else 0.0)
-    g = None if source is None else np.asarray(source, dtype=float)
-    out = _expm_substep(apply_op, bound, t, psi.values, tol, inhomogeneity=g)
-    return Field(coeffs.grid, out)
+    return _evolve(apply_op, bound, t, psi, tol, g)
 
 
 def residual(u_slices: Sequence[Field], times: Sequence[float], coeffs: Coefficients,

@@ -45,14 +45,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import bessel
 from .heat_const import kernel_1d
-from .lattice import Field, GridSpec, shift_array
+from .lattice import Field, GridSpec
 from .quadrature import PANEL_POINTS, TimeQuadrature, _lagrange_weights, gauss_legendre
 
 _M_CAP = 20
@@ -63,18 +63,16 @@ _DENSE_ENTRIES = 2**26
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Diagonal diffusion field c_a^j > 0 with Lipschitz metadata.
+    """Diagonal diffusion field c_a^j > 0.
 
     ``values`` has shape (d, *grid.shape).  The constructor validates
-    positivity and records the largest nearest-neighbour slope as the
-    Lipschitz constant (on periodic grids the seam pair is included).
+    positivity and finiteness and records the extreme values.
     """
 
     grid: GridSpec
     values: np.ndarray
-    c_min: float = 0.0
-    c_max: float = 0.0
-    lip: float = 0.0
+    c_min: float = field(init=False)
+    c_max: float = field(init=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -86,20 +84,11 @@ class Coefficients:
         cmin = float(vals.min())
         if cmin <= 0:
             raise ValueError(f"coefficients must be strictly positive, min is {cmin}")
-        lip = 0.0
-        for j in range(self.grid.dim):
-            for axis in range(self.grid.dim):
-                if self.grid.periodic:
-                    shifted = shift_array(vals[j], axis, 1, periodic=True)
-                    lip = max(lip, float(np.abs(shifted - vals[j]).max()) / self.grid.dx)
-                else:
-                    lip = max(lip, float(np.abs(np.diff(vals[j], axis=axis)).max()) / self.grid.dx)
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "c_min", cmin)
         object.__setattr__(self, "c_max", float(vals.max()))
-        object.__setattr__(self, "lip", lip)
 
     @classmethod
     def constant(cls, grid: GridSpec, c: float | Sequence[float]) -> "Coefficients":

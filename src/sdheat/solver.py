@@ -26,7 +26,7 @@ import numpy as np
 
 from .lattice import Field, forward_diff
 from .parametrix import Coefficients, ParametrixSolver
-from .quadrature import TimeQuadrature, collocation_rule, gauss_legendre
+from .quadrature import collocation_rule, gauss_legendre
 
 #: collocation points per panel of the potential solver
 _COLLOC_POINTS = 8
@@ -76,8 +76,7 @@ def _source_at(prob: CauchyProblem, s: float) -> np.ndarray:
     return f_s
 
 
-def solve_inhomogeneous(prob: CauchyProblem, t: float,
-                        quad: TimeQuadrature | None = None, tol: float = 1e-8,
+def solve_inhomogeneous(prob: CauchyProblem, t: float, tol: float = 1e-8,
                         solver: ParametrixSolver | None = None,
                         source_nodes: int = 32) -> Field:
     """Duhamel solution of u' = L u + f at time t (no potential)."""
@@ -85,7 +84,7 @@ def solve_inhomogeneous(prob: CauchyProblem, t: float,
         raise ValueError("problem has a potential; use solve_with_potential")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    solver = solver or ParametrixSolver(prob.coeffs, quad, tol)
+    solver = solver or ParametrixSolver(prob.coeffs, tol=tol)
     grid = prob.coeffs.grid
     horizon = max(t, prob.horizon)
     u = solver.gamma_apply(t, prob.psi.flat(), horizon=horizon)
@@ -98,8 +97,7 @@ def solve_inhomogeneous(prob: CauchyProblem, t: float,
     return Field(grid, u.reshape(grid.shape))
 
 
-def solve_with_potential(prob: CauchyProblem, t: float,
-                         quad: TimeQuadrature | None = None, tol: float = 1e-10,
+def solve_with_potential(prob: CauchyProblem, t: float, tol: float = 1e-10,
                          solver: ParametrixSolver | None = None,
                          report: SolveReport | None = None) -> Field:
     """Collocated solution of u' = L u - Y u + f up to time t.
@@ -134,7 +132,7 @@ def solve_with_potential(prob: CauchyProblem, t: float,
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    solver = solver or ParametrixSolver(prob.coeffs, quad, tol=min(1e-8, tol * 10))
+    solver = solver or ParametrixSolver(prob.coeffs, tol=min(1e-8, tol * 10))
     grid = prob.coeffs.grid
     report = report if report is not None else SolveReport()
     u0 = prob.psi.flat().copy()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdheat.heat_const import ConstCoeffs, kernel_nd, recommended_radius
 from sdheat.lattice import Field, GridSpec
@@ -193,3 +195,64 @@ class TestPotentialOracle:
         pot[3] = -1e-3
         with pytest.raises(ValueError):
             evolve_with_potential(c, pot, None, 0.5, Field.constant(g, 1.0), tol=1e-12)
+
+    def test_negative_time_rejected(self):
+        g = GridSpec(dx=0.5, dim=1, radius=8)
+        c = Coefficients.constant(g, 1.0)
+        pot = np.full(g.shape, 0.5)
+        with pytest.raises(ValueError):
+            evolve_with_potential(c, pot, None, -0.3, Field.constant(g, 1.0))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tol_must_be_positive(self, tol):
+        g = GridSpec(dx=0.5, dim=1, radius=8)
+        c = Coefficients.constant(g, 1.0)
+        with pytest.raises(ValueError, match="tol"):
+            evolve_with_potential(c, np.full(g.shape, 0.5), None, 0.5, Field.constant(g, 1.0),
+                                  tol=tol)
+
+    def test_initial_data_on_another_grid_rejected(self):
+        g = GridSpec(dx=0.5, dim=1, radius=8)
+        other = GridSpec(dx=0.25, dim=1, radius=8)
+        c = Coefficients.constant(g, 1.0)
+        with pytest.raises(ValueError):
+            evolve_with_potential(c, None, None, 0.5, Field.constant(other, 1.0))
+
+    def test_source_shape_checked(self):
+        # a source that numpy would broadcast over the grid is still rejected
+        g = GridSpec(dx=0.5, dim=1, radius=8)
+        c = Coefficients.constant(g, 1.0)
+        with pytest.raises(ValueError, match="source"):
+            evolve_with_potential(c, None, np.ones(1), 0.5, Field.constant(g, 0.0))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([1, 2]), radius=st.integers(1, 4),
+           dx=st.sampled_from([0.25, 0.5, 1.0]), periodic=st.booleans(),
+           with_potential=st.booleans(), with_source=st.booleans(),
+           t=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_expm(self, dim, radius, dx, periodic, with_potential, with_source,
+                                t, seed):
+        # independent route: scipy's scaling-and-squaring expm of the dense
+        # augmented generator [[L - diag Y, f], [0, 0]] acting on (psi, 1)
+        from scipy.linalg import expm
+
+        grid = GridSpec(dx=dx, dim=dim, radius=radius,
+                        boundary="periodic-wrap" if periodic else "zero-extension")
+        rng = np.random.default_rng(seed)
+        coeffs = Coefficients(grid, rng.uniform(0.5, 2.0, (dim,) + grid.shape))
+        y = rng.uniform(0.0, 3.0, grid.shape) if with_potential else None
+        f = rng.standard_normal(grid.shape) if with_source else None
+        psi = Field(grid, rng.standard_normal(grid.shape))
+        s = grid.site_count
+        gen = Generator(coeffs)
+        aug = np.zeros((s + 1, s + 1))
+        aug[:s, :s] = np.stack([gen.apply(e.reshape(grid.shape)).reshape(-1)
+                                for e in np.eye(s)], axis=1)
+        if y is not None:
+            aug[:s, :s] -= np.diag(y.reshape(-1))
+        if f is not None:
+            aug[:s, s] = f.reshape(-1)
+        want = (expm(t * aug) @ np.append(psi.values.reshape(-1), 1.0))[:s]
+        got = evolve_with_potential(coeffs, y, f, t, psi, tol=1e-12)
+        scale = np.abs(psi.values).max() + (t * np.abs(f).max() if f is not None else 0.0)
+        assert np.abs(got.values.reshape(-1) - want).max() <= 1e-12 * scale

@@ -19,13 +19,17 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             Coefficients(g, np.zeros((1,) + g.shape))
 
-    def test_lipschitz_of_linear(self):
+    def test_extremes_of_linear(self):
         g = GridSpec(dx=0.5, dim=1, radius=4, boundary="zero-extension")
         vals = 2.0 + 0.25 * g.axis_coordinates()
         c = Coefficients.from_field(g, vals)
-        assert c.lip == pytest.approx(0.25)
         assert c.c_min == pytest.approx(2.0 - 0.25 * 2.0)
         assert c.cbar == pytest.approx(2.0 + 0.25 * 2.0)
+
+    def test_extremes_are_not_constructor_arguments(self):
+        g = GridSpec(dx=1.0, dim=1, radius=2)
+        with pytest.raises(TypeError):
+            Coefficients(g, np.ones((1,) + g.shape), c_min=7.0)
 
 
 class TestFrozenKernel:

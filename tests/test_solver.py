@@ -55,7 +55,8 @@ class TestSolveInhomogeneous:
     def test_constants_stay(self):
         g, coeffs = small_problem()
         prob = CauchyProblem(coeffs, Field.constant(g, 1.0), horizon=0.2)
-        u = solve_inhomogeneous(prob, 0.2, quad=TimeQuadrature(nodes=32))
+        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=32))
+        u = solve_inhomogeneous(prob, 0.2, solver=solver)
         assert np.abs(u.values - 1.0).max() <= 1e-8
 
     def test_unit_source_grows_linearly(self):
@@ -63,7 +64,8 @@ class TestSolveInhomogeneous:
         ones = Field.constant(g, 1.0)
         prob = CauchyProblem(coeffs, Field.constant(g, 0.0),
                              source=lambda s: ones, horizon=0.2)
-        u = solve_inhomogeneous(prob, 0.2, quad=TimeQuadrature(nodes=32))
+        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=32))
+        u = solve_inhomogeneous(prob, 0.2, solver=solver)
         assert np.abs(u.values - 0.2).max() <= 1e-8
 
     def test_rejects_potential_problem(self):
