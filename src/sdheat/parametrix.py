@@ -32,7 +32,10 @@ weight matrix C (a row per kernel time, a column per node), and
 F(tau_r), stacked over the nodes c.  The ladder contracts each target once
 with its correction kernels and runs every order as one product per
 panel of targets, K^(m)(x_i) = dx^d W_i @ K^(m-1); Gamma contracts its
-target with A and applies W to Phi (or to Phi times a vector).  Kernel
+target with A and applies W to Phi (or to Phi times a vector).  With a
+potential Y the correction kernel is K_Y = K - diag(Y) A, and a Cauchy
+solve contracts each target with K_Y the same way, then marches the
+Volterra equation panel by panel (``potential_march``).  Kernel
 matrices live only while their target is contracted.  The per-order sup
 norms decay like
 C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order is chosen by
@@ -46,6 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,12 +65,13 @@ _M_CAP = 20
 _DENSE_ENTRIES = 2**26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coefficients:
     """Diagonal diffusion field c_a^j > 0.
 
     ``values`` has shape (d, *grid.shape).  The constructor validates
-    positivity and finiteness and records the extreme values.
+    positivity and finiteness and records the extreme values.  Equality
+    and hashing are by identity, as for the arrays it holds.
     """
 
     grid: GridSpec
@@ -303,7 +308,8 @@ class ParametrixSolver:
         d2 /= self.grid.dx**2
         return d2
 
-    def _kernel_stack(self, times: Sequence[float], correction: bool = False) -> np.ndarray:
+    def _kernel_stack(self, times: Sequence[float], correction: bool = False,
+                      potential: np.ndarray | None = None) -> np.ndarray:
         """Frozen kernels A(t), or with ``correction`` the correction kernels
         K(t), stacked as (len(times), s, s) in the given order (not cached).
 
@@ -311,9 +317,10 @@ class ParametrixSolver:
         increments are formed once per call, and D2 G_j is gathered like
         G_j from its offset-space second difference; on zero-extension
         grids the edge rows a_j = -R, R are then rewritten from G_j with
-        zero outside the box.  Bessel values come 8192 // s sorted times at
-        a time, fewer when the top order exceeds 255, so a batch stays
-        within 2^21 values.
+        zero outside the box.  A ``potential`` Y (flat, correction only)
+        gives K_Y = K - diag(Y) A instead, A taken from the same tables.
+        Bessel values come 8192 // s sorted times at a time, fewer when the
+        top order exceeds 255, so a batch stays within 2^21 values.
         """
         grid = self.grid
         s = grid.site_count
@@ -327,6 +334,8 @@ class ParametrixSolver:
         zeros = int(np.searchsorted(ts, 0.0, side="right"))
         out = np.empty((ts.size, s, s)) if zeros == ts.size else None
         scratch = np.empty((s, s)) if correction and grid.dim > 1 else None
+        if potential is not None:
+            y_rows = np.asarray(potential, dtype=float).reshape(grid.shape + (1,))
         lo = zeros
         while lo < ts.size:
             hi = min(ts.size, lo + max(1, 8192 // s))
@@ -360,6 +369,8 @@ class ParametrixSolver:
                         shaped *= table
                     if j:
                         mat += scratch
+                if potential is not None:
+                    box -= y_rows * math.prod(tables[1:], start=tables[0])
             lo = hi
         for q in order[:zeros]:
             out[q] = np.eye(s) / vol
@@ -451,6 +462,27 @@ class ParametrixSolver:
                 c[row, panel] += w * lw
         return list(rows), c[:len(rows)]
 
+    def _contracted_panels(self, targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
+                           bp: np.ndarray, kernels: Callable[[list[float]], np.ndarray]
+                           ) -> list[tuple[int, int, np.ndarray]]:
+        """Each target's plan contracted with its ``kernels`` (a stack per
+        list of times), built and dropped per target, into one buffer.  The
+        targets lo..hi-1 of a panel read the same n nodes, so each panel is
+        (lo, hi, W) with W one (targets s, n s) view of the buffer."""
+        s = self.grid.site_count
+        plans = [self._conv_plan(float(x), nodes, weights, bp) for x in targets]
+        reads = [c.shape[1] for _, c in plans]
+        ends = np.cumsum([0] + [n * s * s for n in reads])
+        buffer = np.empty(ends[-1])
+        for (times, c), lo, hi in zip(plans, ends[:-1], ends[1:]):
+            _contract(c, kernels(times), buffer[lo:hi])
+        panels, lo = [], 0
+        for n, group in itertools.groupby(reads):
+            hi = lo + len(list(group))
+            panels.append((lo, hi, buffer[ends[lo]:ends[hi]].reshape(-1, n * s)))
+            lo = hi
+        return panels
+
     def _build_ladder(self, horizon: float) -> PhiSeries:
         if not horizon > 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
@@ -465,22 +497,10 @@ class ParametrixSolver:
             return PhiSeries(self.grid, horizon, nodes, weights, bp, np.zeros_like(prev[:-1]),
                              1, self.tol, (0.0,), 0.0, 0.0, 0.0)
 
-        # one contracted plan per target, its kernels built and dropped with it,
-        # K^(m)(x_i) = dx^d W_i @ K^(m-1) at the first n_i nodes; every W lies
-        # in one buffer, which goes back to the system in one piece
-        plans = [self._conv_plan(float(x), nodes, weights, bp) for x in xs]
-        reads = [c.shape[1] for _, c in plans]
-        ends = np.cumsum([0] + [n * s * s for n in reads])
-        buffer = np.empty(ends[-1])
-        for (times, c), lo, hi in zip(plans, ends[:-1], ends[1:]):
-            _contract(c, self._kernel_stack(times, correction=True), buffer[lo:hi])
-        # the targets of a panel (the horizon joins the last) read the same
-        # n nodes and their W blocks are adjacent: one (targets s, n s) matrix
-        panels, lo = [], 0
-        for n, group in itertools.groupby(reads):
-            hi = lo + len(list(group))
-            panels.append((lo, hi, buffer[ends[lo]:ends[hi]].reshape(-1, n * s)))
-            lo = hi
+        # K^(m)(x_i) = dx^d W_i @ K^(m-1) at the first n_i nodes; the horizon
+        # joins the targets of the last panel
+        panels = self._contracted_panels(xs, nodes, weights, bp,
+                                         partial(self._kernel_stack, correction=True))
 
         phi = prev[:-1].copy()
         m_done = 1
@@ -519,6 +539,63 @@ class ParametrixSolver:
     def phi_series(self, horizon: float) -> PhiSeries:
         """The correction ladder on (0, horizon]; the same record as ``ladder``."""
         return self.ladder(horizon)
+
+    # -- Cauchy problems with a potential ----------------------------------------
+
+    def potential_march(self, h: float, potential: np.ndarray, u0: np.ndarray, pieces: int,
+                        source: Callable[[np.ndarray], np.ndarray] | None = None
+                        ) -> tuple[np.ndarray, float]:
+        """March u' = L u - Y u + f from u0 over ``pieces`` pieces of length h.
+
+        With the potential in the correction kernel, K_Y = K - diag(Y) A
+        (Levi's parametrix: A. Friedman, *Partial Differential Equations of
+        Parabolic Type*, 1964, ch. 1), the piece from t0 is
+
+            u(t0 + x) = dx^d A(x) u(t0) + dx^d int_0^x A(x - s) rho(s) ds,
+            rho = f + dx^d K_Y u(t0) + dx^d K_Y * rho.
+
+        rho is solved at the nodes of the rule on (0, h) panel by panel (H.
+        Brunner, *Collocation Methods for Volterra Integral and Related
+        Functional Equations*, 2004): a target's plan reads nodes only up to
+        the end of its panel, so panel p is one dense solve of
+        (I - dx^d W_pp) rho_p = f_p + dx^d K_Y(x_p) u(t0) + dx^d W_p< rho_<.
+        The plans, the W buffer (I - dx^d W_pp formed in it in place) and
+        the kernels depend on h alone and are built once; a piece repeats
+        only its right-hand sides and panel solves.  ``source(times)`` gives
+        f at a piece's node times as a (nodes, s) array, None meaning f = 0.
+        Returns u after the last piece and the largest relative residual of
+        the panel solves.
+        """
+        vol = self.grid.cell_volume
+        s = self.grid.site_count
+        y = np.asarray(potential, dtype=float).reshape(-1)
+        nodes, weights, bp = self.quad.points_with_panels(h, layer=self._layer_scale())
+        k_y = partial(self._kernel_stack, correction=True, potential=y)
+        panels = self._contracted_panels(nodes, nodes, weights, bp, k_y)
+        for lo, _, w in panels:
+            own = w[:, lo * s:]  # W_pp: a target reads nodes up to its own panel's end
+            own *= -vol
+            np.einsum("ii->i", own)[:] += 1.0
+        k_nodes = k_y(nodes)
+        times, c = self._conv_plan(h, nodes, weights, bp)
+        kernels = self._kernel_stack(times + [h])
+        w_end = _contract(c, kernels[:-1])
+        u = np.asarray(u0, dtype=float).reshape(-1)
+        rho = np.empty((nodes.size, s))
+        residual = 0.0
+        for i in range(pieces):
+            rhs = vol * (k_nodes @ u)
+            if source is not None:
+                rhs += source(i * h + nodes)
+            for lo, hi, w in panels:
+                own, b = w[:, lo * s:], rhs[lo:hi].reshape(-1)
+                b += vol * (w[:, :lo * s] @ rho[:lo].reshape(-1))
+                x = np.linalg.solve(own, b)
+                rho[lo:hi] = x.reshape(hi - lo, s)
+                scale = max(float(np.abs(b).max()), np.finfo(float).tiny)
+                residual = max(residual, float(np.abs(own @ x - b).max()) / scale)
+            u = vol * (kernels[-1] @ u + w_end @ rho.reshape(-1))
+        return u, residual
 
     # -- Gamma -----------------------------------------------------------------
 
@@ -575,8 +652,7 @@ class ParametrixSolver:
         """The Gamma(t) matrix under a given ladder horizon (default t).
 
         ``mat @ v * dx^d`` applies it.  It is assembled afresh on every
-        call; a caller that applies the same operator many times keeps
-        it, as ``solve_with_potential`` does for the panels of one call.
+        call; a caller that applies the same operator many times keeps it.
         """
         return self._gamma(t, horizon, None)
 

@@ -1,4 +1,4 @@
-"""Time quadrature on (0, t): graded composite Gauss rules and collocation data.
+"""Time quadrature on (0, t): graded composite Gauss rules and Lagrange weights.
 
 The integrands met here (kernel convolutions in time) are smooth inside
 (0, t) but lose derivatives at both endpoints on the dx^2 time scale, so
@@ -77,30 +77,6 @@ class TimeQuadrature:
             s_list.append(a + half * (x + 1.0))
             w_list.append(half * wx)
         return np.concatenate(s_list), np.concatenate(w_list), bp
-
-
-@lru_cache(maxsize=16)
-def collocation_rule(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Spectral Volterra collocation data on the reference panel [0, 1].
-
-    Returns (x, inner, inner_w, interp): collocation nodes x (Gauss
-    points mapped to (0,1)); for each node r the inner Gauss nodes of
-    (0, x_r) as the array ``inner`` of shape (p, p), and their Gauss
-    weights scaled to (0, x_r) as ``inner_w`` (row sums x_r); and
-    ``interp`` of shape (p, p, p) with interp[r, q, m] the Lagrange
-    weight of the sample at x_m when evaluating at inner[r, q].
-    """
-    xg, wg = gauss_legendre(p)
-    x = 0.5 * (xg + 1.0)
-    inner = 0.5 * x[:, None] * (xg[None, :] + 1.0)
-    inner_w = 0.5 * x[:, None] * wg[None, :]
-    interp = np.empty((p, p, p))
-    for r in range(p):
-        for q in range(p):
-            interp[r, q] = _lagrange_weights(x, inner[r, q])
-    for arr in (x, inner, inner_w, interp):
-        arr.setflags(write=False)
-    return x, inner, inner_w, interp
 
 
 def _lagrange_weights(nodes: np.ndarray, points: float | np.ndarray) -> np.ndarray:

@@ -178,12 +178,11 @@ def suite_gaussian() -> dict:
 def suite_gamma_oracle(solver96: ParametrixSolver | None = None) -> dict:
     """Parametrix column against the ODE oracle, three quadrature levels.
 
-    The levels are node budgets; the rule uses 16 floor(budget / 16) nodes,
-    so the "24" level runs 16 nodes, then 48 and 96.  ``nodes`` echoes the
-    node counts of the rules that ran.
+    The levels are node budgets of 16, 48 and 96 nodes; ``nodes`` echoes
+    the node counts of the rules that ran.
     """
     cfg = {"dx": "1/16", "radius": 64, "c": "1 + 0.5 sin(2 pi x)", "T": 0.25,
-           "beta": 0, "tol": 1e-8, "levels": [24, 48, 96], "nodes": []}
+           "beta": 0, "tol": 1e-8, "levels": [16, 48, 96], "nodes": []}
     coeffs = ac6_coefficients()
     T = 0.25
     ref = oracle.gamma_oracle(coeffs, (0,), T, tol=1e-10)

@@ -61,7 +61,7 @@ def test_ac06_parametrix_vs_oracle(ac6_solver):
     _announce("AC-6 parametrix vs oracle", rep,
               f"l1 at {'/'.join(map(str, nodes))} nodes = {[f'{d:.2e}' for d in dists]}, "
               f"monotone={rep['metrics']['monotone']}, final <= 1e-2")
-    assert nodes == [16, 48, 96]  # the budgets 24/48/96 as the rule rounds them
+    assert nodes == [16, 48, 96]  # each level runs its whole budget
     assert rep["pass"], rep["metrics"]
 
 

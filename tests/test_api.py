@@ -58,16 +58,18 @@ def test_benchmark_entry_points(monkeypatch):
 def test_compute_path_imports_numpy_only():
     """scipy and mpmath load only where they are used: scipy for the adaptive
     Lorentz-convolution quadrature, mpmath for the cancellation corner of
-    the Bessel quadrature oracle.  Checked in a fresh interpreter."""
+    the Bessel quadrature oracle.  Checked in a fresh interpreter, after a
+    Gamma column and a potential solve."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = textwrap.dedent(f"""
         import json, sys
         sys.path.insert(0, {src!r})
         import sdheat, sdheat.cli, sdheat.verify
         from sdheat import bessel, bounds
-        from sdheat.lattice import GridSpec
+        from sdheat.lattice import Field, GridSpec
         from sdheat.parametrix import Coefficients, ParametrixSolver
         from sdheat.quadrature import TimeQuadrature
+        from sdheat.solver import CauchyProblem, solve_with_potential
 
         def loaded():
             return sorted({{"scipy", "mpmath"}} & set(sys.modules))
@@ -75,6 +77,9 @@ def test_compute_path_imports_numpy_only():
         grid = GridSpec(dx=0.5, dim=1, radius=3)
         coeffs = Coefficients.from_function(grid, lambda x: 1.0 + 0.3 * x / 3.0)
         ParametrixSolver(coeffs, TimeQuadrature(nodes=16)).gamma_column((0,), 0.1)
+        ones = Field.constant(grid, 1.0)
+        prob = CauchyProblem(coeffs, ones, source=lambda s: ones, potential=ones)
+        solve_with_potential(prob, 0.1, solver=ParametrixSolver(coeffs, TimeQuadrature(nodes=16)))
         out = {{"compute": loaded()}}
         out["quad"] = bounds.lorentz_conv_quadrature(1.5, 0.0, 0.3, 1.0)
         out["after_quad"] = loaded()

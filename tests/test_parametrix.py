@@ -31,6 +31,13 @@ class TestCoefficients:
         with pytest.raises(TypeError):
             Coefficients(g, np.ones((1,) + g.shape), c_min=7.0)
 
+    def test_equality_is_identity(self):
+        g = GridSpec(dx=1.0, dim=1, radius=4)
+        a = Coefficients.constant(g, 1.0)
+        b = Coefficients.constant(g, 1.0)
+        assert a == a and not a == b and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
 
 class TestFrozenKernel:
     """Columns of ``kernel_matrix(t)``: b -> the kernel of the equation
@@ -295,6 +302,21 @@ class TestKernelStack:
             a_ref, k_ref, scale = self._dense(solver, t)
             assert np.array_equal(a, a_ref)
             assert np.all(np.abs(k - k_ref) <= 1e-14 * scale)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), radius=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), times=st.lists(st.floats(1e-3, 1.0), min_size=1,
+                                                          max_size=3))
+    def test_potential_subtracts_frozen_kernel(self, dim, periodic, radius, seed, times):
+        # K_Y = K - diag(Y) A from one stack, A taken from the same tables
+        grid = GridSpec(dx=0.25, dim=dim, radius=radius,
+                        boundary="periodic-wrap" if periodic else "zero-extension")
+        rng = np.random.default_rng(seed)
+        solver = ParametrixSolver(Coefficients(grid, rng.uniform(0.5, 2.0, (dim,) + grid.shape)))
+        y = rng.uniform(0.0, 3.0, grid.site_count)
+        k_y = solver._kernel_stack(times, correction=True, potential=y)
+        k, a = solver._kernel_stack(times, correction=True), solver._kernel_stack(times)
+        assert np.all(np.abs(k_y - (k - y[:, None] * a)) <= 1e-15 * (np.abs(k) + y[:, None] * a))
 
 
 class TestGamma:

@@ -120,30 +120,49 @@ class TestSolveWithPotential:
         assert gradient_sup(u) < 10.0
 
     def test_equal_panels_share_operators(self, monkeypatch):
-        # t max Y = 2.5, so three equal panels, which need the same
-        # Gamma(tau) operators
+        # t max Y = 2.5 gives three equal pieces and 0.5 gives one; the
+        # pieces are identical, so they share one build: as many kernel
+        # stacks as for the single piece
         g, coeffs = small_problem()
-        prob = CauchyProblem(coeffs, Field.constant(g, 1.0),
-                             potential=Field.constant(g, 25.0), horizon=0.1)
-        builds: dict[float, int] = {}
-        real_operator = ParametrixSolver.gamma_operator
+        stacks = []
+        real_stack = ParametrixSolver._kernel_stack
 
-        def counted(self, t, horizon=None):
-            builds[float(t)] = builds.get(float(t), 0) + 1
-            return real_operator(self, t, horizon)
+        def counted(self, *args, **kwargs):
+            stacks.append(1)
+            return real_stack(self, *args, **kwargs)
 
-        monkeypatch.setattr(ParametrixSolver, "gamma_operator", counted)
-        rep = SolveReport()
-        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=16), tol=1e-6)
-        u = solve_with_potential(prob, 0.1, solver=solver, report=rep)
-        assert rep.panels == 3
-        assert builds and set(builds.values()) == {1}
-        assert np.all(np.isfinite(u.values))
+        monkeypatch.setattr(ParametrixSolver, "_kernel_stack", counted)
+        counts = {}
+        for lam, pieces in ((25.0, 3), (5.0, 1)):
+            prob = CauchyProblem(coeffs, Field.constant(g, 1.0),
+                                 potential=Field.constant(g, lam), horizon=0.1)
+            rep = SolveReport()
+            stacks.clear()
+            solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=16), tol=1e-6)
+            u = solve_with_potential(prob, 0.1, solver=solver, report=rep)
+            assert rep.panels == pieces
+            assert np.all(np.isfinite(u.values))
+            counts[lam] = len(stacks)
+        assert counts[25.0] == counts[5.0] > 0
+
+    def test_long_panel_on_rough_data(self):
+        # one piece of 16 lattice time scales dx^2 / (4 c): the graded rule
+        # resolves the initial layer the rough source makes
+        g = GridSpec(dx=0.5, dim=1, radius=2)
+        coeffs = Coefficients.constant(g, 2.0)
+        y = np.full(g.shape, 2.0)
+        f = Field(g, np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
+        psi = Field.constant(g, 0.0)
+        prob = CauchyProblem(coeffs, psi, source=lambda s: f, potential=Field(g, y), horizon=0.5)
+        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=16), tol=1e-8)
+        u = solve_with_potential(prob, 0.5, solver=solver)
+        ref = evolve_with_potential(coeffs, y, f.values, 0.5, psi, tol=1e-12)
+        assert np.abs(u.values - ref.values).max() <= 1e-12
 
     @pytest.mark.parametrize("lam", [40.0, 2000.0])
     def test_fast_decay(self, lam):
-        # one panel per unit of t max Y: at lam = 40 a single panel is 9%
-        # off, and at lam = 2000 the solve runs 500 panels
+        # one piece per unit of t max Y: at lam = 40 a single piece is
+        # 4.8e-7 off, and at lam = 2000 the solve runs 500 pieces
         g = GridSpec(dx=0.25, dim=1, radius=8)
         coeffs = Coefficients.constant(g, 1.0)
         prob = CauchyProblem(coeffs, Field.constant(g, 1.0),
@@ -164,15 +183,11 @@ class TestSolveWithPotential:
         with pytest.raises(ValueError, match="source is not finite"):
             solve_with_potential(prob, 0.1, solver=solver)
 
-    # On dx = 1 the lattice time scale is 1/(4c), and a panel (h <= t <=
-    # 0.5, c <= 2) spans at most 4 of them.  Rough data on longer panels
-    # lose digits: the degree-7 collocation polynomial misses u's initial
-    # layer (2.8e-8 on a panel of 16 time scales: dx = 0.5, c = 2, t = 0.5).
     @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(radius=st.integers(2, 8), c=st.floats(0.5, 2.0), t=st.floats(0.05, 0.5),
-           t_max_y=st.floats(0.1, 20.0), data=st.data())
-    def test_matches_oracle_on_random_data(self, radius, c, t, t_max_y, data):
-        g = GridSpec(dx=1.0, dim=1, radius=radius)
+    @given(dx=st.sampled_from([1.0, 0.5]), radius=st.integers(2, 8), c=st.floats(0.5, 2.0),
+           t=st.floats(0.05, 0.5), t_max_y=st.floats(0.1, 20.0), data=st.data())
+    def test_matches_oracle_on_random_data(self, dx, radius, c, t, t_max_y, data):
+        g = GridSpec(dx=dx, dim=1, radius=radius)
         coeffs = Coefficients.constant(g, c)
         y = data.draw(arrays(np.float64, g.shape, elements=st.floats(1e-3, 1.0)))
         y = y * (t_max_y / t / y.max())
