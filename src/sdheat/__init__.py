@@ -18,7 +18,7 @@ from .heat_const import (
     kernel_spectral,
     recommended_radius,
 )
-from .lattice import Field, GridSpec, backward_diff, forward_diff, laplacian_dir, lp_norm, zeros_count
+from .lattice import Field, GridSpec, backward_diff, forward_diff, laplacian_dir, lp_norm
 from .oracle import Generator, expm_apply, gamma_oracle, residual
 from .parametrix import Coefficients, ParametrixSolver, PhiSeries, k1
 from .quadrature import TimeQuadrature
@@ -34,7 +34,6 @@ __all__ = [
     "kernel_spectral", "recommended_radius",
     # lattice
     "Field", "GridSpec", "backward_diff", "forward_diff", "laplacian_dir", "lp_norm",
-    "zeros_count",
     # oracle
     "Generator", "expm_apply", "gamma_oracle", "residual",
     # parametrix

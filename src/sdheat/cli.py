@@ -30,7 +30,7 @@ from .heat_const import ConstCoeffs, kernel_slice, recommended_radius
 from .lattice import Field, GridSpec, _atomic_write, field_from_csv, field_to_csv, lp_norm
 from .parametrix import Coefficients, ParametrixSolver
 from .quadrature import TimeQuadrature
-from .solver import CauchyProblem, SolveReport, solve_inhomogeneous, solve_with_potential
+from .solver import CauchyProblem, SolveReport, _solve
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -188,29 +188,18 @@ def cmd_solve(args) -> int:
     potential = None
     if args.potential != "zero":
         potential = Field(grid, _parse_expression(args.potential, grid, "potential"))
-    prob = CauchyProblem(coeffs, psi, source=source, potential=potential, horizon=args.time)
-    times = np.linspace(0.0, args.time, args.slices + 1)[1:]
+    prob = CauchyProblem(coeffs, psi, source=source, potential=potential)
+    times = [float(t) for t in np.linspace(0.0, args.time, args.slices + 1)[1:]]
     report = SolveReport()
-    solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=args.quad_nodes), tol=args.tol)
-    slices = []
-    try:
-        for i, t in enumerate(times):
-            if potential is None:
-                u = solve_inhomogeneous(prob, float(t), solver=solver)
-            else:
-                u = solve_with_potential(prob, float(t), solver=solver, report=report)
-            slices.append(u)
-            field_to_csv(u, f"{args.out}.t{i + 1}.csv")
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=args.quad_nodes))
+    slices = _solve(prob, times, solver, report)
+    for i, u in enumerate(slices):
+        field_to_csv(u, f"{args.out}.t{i + 1}.csv")
     res = report.residual
-    if potential is None and len(slices) >= 3:
+    if len(slices) >= 3:
         # centered ODE residual over the emitted uniform slices
-        res = oracle.residual(slices, [float(t) for t in times], coeffs, f=source)
-    _write_json(args.out + ".json", {"panels": report.panels,
-                                     "residual": res,
-                                     "times": [float(t) for t in times]})
+        res = oracle.residual(slices, times, coeffs, f=source, potential=potential)
+    _write_json(args.out + ".json", {"panels": report.panels, "residual": res, "times": times})
     return 0
 
 
@@ -272,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--potential", default="zero")
     p.add_argument("--time", type=float, required=True)
     p.add_argument("--slices", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--quad-nodes", type=int, default=96)
     p.add_argument("--out", required=True)
 

@@ -96,11 +96,6 @@ class GridSpec:
         return int(np.ravel_multi_index(self.position(alpha), self.shape))
 
 
-def zeros_count(alpha: Sequence[int]) -> int:
-    """Number of components of a multi-index equal to zero."""
-    return sum(1 for a in alpha if int(a) == 0)
-
-
 def _check_direction(grid: GridSpec, j: int) -> int:
     if not 1 <= j <= grid.dim:
         raise ValueError(f"direction {j} out of range for a {grid.dim}-d grid")

@@ -34,8 +34,8 @@ with its correction kernels and runs every order as one product per
 panel of targets, K^(m)(x_i) = dx^d W_i @ K^(m-1); Gamma contracts its
 target with A and applies W to Phi (or to Phi times a vector).  With a
 potential Y the correction kernel is K_Y = K - diag(Y) A, and a Cauchy
-solve contracts each target with K_Y the same way, then marches the
-Volterra equation panel by panel (``potential_march``).  Kernel
+solve contracts each target with K_Y (K when Y = 0) the same way, then
+marches the Volterra equation panel by panel (``march``).  Kernel
 matrices live only while their target is contracted.  The per-order sup
 norms decay like
 C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order is chosen by
@@ -213,7 +213,9 @@ def _contract(weights: np.ndarray, kernels: np.ndarray,
 
 
 class ParametrixSolver:
-    """Builds frozen kernels, the correction ladder, and Gamma.
+    """Builds frozen kernels, the correction ladder and Gamma, and marches
+    Cauchy problems.  ``tol`` is the ladder's series tolerance; the march
+    does not read it.
 
     Kernel matrices are stacked per ladder target or Gamma assembly
     (``_kernel_stack``), contracted with the target's plan weights into
@@ -540,12 +542,13 @@ class ParametrixSolver:
         """The correction ladder on (0, horizon]; the same record as ``ladder``."""
         return self.ladder(horizon)
 
-    # -- Cauchy problems with a potential ----------------------------------------
+    # -- Cauchy problems ---------------------------------------------------------
 
-    def potential_march(self, h: float, potential: np.ndarray, u0: np.ndarray, pieces: int,
-                        source: Callable[[np.ndarray], np.ndarray] | None = None
-                        ) -> tuple[np.ndarray, float]:
-        """March u' = L u - Y u + f from u0 over ``pieces`` pieces of length h.
+    def march(self, h: float, u0: np.ndarray, pieces: int, potential: np.ndarray | None = None,
+              source: Callable[[np.ndarray], np.ndarray] | None = None, start: float = 0.0
+              ) -> tuple[np.ndarray, float]:
+        """March u' = L u - Y u + f from u0 at time ``start`` over ``pieces``
+        pieces of length h.
 
         With the potential in the correction kernel, K_Y = K - diag(Y) A
         (Levi's parametrix: A. Friedman, *Partial Differential Equations of
@@ -561,14 +564,15 @@ class ParametrixSolver:
         (I - dx^d W_pp) rho_p = f_p + dx^d K_Y(x_p) u(t0) + dx^d W_p< rho_<.
         The plans, the W buffer (I - dx^d W_pp formed in it in place) and
         the kernels depend on h alone and are built once; a piece repeats
-        only its right-hand sides and panel solves.  ``source(times)`` gives
-        f at a piece's node times as a (nodes, s) array, None meaning f = 0.
-        Returns u after the last piece and the largest relative residual of
-        the panel solves.
+        only its right-hand sides and panel solves.  ``potential`` None
+        means Y = 0, so K_Y = K.  ``source(times)`` gives f at a piece's
+        node times (offset by ``start``) as a (nodes, s) array, None meaning
+        f = 0.  Returns u at every piece end, shape (pieces, s), and the
+        largest relative residual of the panel solves.
         """
         vol = self.grid.cell_volume
         s = self.grid.site_count
-        y = np.asarray(potential, dtype=float).reshape(-1)
+        y = None if potential is None else np.asarray(potential, dtype=float).reshape(-1)
         nodes, weights, bp = self.quad.points_with_panels(h, layer=self._layer_scale())
         k_y = partial(self._kernel_stack, correction=True, potential=y)
         panels = self._contracted_panels(nodes, nodes, weights, bp, k_y)
@@ -581,12 +585,13 @@ class ParametrixSolver:
         kernels = self._kernel_stack(times + [h])
         w_end = _contract(c, kernels[:-1])
         u = np.asarray(u0, dtype=float).reshape(-1)
+        out = np.empty((pieces, s))
         rho = np.empty((nodes.size, s))
         residual = 0.0
         for i in range(pieces):
             rhs = vol * (k_nodes @ u)
             if source is not None:
-                rhs += source(i * h + nodes)
+                rhs += source(start + i * h + nodes)
             for lo, hi, w in panels:
                 own, b = w[:, lo * s:], rhs[lo:hi].reshape(-1)
                 b += vol * (w[:, :lo * s] @ rho[:lo].reshape(-1))
@@ -594,14 +599,14 @@ class ParametrixSolver:
                 rho[lo:hi] = x.reshape(hi - lo, s)
                 scale = max(float(np.abs(b).max()), np.finfo(float).tiny)
                 residual = max(residual, float(np.abs(own @ x - b).max()) / scale)
-            u = vol * (kernels[-1] @ u + w_end @ rho.reshape(-1))
-        return u, residual
+            u = out[i] = vol * (kernels[-1] @ u + w_end @ rho.reshape(-1))
+        return out, residual
 
     # -- Gamma -----------------------------------------------------------------
 
-    def _gamma(self, t: float, horizon: float | None, rhs: np.ndarray | None) -> np.ndarray:
-        """Gamma(t) from the ladder on (0, horizon], horizon defaulting to t:
-        the matrix when ``rhs`` is None, else the vector Gamma(t) @ rhs.
+    def _gamma(self, t: float, rhs: np.ndarray | None) -> np.ndarray:
+        """Gamma(t) from the ladder on (0, t]: the matrix when ``rhs`` is
+        None, else the vector Gamma(t) @ rhs.
 
         The plan of t is contracted with the frozen kernels A into W, so
         Gamma(t) = A(t) + dx^d W @ Phi or Gamma(t) rhs = A(t) rhs + dx^d W @ (Phi rhs),
@@ -611,9 +616,7 @@ class ParametrixSolver:
         if t <= 0.0:  # negative times raise, t = 0 is the Dirac matrix
             dirac = self.kernel_matrix(t)
             return dirac if rhs is None else dirac @ rhs
-        lad = self.ladder(t if horizon is None else float(horizon))
-        if t > lad.horizon * (1.0 + 1e-12):
-            raise ValueError(f"time {t} beyond ladder horizon {lad.horizon}")
+        lad = self.ladder(t)
         times, c = self._conv_plan(t, lad.times, lad.weights, lad.breakpoints)
         kernels = self._kernel_stack(times + [t])
         w = _contract(c, kernels[:-1])
@@ -629,32 +632,26 @@ class ParametrixSolver:
         return out
 
     def gamma_matrix(self, t: float) -> np.ndarray:
-        """Full fundamental-solution matrix at time t (own horizon)."""
-        return self._gamma(t, None, None)
+        """Full fundamental-solution matrix at time t."""
+        return self._gamma(t, None)
 
     def gamma_column(self, beta: Sequence[int], t: float) -> Field:
-        """One column a -> Gamma_{a, beta}(t) as a Field (own horizon)."""
+        """One column a -> Gamma_{a, beta}(t) as a Field."""
         unit = np.zeros(self.grid.site_count)
         unit[self.grid.flat_index(beta)] = 1.0
-        return Field(self.grid, self._gamma(t, None, unit).reshape(self.grid.shape))
+        return Field(self.grid, self._gamma(t, unit).reshape(self.grid.shape))
 
-    def gamma_apply(self, t: float, v: np.ndarray, horizon: float | None = None) -> np.ndarray:
-        """Convolution application sum_b Gamma_{a,b}(t) v_b dx^d.
-
-        Times below the ladder horizon reuse the shared nodes: panels
-        fully below t keep their Gauss weights and the partial panel is
-        handled by the layer-resolving tau rule of the plan.
-        """
+    def gamma_apply(self, t: float, v: np.ndarray) -> np.ndarray:
+        """Convolution application sum_b Gamma_{a,b}(t) v_b dx^d."""
         v = np.asarray(v, dtype=float).reshape(-1)
-        return self._gamma(t, horizon, v) * self.grid.cell_volume
+        return self._gamma(t, v) * self.grid.cell_volume
 
-    def gamma_operator(self, t: float, horizon: float | None = None) -> np.ndarray:
-        """The Gamma(t) matrix under a given ladder horizon (default t).
-
-        ``mat @ v * dx^d`` applies it.  It is assembled afresh on every
-        call; a caller that applies the same operator many times keeps it.
+    def gamma_operator(self, t: float) -> np.ndarray:
+        """The Gamma(t) matrix, the same as ``gamma_matrix``: ``mat @ v * dx^d``
+        applies it.  It is assembled afresh on every call; a caller that
+        applies the same operator many times keeps it.
         """
-        return self._gamma(t, horizon, None)
+        return self._gamma(t, None)
 
     def propagation_defect(self, s: float, t: float) -> float:
         """sup |Gamma(t) - Gamma(s) * Gamma(t-s)| dx^d over index pairs."""

@@ -1,32 +1,28 @@
-"""Duhamel solvers on top of the variable-coefficient fundamental solution.
+"""Cauchy solvers on top of the parametrix march.
 
-The inhomogeneous problem  u' = L u + f,  u(0) = psi  is solved by
-
-    u(t) = Gamma(t) psi + int_0^t Gamma(t-s) f(s) ds,
-
-with the time integral on scaled Gauss nodes s = t xi_q so that the rule
-varies smoothly with the evaluation time.  With a potential term
-(u' = L u - Y u + f) the potential goes into the correction kernel,
-K_Y = K - diag(Y) A, and each of n equal time pieces is one march of the
-parametrix Volterra equation (``ParametrixSolver.potential_march``).
+u' = L u - Y u + f,  u(0) = psi  (Y = 0 without a potential) is solved by
+putting the potential into the correction kernel, K_Y = K - diag(Y) A,
+and marching the parametrix Volterra equation over equal time pieces
+(``ParametrixSolver.march``): from each requested time to the next, so a
+run of output times is one march.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .lattice import Field, forward_diff
 from .parametrix import Coefficients, ParametrixSolver
-from .quadrature import gauss_legendre
 
 
 @dataclass(frozen=True)
 class CauchyProblem:
-    """Initial data, source, optional potential, and horizon."""
+    """Initial data, source and optional potential.  No solver reads
+    ``horizon``; it is checked positive and kept for callers."""
 
     coeffs: Coefficients
     psi: Field
@@ -50,15 +46,20 @@ class CauchyProblem:
 
 @dataclass
 class SolveReport:
-    #: equal time pieces the potential solver marched, summed over calls
+    #: equal time pieces the solver marched, summed over calls
     panels: int = 0
-    #: always 0: the potential solver does not iterate; kept for code
-    #: that still reads the field
+    #: always 0: the solver does not iterate; kept for code that still
+    #: reads the field
     picard_iters: int = 0
-    #: largest relative residual of the panel linear solves (potential
-    #: solver), or the centered ODE residual when the caller can measure
-    #: one; neither is a bound on the error of the solution
+    #: largest relative residual of the panel linear solves, or the
+    #: centered ODE residual when the caller can measure one; neither is
+    #: a bound on the error of the solution
     residual: float = math.nan
+
+
+#: Intervals between output times that differ by at most this times the
+#: later time are equal up to rounding, and share one march.
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 def _source_at(prob: CauchyProblem, s: float) -> np.ndarray:
@@ -69,61 +70,68 @@ def _source_at(prob: CauchyProblem, s: float) -> np.ndarray:
     return f_s
 
 
+def _solve(prob: CauchyProblem, times: Sequence[float], solver: ParametrixSolver | None,
+           report: SolveReport | None) -> list[Field]:
+    """u at each of the ascending ``times``, marched from each to the next.
+
+    The interval d up to a time is cut into n = max(1, ceil(d max|Y|))
+    pieces of equal length, short enough to keep the solution smooth
+    where Y makes it decay fast.  A run of equal intervals (equal up to
+    rounding of the times) is one ``ParametrixSolver.march`` and shares
+    its build.  The error is the time rule's: on the AC-11 problem at
+    dx = 1/8, T = 0.25 and 48 quadrature nodes the solution is 3.9e-9 from
+    the certified oracle, and nothing here estimates it.  ``report`` gets
+    the pieces in ``panels`` and the largest relative residual of the
+    panel solves in ``residual``.
+    """
+    times = [float(t) for t in times]
+    if any(b < a for a, b in zip([0.0] + times, times)):
+        raise ValueError(f"times must be nonnegative and ascending, got {times}")
+    solver = solver or ParametrixSolver(prob.coeffs)
+    report = report if report is not None else SolveReport()
+    grid = prob.coeffs.grid
+    y = None if prob.potential is None else prob.potential.flat()
+    y_max = 0.0 if y is None else float(np.abs(y).max())
+    source = None
+    if prob.source is not None:
+        def source(ts: np.ndarray) -> np.ndarray:
+            return np.stack([_source_at(prob, float(s)) for s in ts])
+    u = prob.psi.flat()
+    out, start, i = [], 0.0, 0
+    while i < len(times):
+        d, j = times[i] - start, i + 1
+        while j < len(times) and abs(times[j] - times[j - 1] - d) <= _ROUNDING * times[j]:
+            j += 1
+        k = j - i
+        if d > 0:
+            n = max(1, math.ceil(d * y_max))
+            us, res = solver.march((times[j - 1] - start) / (k * n), u, k * n, y, source, start)
+            report.residual = res if math.isnan(report.residual) else max(report.residual, res)
+            report.panels += k * n
+            ends = us[n - 1::n]
+            u = ends[-1]
+        else:
+            ends = [u] * k
+        out += [Field(grid, e.reshape(grid.shape)) for e in ends]
+        start, i = times[j - 1], j
+    return out
+
+
 def solve_inhomogeneous(prob: CauchyProblem, t: float, tol: float = 1e-8,
-                        solver: ParametrixSolver | None = None,
-                        source_nodes: int = 32) -> Field:
-    """Duhamel solution of u' = L u + f at time t (no potential)."""
+                        solver: ParametrixSolver | None = None) -> Field:
+    """Solution of u' = L u + f at time t (no potential).  ``tol`` does not
+    affect the solve; it is kept for callers."""
     if prob.potential is not None:
         raise ValueError("problem has a potential; use solve_with_potential")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    solver = solver or ParametrixSolver(prob.coeffs, tol=tol)
-    grid = prob.coeffs.grid
-    horizon = max(t, prob.horizon)
-    u = solver.gamma_apply(t, prob.psi.flat(), horizon=horizon)
-    if prob.source is not None and t > 0:
-        xi, w = gauss_legendre(source_nodes)
-        xi = 0.5 * (xi + 1.0)
-        for q in range(source_nodes):
-            s = t * float(xi[q])
-            u = u + 0.5 * t * w[q] * solver.gamma_apply(t - s, _source_at(prob, s), horizon=horizon)
-    return Field(grid, u.reshape(grid.shape))
+    return _solve(prob, [t], solver, None)[0]
 
 
 def solve_with_potential(prob: CauchyProblem, t: float, tol: float = 1e-10,
                          solver: ParametrixSolver | None = None,
                          report: SolveReport | None = None) -> Field:
-    """Parametrix solution of u' = L u - Y u + f up to time t.
-
-    [0, t] is cut into n = max(1, ceil(t max|Y|)) pieces of equal length
-    h, short enough to keep the solution smooth where Y makes it decay
-    fast.  Each is one ``ParametrixSolver.potential_march`` on its own
-    horizon h with the time rule of ``solver``; the pieces are identical
-    and share one build.  ``tol`` and ``prob.horizon`` do not affect this
-    path (``tol`` is kept for callers).  The error is the time rule's: on
-    the AC-11 problem at dx = 1/8, T = 0.25 and 48 quadrature nodes the
-    solution is 3.9e-9 from the certified oracle, and nothing here
-    estimates it.  ``report`` gets the pieces in ``panels`` and the
-    largest relative residual of the panel solves in ``residual``.
-    """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    solver = solver or ParametrixSolver(prob.coeffs)
-    grid = prob.coeffs.grid
-    report = report if report is not None else SolveReport()
-    u0 = prob.psi.flat().copy()
-    if t == 0:
-        return Field(grid, u0.reshape(grid.shape))
-    y = prob.potential.flat() if prob.potential is not None else np.zeros(grid.site_count)
-    n = max(1, math.ceil(t * float(np.abs(y).max())))
-    source = None
-    if prob.source is not None:
-        def source(times: np.ndarray) -> np.ndarray:
-            return np.stack([_source_at(prob, float(s)) for s in times])
-    u, res = solver.potential_march(t / n, y, u0, n, source)
-    report.residual = res if math.isnan(report.residual) else max(report.residual, res)
-    report.panels += n
-    return Field(grid, u.reshape(grid.shape))
+    """Solution of u' = L u - Y u + f at time t (``_solve``).  ``tol`` does
+    not affect the solve; it is kept for callers."""
+    return _solve(prob, [t], solver, report)[0]
 
 
 def gradient_sup(u: Field) -> float:

@@ -18,7 +18,6 @@ PUBLIC = {
     "kernel_series_smalltime", "kernel_slice", "kernel_spectral", "laplacian_dir",
     "lorentz_closed_form", "lorentz_rhs", "lp_norm", "pang_F", "pang_rhs",
     "recommended_radius", "residual", "solve_inhomogeneous", "solve_with_potential",
-    "zeros_count",
 }
 
 
@@ -35,23 +34,32 @@ def test_benchmark_entry_points(monkeypatch):
     import spans
     import workloads
 
-    from sdheat.lattice import GridSpec
+    from sdheat.lattice import Field, GridSpec
     from sdheat.parametrix import Coefficients, ParametrixSolver
     from sdheat.quadrature import TimeQuadrature
-    from sdheat.solver import SolveReport
+    from sdheat import solver as cauchy
 
     for name, workload in workloads.WORKLOADS.items():
         assert workload(0).prepare(), name
     grid = GridSpec(dx=0.5, dim=1, radius=3)
     coeffs = Coefficients.from_function(grid, lambda x: 1.0 + 0.3 * np.sin(x))
+    ones = Field.constant(grid, 1.0)
     tracer = spans.Tracer()
-    # installing raises KeyError if a patched name has left its owner
+    # installing raises KeyError if a patched name has left its owner, and
+    # calling the patched names fails if their signatures moved
     with tracer.installed(), tracer.root("solve", "probe", 0):
-        series = ParametrixSolver(coeffs, TimeQuadrature(nodes=16)).phi_series(0.1)
+        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=16))
+        series = solver.phi_series(0.1)
+        applied = solver.gamma_apply(0.1, ones.flat())
+        prob = cauchy.CauchyProblem(coeffs, ones, source=lambda s: ones)
+        u = cauchy.solve_inhomogeneous(prob, 0.1, solver=solver)
     assert series.m_max >= 1 and series.tail_estimate <= 1e-8
-    (ladder,) = [sp for sp in tracer.spans if sp.name == "parametrix.ladder"]
-    assert ladder.attrs == {"built": True, "m_max": series.m_max}
-    report = SolveReport()
+    assert np.abs(applied - 1.0).max() <= 1e-8 and np.abs(u.values - 1.1).max() <= 1e-8
+    ladders = [sp.attrs for sp in tracer.spans if sp.name == "parametrix.ladder"]
+    assert ladders == [{"built": True, "m_max": series.m_max}, {"built": False}]
+    assert [sp.name for sp in tracer.spans if sp.name.startswith(("parametrix.gamma", "solver"))] \
+        == ["parametrix.gamma", "solver.picard"]
+    report = cauchy.SolveReport()
     assert report.picard_iters == 0 and report.panels == 0
 
 

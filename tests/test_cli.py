@@ -4,9 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdheat.cli import _write_json, main
+from sdheat.lattice import Field, GridSpec
+from sdheat.oracle import evolve_with_potential
+from sdheat.parametrix import Coefficients
 
 IV_0_1 = 0.46575960759364043
 
@@ -97,6 +101,28 @@ class TestSolve:
         col = read_column(out + ".t1.csv")
         # crude sanity: damping acts (exact comparison is in the solver tests)
         assert 0.9 < col[0] < 1.0
+
+    def test_slices_match_oracle(self, tmp_path):
+        # each slice is marched from the one before, with and without a
+        # potential; every slice is checked, not only the last
+        grid = GridSpec(dx=0.25, dim=1, radius=16)
+        x = grid.axis_coordinates()
+        coeffs = Coefficients.from_field(grid, 1.0 + 0.3 * np.sin(2.0 * np.pi * 0.2 * x))
+        psi = Field(grid, 1.0 + 0.3 * np.sin(2.0 * np.pi * 0.5 * x))
+        src = np.full(grid.shape, 0.2)
+        for potential, y in (("zero", None), ("const:0.5", np.full(grid.shape, 0.5))):
+            out = str(tmp_path / potential.replace(":", "_"))
+            assert run_cli("solve", "--dx", "0.25", "--radius", "16",
+                           "--coeff", "sine:1,0.3,0.2", "--psi", "sine:1,0.3,0.5",
+                           "--source", "const:0.2", "--potential", potential, "--time", "0.2",
+                           "--slices", "4", "--quad-nodes", "16", "--out", out) == 0
+            times = json.loads(Path(out + ".json").read_text())["times"]
+            assert len(times) == 4
+            for i, t in enumerate(times):
+                got = read_column(f"{out}.t{i + 1}.csv")
+                ref = evolve_with_potential(coeffs, y, src, t, psi, tol=1e-13)
+                dev = max(abs(got[a] - ref.value((a,))) for a in got)
+                assert dev <= 1e-12, (potential, t, dev)
 
 
 class TestVerifySubcommand:

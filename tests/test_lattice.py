@@ -13,7 +13,6 @@ from sdheat.lattice import (
     forward_diff,
     laplacian_dir,
     lp_norm,
-    zeros_count,
 )
 
 
@@ -40,11 +39,6 @@ class TestGridSpec:
         gz = grid1(radius=2, boundary="zero-extension")
         fz = Field(gz, np.arange(5.0))
         assert fz.value((3,)) == 0.0
-
-
-def test_zeros_count():
-    assert zeros_count((0, 3, 0)) == 2
-    assert zeros_count((1,)) == 0
 
 
 class TestDifferences:

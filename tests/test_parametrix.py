@@ -415,19 +415,18 @@ class TestGammaEntryPoints:
             assert np.abs(col - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_apply_is_operator_product(self, solver):
-        horizon = 0.1
         v = np.random.default_rng(3).standard_normal(solver.grid.site_count)
-        for t in (0.037, 0.08, horizon):
-            got = solver.gamma_apply(t, v, horizon=horizon)
-            ref = solver.gamma_operator(t, horizon) @ v * solver.grid.cell_volume
+        for t in (0.037, 0.08, 0.1):
+            got = solver.gamma_apply(t, v)
+            ref = solver.gamma_operator(t) @ v * solver.grid.cell_volume
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_negative_time_rejected(self, solver):
         v = np.ones(solver.grid.site_count)
         calls = (lambda: solver.gamma_matrix(-0.1),
                  lambda: solver.gamma_column((0,), -0.1),
-                 lambda: solver.gamma_operator(-0.1, 0.1),
-                 lambda: solver.gamma_apply(-0.1, v, horizon=0.1))
+                 lambda: solver.gamma_operator(-0.1),
+                 lambda: solver.gamma_apply(-0.1, v))
         for call in calls:
             with pytest.raises(ValueError):
                 call()
@@ -437,9 +436,9 @@ class TestGammaEntryPoints:
         dirac = np.eye(grid.site_count) / grid.cell_volume
         v = np.random.default_rng(4).standard_normal(grid.site_count)
         assert np.array_equal(solver.gamma_matrix(0.0), dirac)
-        assert np.array_equal(solver.gamma_operator(0.0, 0.1), dirac)
+        assert np.array_equal(solver.gamma_operator(0.0), dirac)
         assert np.array_equal(solver.gamma_column((0,), 0.0).values, Field.dirac(grid).values)
-        assert np.array_equal(solver.gamma_apply(0.0, v, horizon=0.1), v)
+        assert np.array_equal(solver.gamma_apply(0.0, v), v)
 
 
 class TestPropagation:
