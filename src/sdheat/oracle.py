@@ -149,12 +149,11 @@ def evolve_with_potential(coeffs: Coefficients, potential: np.ndarray | None,
 
 
 def residual(u_slices: Sequence[Field], times: Sequence[float], coeffs: Coefficients,
-             f: Callable[[float], Field] | None = None, potential: Field | None = None) -> float:
+             f: Callable[[float], Field] | None = None) -> float:
     """Sup-norm ODE residual of a time-sampled solution.
 
-    Centered time differences on a uniform grid against L u - Y u + f (Y
-    the ``potential``, zero if None); second order in the time spacing for
-    smooth solutions.
+    Centered time differences on a uniform grid against L u + f; second
+    order in the time spacing for smooth solutions.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 3:
@@ -167,8 +166,6 @@ def residual(u_slices: Sequence[Field], times: Sequence[float], coeffs: Coeffici
     for i in range(1, times.size - 1):
         dudt = (u_slices[i + 1].values - u_slices[i - 1].values) / (2.0 * h)
         rhs = gen.apply(u_slices[i].values)
-        if potential is not None:
-            rhs = rhs - potential.values * u_slices[i].values
         if f is not None:
             rhs = rhs + f(float(times[i])).values
         worst = max(worst, float(np.abs(dudt - rhs).max()))

@@ -545,8 +545,8 @@ class ParametrixSolver:
     # -- Cauchy problems ---------------------------------------------------------
 
     def march(self, h: float, u0: np.ndarray, pieces: int, potential: np.ndarray | None = None,
-              source: Callable[[np.ndarray], np.ndarray] | None = None, start: float = 0.0
-              ) -> tuple[np.ndarray, float]:
+              source: Callable[[np.ndarray], np.ndarray] | None = None, start: float = 0.0,
+              every: int = 1) -> tuple[np.ndarray, float]:
         """March u' = L u - Y u + f from u0 at time ``start`` over ``pieces``
         pieces of length h.
 
@@ -567,8 +567,9 @@ class ParametrixSolver:
         only its right-hand sides and panel solves.  ``potential`` None
         means Y = 0, so K_Y = K.  ``source(times)`` gives f at a piece's
         node times (offset by ``start``) as a (nodes, s) array, None meaning
-        f = 0.  Returns u at every piece end, shape (pieces, s), and the
-        largest relative residual of the panel solves.
+        f = 0.  Returns u at every ``every``-th piece end, shape
+        (pieces // every, s), and the largest relative residual of the panel
+        solves.
         """
         vol = self.grid.cell_volume
         s = self.grid.site_count
@@ -585,7 +586,7 @@ class ParametrixSolver:
         kernels = self._kernel_stack(times + [h])
         w_end = _contract(c, kernels[:-1])
         u = np.asarray(u0, dtype=float).reshape(-1)
-        out = np.empty((pieces, s))
+        out = np.empty((pieces // every, s))
         rho = np.empty((nodes.size, s))
         residual = 0.0
         for i in range(pieces):
@@ -599,7 +600,9 @@ class ParametrixSolver:
                 rho[lo:hi] = x.reshape(hi - lo, s)
                 scale = max(float(np.abs(b).max()), np.finfo(float).tiny)
                 residual = max(residual, float(np.abs(own @ x - b).max()) / scale)
-            u = out[i] = vol * (kernels[-1] @ u + w_end @ rho.reshape(-1))
+            u = vol * (kernels[-1] @ u + w_end @ rho.reshape(-1))
+            if (i + 1) % every == 0:
+                out[i // every] = u
         return out, residual
 
     # -- Gamma -----------------------------------------------------------------

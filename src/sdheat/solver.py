@@ -51,9 +51,8 @@ class SolveReport:
     #: always 0: the solver does not iterate; kept for code that still
     #: reads the field
     picard_iters: int = 0
-    #: largest relative residual of the panel linear solves, or the
-    #: centered ODE residual when the caller can measure one; neither is
-    #: a bound on the error of the solution
+    #: largest relative residual of the panel linear solves; not a bound
+    #: on the error of the solution
     residual: float = math.nan
 
 
@@ -85,8 +84,8 @@ def _solve(prob: CauchyProblem, times: Sequence[float], solver: ParametrixSolver
     panel solves in ``residual``.
     """
     times = [float(t) for t in times]
-    if any(b < a for a, b in zip([0.0] + times, times)):
-        raise ValueError(f"times must be nonnegative and ascending, got {times}")
+    if not all(math.isfinite(b) and b >= a for a, b in zip([0.0] + times, times)):
+        raise ValueError(f"times must be finite, nonnegative and ascending, got {times}")
     solver = solver or ParametrixSolver(prob.coeffs)
     report = report if report is not None else SolveReport()
     grid = prob.coeffs.grid
@@ -105,10 +104,10 @@ def _solve(prob: CauchyProblem, times: Sequence[float], solver: ParametrixSolver
         k = j - i
         if d > 0:
             n = max(1, math.ceil(d * y_max))
-            us, res = solver.march((times[j - 1] - start) / (k * n), u, k * n, y, source, start)
+            ends, res = solver.march((times[j - 1] - start) / (k * n), u, k * n, y, source, start,
+                                     every=n)
             report.residual = res if math.isnan(report.residual) else max(report.residual, res)
             report.panels += k * n
-            ends = us[n - 1::n]
             u = ends[-1]
         else:
             ends = [u] * k
@@ -117,10 +116,9 @@ def _solve(prob: CauchyProblem, times: Sequence[float], solver: ParametrixSolver
     return out
 
 
-def solve_inhomogeneous(prob: CauchyProblem, t: float, tol: float = 1e-8,
+def solve_inhomogeneous(prob: CauchyProblem, t: float,
                         solver: ParametrixSolver | None = None) -> Field:
-    """Solution of u' = L u + f at time t (no potential).  ``tol`` does not
-    affect the solve; it is kept for callers."""
+    """Solution of u' = L u + f at time t (no potential, ``_solve``)."""
     if prob.potential is not None:
         raise ValueError("problem has a potential; use solve_with_potential")
     return _solve(prob, [t], solver, None)[0]

@@ -102,6 +102,14 @@ class TestSolve:
         # crude sanity: damping acts (exact comparison is in the solver tests)
         assert 0.9 < col[0] < 1.0
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-0.1"])
+    def test_bad_time_exit_2(self, tmp_path, time):
+        out = str(tmp_path / "run")
+        assert run_cli("solve", "--dx", "0.5", "--radius", "2", "--coeff", "const:1",
+                       "--psi", "const:1", "--time", time, "--quad-nodes", "16",
+                       "--out", out) == 2
+        assert not Path(out + ".json").exists()
+
     def test_slices_match_oracle(self, tmp_path):
         # each slice is marched from the one before, with and without a
         # potential; every slice is checked, not only the last
