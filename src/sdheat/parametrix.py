@@ -16,11 +16,12 @@ and their sum Phi = sum_m K^(m).  The fundamental solution is then
     Gamma(t) = A(t) + int_0^t A(t-s) * Phi(s) ds.
 
 The frozen kernel factorises: A_{a,b}(t) = prod_j G_j[a_j, b] / dx^d with
-G_j[a_j, b] = e^{-r} I_{|a_j - b_j|}(r), r = 2 t c_b^j / dx^2, and D2_j acts
-on G_j alone.  Kernel and correction matrices are therefore broadcast
-products of (npts, s) direction tables, each gathered from a Bessel batch;
-D2_j G_j is gathered the same way from the batch's second difference in
-the offset |a_j - b_j|.
+G_j[a_j, b] = h(a_j - b_j) for h(n) = e^{-r} I_n(r) folded on a torus, r =
+2 t c_b^j / dx^2, and D2_j acts on G_j alone.  On zero-extension grids the
+mirror image is subtracted (``_folded_offsets``).  Kernel and correction
+matrices are therefore broadcast products of (npts, s) direction tables,
+each gathered from a Bessel batch; D2_j G_j is gathered the same way from
+the batch's second difference in the offset.
 
 Numerically, one graded Gauss rule on (0, horizon) serves every time
 integral.  Panels well below the target time keep their Gauss weights;
@@ -153,45 +154,57 @@ class PhiSeries:
     tail_estimate: float
 
 
-def _wrap_component(grid: GridSpec, d: int) -> int:
-    if grid.periodic:
-        return (d + grid.radius) % grid.npts - grid.radius
-    return d
+def _period(grid: GridSpec) -> int:
+    """Period of the kernel fold: the box, or the box and its two absorbing sites twice."""
+    return grid.npts if grid.periodic else 2 * grid.npts + 2
 
 
-def _wrap_offset(grid: GridSpec, alpha: Sequence[int], beta: Sequence[int]) -> tuple[int, ...]:
-    return tuple(_wrap_component(grid, int(a) - int(b)) for a, b in zip(alpha, beta))
+def _folded_offsets(grid: GridSpec, a, b) -> list:
+    """Offsets a - b and, on zero-extension grids, a + b + 2R + 2 (box
+    coordinates, integers or arrays), folded to |n| <= period // 2.  The
+    kernel absorbed outside {-R..R} is h(a - b) - h(a + b + 2R + 2), h the
+    torus kernel of period 2 npts + 2 (the reflection principle: W. Feller,
+    *An Introduction to Probability Theory and Its Applications*, vol. 1,
+    ch. III)."""
+    period = _period(grid)
+    images = [a - b] if grid.periodic else [a - b, a + b + 2 * grid.radius + 2]
+    return [abs((n + period // 2) % period - period // 2) for n in images]
+
+
+def _gather(values: np.ndarray, index: list[np.ndarray]) -> np.ndarray:
+    """A folded (orders, sites) slice at the direct offsets, less the mirror."""
+    out = np.take(values, index[0], mode="clip")
+    for mirror in index[1:]:
+        out -= np.take(values, mirror, mode="clip")
+    return out
 
 
 def k1(alpha: Sequence[int], beta: Sequence[int], t: float, coeffs: Coefficients) -> float:
     """Correction kernel K_{alpha,beta}(t): coefficient increments times
     the directional second differences of the frozen kernel.
 
-    Zero on the diagonal and identically zero for constant coefficients.
-    Singular scalings appear only as t -> 0, so t must be positive;
-    quadrature callers keep their nodes strictly inside (0, t).
+    A factor is the infinite-lattice kernel at ``_folded_offsets``, the
+    mirror subtracted; further torus images are left out.  Zero on the
+    diagonal and for constant coefficients.  t must be positive.
     """
     if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
     grid = coeffs.grid
-    offset = _wrap_offset(grid, alpha, beta)
     ca = coeffs.at(alpha)
     cb = coeffs.at(beta)
-    factors = [kernel_1d(offset[j], t, cb[j], grid.dx) for j in range(grid.dim)]
+
+    def factor(j: int, a: int) -> float:
+        vals = [kernel_1d(n, t, cb[j], grid.dx) for n in _folded_offsets(grid, a, int(beta[j]))]
+        return vals[0] - sum(vals[1:])
+
+    factors = [factor(j, int(alpha[j])) for j in range(grid.dim)]
     out = 0.0
     for j in range(grid.dim):
         if ca[j] == cb[j]:
             continue
-        up = _wrap_component(grid, offset[j] + 1)
-        dn = _wrap_component(grid, offset[j] - 1)
-        d2 = (kernel_1d(up, t, cb[j], grid.dx)
-              - 2.0 * factors[j]
-              + kernel_1d(dn, t, cb[j], grid.dx)) / grid.dx**2
-        rest = 1.0
-        for i in range(grid.dim):
-            if i != j:
-                rest *= factors[i]
-        out += (ca[j] - cb[j]) * d2 * rest
+        d2 = (factor(j, int(alpha[j]) + 1) - 2.0 * factors[j]
+              + factor(j, int(alpha[j]) - 1)) / grid.dx**2
+        out += (ca[j] - cb[j]) * d2 * math.prod(factors[:j] + factors[j + 1:])
     return out
 
 
@@ -219,20 +232,17 @@ class ParametrixSolver:
 
     Kernel matrices are stacked per ladder target or Gamma assembly
     (``_kernel_stack``), contracted with the target's plan weights into
-    one matrix W and dropped.  Construction keeps d index tables of shape
-    (npts, s), and builds no s x s array.  A ladder build keeps the
-    W of every target while it runs its orders (about N^2 s^2 / 2
-    entries for N nodes and s sites); a built ladder keeps only Phi, per
-    horizon.  Gamma is not cached: each call assembles it afresh, and
+    one matrix W and dropped.  Construction keeps an index table of shape
+    (npts, s) per direction and image, and builds no s x s array.  A
+    ladder build keeps the W of every target while it runs its orders
+    (about N^2 s^2 / 2 entries for N nodes and s sites); a built ladder
+    keeps only Phi, per horizon.  Gamma is not cached: each call assembles it afresh, and
     callers that apply one operator many times keep it themselves.
 
-    On ``zero-extension`` grids the frozen kernels are the infinite-lattice
-    kernels restricted to the box, so Gamma is the infinite-lattice
-    fundamental solution restricted to the box.  The oracle's generator
-    there is absorbing (zero outside the box), so the two agree in the
-    interior and part near the edge: with c = 1 + 0.3 sin(2 pi x / L) at
-    dx = 1/8, radius 24 and T = 0.2, the column at beta = (20,) is 0.19
-    from the oracle in l1.
+    Kernels are folded on a torus, the mirror image subtracted on
+    zero-extension grids (``_folded_offsets``), so Gamma is the fundamental
+    solution of the generator on the box, periodic or absorbing (zero
+    outside the box) as in the oracle.
     """
 
     def __init__(self, coeffs: Coefficients, quad: TimeQuadrature | None = None,
@@ -248,49 +258,47 @@ class ParametrixSolver:
             raise ValueError(f"two-point storage {n}x{n} exceeds the dense budget "
                              f"of {_DENSE_ENTRIES} entries")
         self._cflat = [coeffs.flat(j) for j in range(self.grid.dim)]
+        self._period = _period(self.grid)
         self._index = self._index_tables()
         self._ladders: dict[float, PhiSeries] = {}
 
     # -- kernel matrices -----------------------------------------------------
 
-    def _index_tables(self) -> list[np.ndarray]:
-        """Per direction j, flat indices into one time's (orders, sites)
-        slice of ``_axis_values``: entry [a_j, b] is |a_j - b_j| s + b (the
-        offset wrapped on periodic grids), shaped (npts, s) along box axis j."""
+    def _index_tables(self) -> list[list[np.ndarray]]:
+        """Per direction j and image of ``_folded_offsets``, flat indices into
+        one time's (orders, sites) slice of ``_axis_values``: entry [a_j, b]
+        is n s + b, n the folded offset, shaped (npts, s) along box axis j."""
         grid = self.grid
         s = grid.site_count
+        axis = grid.axis_indices()
         pos = np.unravel_index(np.arange(s), grid.shape)
-        tables = []
-        for j in range(grid.dim):
-            diff = _wrap_component(grid, np.arange(grid.npts)[:, None] - pos[j])
-            tables.append((np.abs(diff) * s + np.arange(s)).reshape(
-                [grid.npts if i == j else 1 for i in range(grid.dim)] + [s]))
-        return tables
+        return [[(n * s + np.arange(s)).reshape(
+                    [grid.npts if i == j else 1 for i in range(grid.dim)] + [s])
+                 for n in _folded_offsets(grid, axis[:, None], axis[pos[j]])]
+                for j in range(grid.dim)]
 
     def _top_order(self, r_max: float) -> int:
         """Highest Bessel order ``_axis_values`` needs at arguments up to
-        r_max: the offsets of the box, plus on periodic grids the wrap images
-        it takes until the neglected torus tail is below ~1e-18."""
-        grid = self.grid
-        if not grid.periodic:
-            return 2 * grid.radius
+        r_max: the offsets up to half the fold's period, plus the torus
+        images it takes until the neglected tail is below ~1e-18."""
+        period, nmax = self._period, self._period // 2
         images = 0
-        while bessel._debye_log_magnitude((images + 1) * grid.npts - grid.radius, r_max) > -42.0:
+        while bessel._debye_log_magnitude((images + 1) * period - nmax, r_max) > -42.0:
             images += 1
-        return images * grid.npts + grid.radius
+        return images * period + nmax
 
     def _axis_values(self, j: int, ts: np.ndarray) -> np.ndarray:
-        """Scaled per-direction kernel orders 0..nmax for a time batch, shape
-        (len(ts), nmax+1, sites).  On periodic grids they are wrap-summed into
-        genuine torus kernels, consistent with the lattice generator on the box."""
+        """Scaled per-direction torus kernels at offsets 0..nmax = period // 2
+        for a time batch, shape (len(ts), nmax+1, sites): the Bessel orders
+        wrap-summed over the images of the fold's period."""
         grid = self.grid
         s = grid.site_count
-        nmax = grid.radius if grid.periodic else 2 * grid.radius
+        period, nmax = self._period, self._period // 2
         r = (2.0 * ts[:, None] * self._cflat[j][None, :] / grid.dx**2).reshape(-1)
         top = self._top_order(float(r.max()))
         b = bessel.iv_scaled_matrix(top, r).reshape(top + 1, ts.size, s)
         folded = b[:nmax + 1].transpose(1, 0, 2).copy()
-        for shift in range(grid.npts, top - nmax + 1, grid.npts):
+        for shift in range(period, top - nmax + 1, period):
             # torus images at offset n - shift (order shift - n) and n + shift
             folded += (b[shift - nmax:shift + 1][::-1]
                        + b[shift:shift + nmax + 1]).transpose(1, 0, 2)
@@ -299,13 +307,12 @@ class ParametrixSolver:
     def _offset_second_difference(self, g: np.ndarray) -> np.ndarray:
         """D2 of folded ``_axis_values`` tables g, taken in offset space:
         (g[n+1] + g[n-1] - 2 g[n]) / dx^2 with g[-1] = g[1] (g is even) and
-        g[nmax+1] = g[nmax] (the torus wrap).  On zero-extension grids the
-        last order is read only by the box's edge rows, which
-        ``_kernel_stack`` rewrites."""
+        g[nmax+1] = g[period - nmax - 1] (the torus wrap, either parity).
+        Gathered less its mirror, it is D2 of the absorbing kernel."""
         d2 = np.empty_like(g)
         np.add(g[:, 2:], g[:, :-2], out=d2[:, 1:-1])
         np.add(g[:, 1], g[:, 1], out=d2[:, 0])
-        np.add(g[:, -1], g[:, -2], out=d2[:, -1])
+        np.add(g[:, self._period - self._period // 2 - 1], g[:, -2], out=d2[:, -1])
         d2 -= 2.0 * g
         d2 /= self.grid.dx**2
         return d2
@@ -315,14 +322,13 @@ class ParametrixSolver:
         """Frozen kernels A(t), or with ``correction`` the correction kernels
         K(t), stacked as (len(times), s, s) in the given order (not cached).
 
-        Term j of K is (c_a^j - c_b^j) D2 G_j times the other tables.  The
-        increments are formed once per call, and D2 G_j is gathered like
-        G_j from its offset-space second difference; on zero-extension
-        grids the edge rows a_j = -R, R are then rewritten from G_j with
-        zero outside the box.  A ``potential`` Y (flat, correction only)
-        gives K_Y = K - diag(Y) A instead, A taken from the same tables.
-        Bessel values come 8192 // s sorted times at a time, fewer when the
-        top order exceeds 255, so a batch stays within 2^21 values.
+        Term j of K is (c_a^j - c_b^j) D2 G_j times the other tables, the
+        increments written into the term's output first; D2 G_j is gathered
+        like G_j (``_gather``) from its offset-space second difference.  A
+        ``potential`` Y (flat, correction only) gives K_Y = K - diag(Y) A
+        instead, A taken from the same tables.  Bessel values come 8192 // s
+        sorted times at a time, fewer when the top order exceeds 255, so a
+        batch stays within 2^21 values.
         """
         grid = self.grid
         s = grid.site_count
@@ -349,24 +355,17 @@ class ParametrixSolver:
                 diffs = [self._offset_second_difference(g) for g in per_dir]
             if out is None:  # after the first Bessel batch, where a call peaks
                 out = np.empty((ts.size, s, s))
-                if correction:
-                    incs = [np.subtract(c[:, None], c[None, :]).reshape(grid.shape + (s,))
-                            for c in self._cflat]
             for k, q in enumerate(order[lo:hi]):
-                tables = [np.take(v[k], idx, mode="clip") for v, idx in zip(per_dir, self._index)]
+                tables = [_gather(v[k], idx) for v, idx in zip(per_dir, self._index)]
                 mat = out[q]
                 box = mat.reshape(grid.shape + (s,))
                 if not correction:
                     np.divide(math.prod(tables[1:], start=tables[0]), vol, out=box)
                     continue
-                for j, idx in enumerate(self._index):
-                    d2 = np.take(diffs[j][k], idx, mode="clip")
-                    if not grid.periodic:
-                        edge, g = d2.reshape(grid.npts, s), tables[j].reshape(grid.npts, s)
-                        edge[0] = (g[1] - 2.0 * g[0]) / grid.dx**2
-                        edge[-1] = (g[-2] - 2.0 * g[-1]) / grid.dx**2
+                for j, (idx, c) in enumerate(zip(self._index, self._cflat)):
                     shaped = (mat if j == 0 else scratch).reshape(box.shape)
-                    np.multiply(incs[j], d2, out=shaped)
+                    np.subtract(c.reshape(grid.shape + (1,)), c, out=shaped)
+                    shaped *= _gather(diffs[j][k], idx)
                     for table in tables[:j] + tables[j + 1:]:
                         shaped *= table
                     if j:

@@ -80,6 +80,18 @@ class TestGammaOracleCompare:
         assert payload["l1"] <= 1e-4
         assert payload["linf"] <= 1e-3
 
+    def test_zero_extension_edge_column(self, tmp_path, capsys):
+        # both routes are absorbing outside the box, so they agree on the
+        # column at the edge too
+        common = ["--dim", "1", "--dx", "0.25", "--radius", "16", "--boundary", "zero-extension",
+                  "--coeff", "sine:1,0.3,0.2", "--time", "0.1", "--beta", "16"]
+        g_out = str(tmp_path / "gamma.csv")
+        o_out = str(tmp_path / "oracle.csv")
+        assert run_cli("gamma", *common, "--quad-nodes", "32", "--out", g_out) == 0
+        assert run_cli("oracle", *common, "--tol", "1e-12", "--out", o_out) == 0
+        assert run_cli("compare", "--a", g_out, "--b", o_out, "--dx", "0.25") == 0
+        assert json.loads(capsys.readouterr().out)["l1"] <= 1e-9
+
     def test_nan_tol_exit_2(self, tmp_path):
         out = str(tmp_path / "gamma.csv")
         assert run_cli("gamma", "--dim", "1", "--dx", "0.25", "--radius", "16",

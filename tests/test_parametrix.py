@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sdheat import bessel, bounds, oracle
 from sdheat.heat_const import ConstCoeffs, kernel_1d, kernel_nd, recommended_radius
-from sdheat.lattice import Field, GridSpec, forward_diff, laplacian_array, shift_array
+from sdheat.lattice import Field, GridSpec, forward_diff, laplacian_array
 from sdheat.parametrix import Coefficients, ParametrixSolver, _contract, k1
 from sdheat.quadrature import TimeQuadrature
 
@@ -123,14 +124,18 @@ class TestCorrectionKernel:
         with pytest.raises(ValueError):
             k1((1,), (0,), 0.0, small_var_coeffs)
 
-    def test_matrix_matches_pointwise(self, small_var_coeffs):
-        solver = ParametrixSolver(small_var_coeffs)
-        mat = solver.correction_matrix(0.1)
-        grid = small_var_coeffs.grid
-        for a, b in (((2,), (0,)), ((-5,), (3,)), ((1,), (1,))):
-            # interior pairs: wrap images are negligible at this time
-            assert mat[grid.flat_index(a), grid.flat_index(b)] == pytest.approx(
-                k1(a, b, 0.1, small_var_coeffs), rel=1e-10, abs=1e-12)
+    def test_matrix_matches_pointwise(self):
+        # torus images beyond the first are negligible at this time, while
+        # on zero-extension grids the mirror image is not at the edge a = R
+        for boundary in ("periodic-wrap", "zero-extension"):
+            grid = GridSpec(dx=0.125, dim=1, radius=24, boundary=boundary)
+            coeffs = Coefficients.from_function(
+                grid, lambda x: 1.0 + 0.3 * np.sin(2.0 * np.pi * x / 6.125))
+            mat = ParametrixSolver(coeffs).correction_matrix(0.1)
+            for a, b in (((2,), (0,)), ((-5,), (3,)), ((1,), (1,)), ((24,), (20,)),
+                         ((-24,), (-23,))):
+                assert mat[grid.flat_index(a), grid.flat_index(b)] == pytest.approx(
+                    k1(a, b, 0.1, coeffs), rel=1e-10, abs=1e-12)
 
 
 class TestPhi:
@@ -258,35 +263,50 @@ class TestContraction:
 class TestKernelStack:
     """``_kernel_stack`` against the dense route: A gathered entry by entry
     through s x s offset tables, and K = sum_j (c_a^j - c_b^j) D2_j A by
-    ``laplacian_array`` along a_j on the whole matrix.
+    ``laplacian_array`` along a_j on the whole matrix (zero outside the box
+    on zero-extension grids, as in the absorbing generator).
 
-    A must be bit-identical.  The two routes round the second difference in
-    different orders, so K is held to 1e-14 of the terms D2 cancels, entry
-    by entry (the rows at a_j = -R and R included): on a kernel spread over
-    the whole box those terms exceed K by orders of magnitude."""
+    On zero-extension grids each factor of A is the torus kernel of period
+    2 npts + 2 at the offset a_j - b_j less the one at the mirror offset
+    a_j + b_j + 2R + 2.  A must be bit-identical.  The two routes round the
+    second difference in different orders, so K is held to 1e-14 of the
+    magnitude terms D2 cancels, entry by entry (the rows at a_j = -R and R
+    included), the mirror's terms added to the direct ones: on a kernel
+    spread over the whole box those terms exceed K by orders of magnitude.
+    A is nonnegative up to the rounding of direct less mirror."""
 
     @staticmethod
-    def _dense(solver, t):
+    def _dense(solver, t, times):
+        # the tables come from the sorted batch _kernel_stack reads: the
+        # number of torus images follows the batch's largest argument
         grid = solver.grid
         s = grid.site_count
+        period = grid.npts if grid.periodic else 2 * grid.npts + 2
         comps = np.array(list(grid.index_iter())).reshape(s, grid.dim)
-        a = np.ones((s, s))
-        for j in range(grid.dim):
-            off = comps[:, j][:, None] - comps[:, j][None, :]
-            if grid.periodic:
-                off = (off + grid.radius) % grid.npts - grid.radius
-            a = a * solver._axis_values(j, np.array([t]))[0][np.abs(off), np.arange(s)]
-        a = a / grid.cell_volume
+        batch = np.sort(times)
+        row = int(np.searchsorted(batch, t))
+
+        def axis(g, j, step):
+            # G_j at a_j + step, and the sum of the magnitudes of its images
+            a_j, b_j = comps[:, j][:, None] + step, comps[:, j][None, :]
+            images = [a_j - b_j] if grid.periodic else [a_j - b_j, a_j + b_j + 2 * grid.radius + 2]
+            vals = [g[np.abs((n + period // 2) % period - period // 2), np.arange(s)]
+                    for n in images]
+            return vals[0] - sum(vals[1:]), sum(vals)
+
+        tables = [solver._axis_values(j, batch)[row] for j in range(grid.dim)]
+        vals, sizes = zip(*(axis(g, j, 0) for j, g in enumerate(tables)))
+        a = math.prod(vals, start=np.ones((s, s))) / grid.cell_volume
         shaped = a.reshape(*grid.shape, s)
         k = np.zeros((s, s))
         scale = np.zeros((s, s))
-        for j, c in enumerate(solver._cflat):
+        for j, (c, g) in enumerate(zip(solver._cflat, tables)):
             d2 = laplacian_array(shaped, j, grid.dx, grid.periodic).reshape(s, s)
             k += (c[:, None] - c[None, :]) * d2
-            terms = sum(np.abs(shift_array(shaped, j, step, grid.periodic))
-                        for step in (-1, 0, 0, 1)).reshape(s, s) / grid.dx**2
-            scale += np.abs(c[:, None] - c[None, :]) * terms
-        return a, k, scale
+            terms = sum(axis(g, j, step)[1] for step in (-1, 0, 0, 1))
+            terms = math.prod(sizes[:j] + sizes[j + 1:], start=terms)
+            scale += np.abs(c[:, None] - c[None, :]) * terms / (grid.dx**2 * grid.cell_volume)
+        return a, k, scale, math.prod(sizes) / grid.cell_volume
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), radius=st.integers(1, 6),
@@ -299,8 +319,9 @@ class TestKernelStack:
         solver = ParametrixSolver(Coefficients(grid, vals))
         stacks = zip(solver._kernel_stack(times), solver._kernel_stack(times, correction=True))
         for t, (a, k) in zip(times, stacks):
-            a_ref, k_ref, scale = self._dense(solver, t)
+            a_ref, k_ref, scale, mag = self._dense(solver, t, times)
             assert np.array_equal(a, a_ref)
+            assert np.all(a >= -4.0 * np.finfo(float).eps * mag)
             assert np.all(np.abs(k - k_ref) <= 1e-14 * scale)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -316,7 +337,9 @@ class TestKernelStack:
         y = rng.uniform(0.0, 3.0, grid.site_count)
         k_y = solver._kernel_stack(times, correction=True, potential=y)
         k, a = solver._kernel_stack(times, correction=True), solver._kernel_stack(times)
-        assert np.all(np.abs(k_y - (k - y[:, None] * a)) <= 1e-15 * (np.abs(k) + y[:, None] * a))
+        # |A|: absorbing entries round to -2e-16 where direct and mirror cancel
+        assert np.all(np.abs(k_y - (k - y[:, None] * a))
+                      <= 1e-15 * (np.abs(k) + y[:, None] * np.abs(a)))
 
 
 class TestGamma:
@@ -350,17 +373,45 @@ class TestGamma:
 
     @pytest.mark.parametrize("boundary", ["periodic-wrap", "zero-extension"])
     def test_oracle_equivalence_both_boundaries(self, boundary):
-        # columns far from the edge, where the infinite-lattice Gamma of a
-        # zero-extension grid and the oracle's absorbing generator agree
+        # columns at the centre, half way out and on the edge: on
+        # zero-extension grids both routes are absorbing outside the box
         grid = GridSpec(dx=0.25, dim=1, radius=24, boundary=boundary)
         length = grid.npts * grid.dx
         coeffs = Coefficients.from_function(
             grid, lambda x: 1.0 + 0.3 * np.sin(2.0 * np.pi * x / length))
         solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=48), tol=1e-8)
-        for beta in ((0,), (6,)):
+        for beta in ((0,), (12,), (24,)):
             col = solver.gamma_column(beta, 0.1)
             ref = oracle.gamma_oracle(coeffs, beta, 0.1, tol=1e-12)
             assert np.abs(col.values - ref.values).max() <= 1e-9
+
+    def test_oracle_equivalence_zero_extension_2d(self):
+        # the anisotropic fields of the column-2d benchmark, on an absorbing box
+        grid = GridSpec(dx=0.25, dim=2, radius=6, boundary="zero-extension")
+        x = grid.axis_coordinates()
+        xx, yy = np.meshgrid(x, x, indexing="ij")
+        coeffs = Coefficients(grid, np.stack([1.0 + 0.5 * np.sin(2.0 * np.pi * xx),
+                                              1.2 + 0.3 * np.cos(2.0 * np.pi * yy)]))
+        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=32), tol=1e-8)
+        for beta in ((0, 0), (3, 3), (6, 6), (6, -3)):
+            col = solver.gamma_column(beta, 1.0 / 16.0)
+            ref = oracle.gamma_oracle(coeffs, beta, 1.0 / 16.0, tol=1e-12)
+            assert np.abs(col.values - ref.values).max() <= 1e-9
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), radius=st.integers(1, 8),
+           dx=st.sampled_from([0.25, 0.5]), t=st.floats(0.02, 0.2), data=st.data())
+    def test_column_matches_oracle_on_random_data(self, dim, periodic, radius, dx, t, data):
+        # an independent route: the certified Taylor integration of the
+        # lattice generator, with random fields and columns
+        grid = GridSpec(dx=dx, dim=dim, radius=radius if dim == 1 else min(radius, 4),
+                        boundary="periodic-wrap" if periodic else "zero-extension")
+        vals = data.draw(arrays(np.float64, (dim,) + grid.shape, elements=st.floats(0.5, 1.5)))
+        coeffs = Coefficients(grid, vals)
+        beta = tuple(data.draw(st.integers(-grid.radius, grid.radius)) for _ in range(dim))
+        col = ParametrixSolver(coeffs, TimeQuadrature(nodes=32), tol=1e-8).gamma_column(beta, t)
+        ref = oracle.gamma_oracle(coeffs, beta, t, tol=1e-13)
+        assert np.abs(col.values - ref.values).sum() * grid.cell_volume <= 1e-8
 
     def test_constants_preserved(self, small_var_coeffs):
         solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=48), tol=1e-8)
@@ -370,6 +421,21 @@ class TestGamma:
 
 
 class TestDenseBudget:
+    def test_correction_matrix_peak(self):
+        # the coefficient increments go straight into each term's output,
+        # so a correction matrix of a 2-D grid takes its output and one
+        # scratch term, not d more s x s arrays of increments
+        grid = GridSpec(dx=0.25, dim=2, radius=20)
+        rng = np.random.default_rng(2)
+        solver = ParametrixSolver(Coefficients(grid, rng.uniform(0.5, 1.5, (2,) + grid.shape)))
+        tracemalloc.start()
+        try:
+            mat = solver.correction_matrix(0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * mat.nbytes
+
     def test_oversized_grid_rejected_before_allocation(self, monkeypatch):
         grid = GridSpec(dx=1.0, dim=2, radius=46)
         assert grid.site_count == 8649

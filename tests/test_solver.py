@@ -185,9 +185,11 @@ class TestSolveWithPotential:
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(dx=st.sampled_from([1.0, 0.5]), radius=st.integers(2, 8), c=st.floats(0.5, 2.0),
-           t=st.floats(0.05, 0.5), t_max_y=st.floats(0.1, 20.0), data=st.data())
-    def test_matches_oracle_on_random_data(self, dx, radius, c, t, t_max_y, data):
-        g = GridSpec(dx=dx, dim=1, radius=radius)
+           t=st.floats(0.05, 0.5), t_max_y=st.floats(0.1, 20.0), periodic=st.booleans(),
+           data=st.data())
+    def test_matches_oracle_on_random_data(self, dx, radius, c, t, t_max_y, periodic, data):
+        g = GridSpec(dx=dx, dim=1, radius=radius,
+                     boundary="periodic-wrap" if periodic else "zero-extension")
         coeffs = Coefficients.constant(g, c)
         y = data.draw(arrays(np.float64, g.shape, elements=st.floats(1e-3, 1.0)))
         y = y * (t_max_y / t / y.max())
