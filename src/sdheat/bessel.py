@@ -12,9 +12,10 @@ recurrence for the minimal solution, which is stable for all r
 rho_k = I_k / I_{k-1} = r / (2k + r rho_{k+1}), which lie in [0, 1), so
 nothing overflows and no rescaling is needed; the normalisation
 sum_n e^{-r} I_n(r) = 1 is accumulated in the same backward sweep, and
-the values are products of the ratios.  The sweep is written once in
-Python floats for a single argument (``iv_scaled``, ``iv_scaled_array``)
-and once vectorised over a batch of arguments (``iv_scaled_matrix``).
+the values are products of the ratios.  The sweep is written once,
+vectorised over a batch of arguments (``iv_scaled_matrix``);
+``iv_scaled`` and ``iv_scaled_array`` read one column of a one-argument
+batch, so callers with many arguments pass them as one batch.
 
 ``iv_scaled_quadrature`` is an independent cross-check built on the
 integral representation
@@ -30,9 +31,7 @@ magnitude estimate (which is independent of the routines under test).
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -56,49 +55,24 @@ def _miller_start(n: int, r: float) -> int:
     return math.ceil(math.sqrt(n * n + 70.0 * r)) + 15
 
 
-def _miller_sweep(nmax: int, r: float) -> tuple[list[float], float]:
-    """The sweep of ``iv_scaled_matrix`` for one argument, in Python
-    floats: tens of times faster than a one-column batch.
-
-    Returns the ratios [0, rho_1, ..., rho_nmax] and the normalisation
-    1 / (e^{-r} I_0(r)), with every operation in the batch's order.
-    """
-    ratios = [0.0] * (nmax + 1)
-    ratio = 0.0  # rho_{k+1} = I_{k+1} / I_k, zero above the start order
-    tail = 1.0   # sum_{j >= k} I_j / I_k
-    for k in range(_miller_start(nmax, r), 0, -1):
-        tail = 1.0 + ratio * tail
-        ratio = r / (2.0 * k + r * ratio)
-        if k <= nmax:
-            ratios[k] = ratio
-    # 1 / (e^{-r} I_0) = 1 + 2 sum_{j >= 1} I_j / I_0 = 1 + 2 rho_1 tail_1
-    return ratios, 1.0 + 2.0 * ratio * tail
-
-
 def iv_scaled(n: int, r: float) -> float:
     """Scaled modified Bessel function e^{-r} I_|n|(r).
 
     Exact at r = 0 (one for n = 0, zero otherwise); relative accuracy
-    around 1e-13 over |n| <= 1e6, r <= 1e6.
+    around 1e-13 over |n| <= 1e6, r <= 1e6.  Entry n of a one-column
+    ``iv_scaled_matrix`` batch.
     """
     r = _validate_r(r)
     n = abs(int(n))
     if n > 10**6:
         raise ValueError(f"order {n} out of the supported range |n| <= 1e6")
-    ratios, norm = _miller_sweep(n, r)
-    # I_n / I_0 = rho_n ... rho_1
-    return math.prod(ratios[n:0:-1]) / norm
+    return float(iv_scaled_matrix(n, np.array([r]))[n, 0])
 
 
 def iv_scaled_array(nmax: int, r: float) -> np.ndarray:
-    """All scaled orders [e^{-r} I_0(r), ..., e^{-r} I_nmax(r)] at once.
-
-    The same values as a one-column ``iv_scaled_matrix`` batch, bit for
-    bit, from the Python-float sweep.
-    """
-    ratios, norm = _miller_sweep(int(nmax), _validate_r(r))
-    ratios[0] = 1.0 / norm
-    return np.array(list(itertools.accumulate(ratios, operator.mul)))
+    """All scaled orders [e^{-r} I_0(r), ..., e^{-r} I_nmax(r)] at once:
+    a one-column ``iv_scaled_matrix`` batch."""
+    return iv_scaled_matrix(int(nmax), np.array([_validate_r(r)]))[:, 0]
 
 
 def iv_scaled_matrix(nmax: int, r_values: np.ndarray) -> np.ndarray:

@@ -112,44 +112,23 @@ def kernel_slice(grid: GridSpec, coeffs: ConstCoeffs, t: float) -> Field:
 def _spectral_nodes(n: int, r: float, floor: int) -> int:
     # trapezoid aliasing error ~ scaled order M - |n|; push it past the
     # mass tail of the kernel
+    if floor < 16:
+        raise ValueError(f"need at least 16 nodes, got {floor}")
     need = abs(n) + bessel.normalization_order(r) + 16
-    m = max(int(floor), 16)
+    m = int(floor)
     while m < need:
         m *= 2
     return m
 
 
-def spectral_factor(n: int, t: float, c: float, dx: float, nodes: int) -> complex:
-    """One-dimensional spectral representation via periodic trapezoid.
-
-    Evaluates dx^-1 times the integral over theta in [-1/2, 1/2) of
-    exp(-(4 c t / dx^2) sin^2(pi theta)) e^{2 pi i n theta}; the rule is
-    exact to spectral accuracy and ``nodes`` acts as a floor on the node
-    count (more are used when the integrand demands it).
-    """
-    if nodes < 16:
-        raise ValueError(f"need at least 16 nodes, got {nodes}")
-    r = 2.0 * c * t / dx**2
-    m = _spectral_nodes(n, r, nodes)
-    theta = -0.5 + np.arange(m) / m
-    integrand = np.exp(-2.0 * r * np.sin(np.pi * theta) ** 2) * np.exp(2j * np.pi * n * theta)
-    return complex(integrand.sum() / (m * dx))
-
-
-def kernel_spectral(alpha: Sequence[int], t: float, coeffs: ConstCoeffs, dx: float,
-                    nodes: int = 256) -> float:
-    """Kernel via the inverse-Fourier trapezoid rule (independent route)."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    alpha = tuple(int(a) for a in alpha)
-    out = 1.0 + 0.0j
-    for a, c in zip(alpha, coeffs.c):
-        out *= spectral_factor(a, t, c, dx, nodes)
-    return float(out.real)
-
-
 def spectral_axis_values(radius: int, t: float, c: float, dx: float, nodes: int = 256) -> np.ndarray:
-    """All 1-d spectral factors for offsets -radius..radius via one FFT."""
+    """1-d spectral factors for offsets -radius..radius via one FFT.
+
+    The periodic trapezoid rule for dx^-1 times the integral over theta
+    in [-1/2, 1/2) of exp(-(4 c t / dx^2) sin^2(pi theta)) e^{2 pi i n
+    theta}; it is exact to spectral accuracy, and ``nodes`` (at least 16)
+    is a floor on the node count, doubled while the kernel demands more.
+    """
     r = 2.0 * c * t / dx**2
     m = _spectral_nodes(radius, r, nodes)
     theta = -0.5 + np.arange(m) / m
@@ -160,6 +139,16 @@ def spectral_axis_values(radius: int, t: float, c: float, dx: float, nodes: int 
     n = np.arange(-radius, radius + 1)
     vals = np.real(bins[np.mod(n, m)] * (-1.0) ** np.abs(n))
     return vals / dx
+
+
+def kernel_spectral(alpha: Sequence[int], t: float, coeffs: ConstCoeffs, dx: float,
+                    nodes: int = 256) -> float:
+    """Kernel via the inverse-Fourier trapezoid rule (independent route):
+    the product of the last entries of ``spectral_axis_values(|alpha_j|, ...)``."""
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    return math.prod(float(spectral_axis_values(abs(int(a)), t, c, dx, nodes)[-1])
+                     for a, c in zip(alpha, coeffs.c))
 
 
 def series_tail_ok(t: float, coeffs: ConstCoeffs, grid: GridSpec, terms: int,

@@ -236,8 +236,11 @@ class ParametrixSolver:
     (npts, s) per direction and image, and builds no s x s array.  A
     ladder build keeps the W of every target while it runs its orders
     (about N^2 s^2 / 2 entries for N nodes and s sites); a built ladder
-    keeps only Phi, per horizon.  Gamma is not cached: each call assembles it afresh, and
-    callers that apply one operator many times keep it themselves.
+    keeps only Phi, per horizon.  A march likewise keeps the W of every
+    node for its whole run, sum_i n_i s^2 entries for node i reading n_i
+    nodes: 4992 s^2 at 96 nodes, a 2.7 GB peak at 257 sites.  Gamma is
+    not cached: each call assembles it afresh, and callers that apply one
+    operator many times keep it themselves.
 
     Kernels are folded on a torus, the mirror image subtracted on
     zero-extension grids (``_folded_offsets``), so Gamma is the fundamental
@@ -463,6 +466,15 @@ class ParametrixSolver:
                 c[row, panel] += w * lw
         return list(rows), c[:len(rows)]
 
+    def _end_step(self, t: float, nodes: np.ndarray, weights: np.ndarray,
+                  bp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A(t) and the plan of t contracted with the frozen kernels, W of
+        shape (s, n s) over the n nodes the plan reads: the last step of a
+        Gamma assembly and of a march piece, dx^d (A(t) u + W @ rho)."""
+        times, c = self._conv_plan(t, nodes, weights, bp)
+        kernels = self._kernel_stack(times + [t])
+        return kernels[-1], _contract(c, kernels[:-1])
+
     def _contracted_panels(self, targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
                            bp: np.ndarray, kernels: Callable[[list[float]], np.ndarray]
                            ) -> list[tuple[int, int, np.ndarray]]:
@@ -563,7 +575,9 @@ class ParametrixSolver:
         (I - dx^d W_pp) rho_p = f_p + dx^d K_Y(x_p) u(t0) + dx^d W_p< rho_<.
         The plans, the W buffer (I - dx^d W_pp formed in it in place) and
         the kernels depend on h alone and are built once; a piece repeats
-        only its right-hand sides and panel solves.  ``potential`` None
+        only its right-hand sides and panel solves.  The buffer holds the W
+        of every node for the whole run (4992 s^2 doubles at 96 nodes, a 2.7
+        GB peak at s = 257), not only the current panel's.  ``potential`` None
         means Y = 0, so K_Y = K.  ``source(times)`` gives f at a piece's
         node times (offset by ``start``) as a (nodes, s) array, None meaning
         f = 0.  Returns u at every ``every``-th piece end, shape
@@ -581,9 +595,7 @@ class ParametrixSolver:
             own *= -vol
             np.einsum("ii->i", own)[:] += 1.0
         k_nodes = k_y(nodes)
-        times, c = self._conv_plan(h, nodes, weights, bp)
-        kernels = self._kernel_stack(times + [h])
-        w_end = _contract(c, kernels[:-1])
+        a_end, w_end = self._end_step(h, nodes, weights, bp)
         u = np.asarray(u0, dtype=float).reshape(-1)
         out = np.empty((pieces // every, s))
         rho = np.empty((nodes.size, s))
@@ -599,7 +611,7 @@ class ParametrixSolver:
                 rho[lo:hi] = x.reshape(hi - lo, s)
                 scale = max(float(np.abs(b).max()), np.finfo(float).tiny)
                 residual = max(residual, float(np.abs(own @ x - b).max()) / scale)
-            u = vol * (kernels[-1] @ u + w_end @ rho.reshape(-1))
+            u = vol * (a_end @ u + w_end @ rho.reshape(-1))
             if (i + 1) % every == 0:
                 out[i // every] = u
         return out, residual
@@ -619,16 +631,13 @@ class ParametrixSolver:
             dirac = self.kernel_matrix(t)
             return dirac if rhs is None else dirac @ rhs
         lad = self.ladder(t)
-        times, c = self._conv_plan(t, lad.times, lad.weights, lad.breakpoints)
-        kernels = self._kernel_stack(times + [t])
-        w = _contract(c, kernels[:-1])
-        phi = lad.values[:c.shape[1]]
+        a_t, w = self._end_step(t, lad.times, lad.weights, lad.breakpoints)
+        phi = lad.values[:w.shape[1] // self.grid.site_count]
         if rhs is None:
             out = w @ phi.reshape(w.shape[1], -1)
-            a_t = kernels[-1]
         else:
             out = w @ (phi @ rhs).reshape(-1)
-            a_t = kernels[-1] @ rhs
+            a_t = a_t @ rhs
         out *= self.grid.cell_volume
         out += a_t
         return out

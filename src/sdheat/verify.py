@@ -3,7 +3,7 @@
 Each suite function runs a self-contained numerical experiment and
 returns a report dict {"suite", "pass", "metrics", ...}; the CLI
 serialises it as JSON and the acceptance tests assert on it.  All
-suites are deterministic for a fixed seed.
+suites are deterministic.
 """
 
 from __future__ import annotations
@@ -54,12 +54,13 @@ def suite_mass() -> dict:
 def suite_bessel_cross() -> dict:
     """Scaled-Bessel routine against the integral-representation oracle."""
     cfg = {"orders": "0..60", "r": "10^k, k=-3..4", "rel_tol": 1e-10}
+    rs = [10.0**k for k in range(-3, 5)]
+    batch = bessel.iv_scaled_matrix(60, np.array(rs))
     worst = 0.0
     worst_at = None
     for n in range(0, 61):
-        for k in range(-3, 5):
-            r = 10.0**k
-            iv = bessel.iv_scaled(n, r)
+        for j, r in enumerate(rs):
+            iv = float(batch[n, j])
             qd = bessel.iv_scaled_quadrature(n, r)
             dev = abs(iv - qd) / max(iv, 1e-300)
             if dev > worst:
@@ -110,11 +111,12 @@ def _lorentz_sweep_1d(dx: float, m: int, cbar: float = 1.0) -> float:
     ts = np.logspace(math.log10(t_min), 1.0, int(40 * decades) + 1)
     x_max = 24.0
     n_box = int(x_max / dx)
+    rs = 2.0 * cbar * ts / dx**2
+    n_effs = [min(n_box, bessel.normalization_order(r) + m + 2) for r in rs]
+    batch = bessel.iv_scaled_matrix(max(n_effs) + m, rs) / dx
     sup = 0.0
-    for t in ts:
-        r = 2.0 * cbar * t / dx**2
-        n_eff = min(n_box, bessel.normalization_order(r) + m + 2)
-        arr = bessel.iv_scaled_array(n_eff + m, r) / dx
+    for t, n_eff, col in zip(ts, n_effs, batch.T):
+        arr = col[:n_eff + m + 1]
         vals = np.concatenate([arr[::-1], arr[1:]])  # offsets -n_eff-m .. n_eff+m
         for _ in range(m):
             vals = (vals[1:] - vals[:-1]) / dx
@@ -148,12 +150,13 @@ def suite_gaussian() -> dict:
     checked = 0
     n = np.arange(0, 65)
     for dx in cfg["dx"]:
-        for t in ts:
-            log_kernel = {}
-            for c in cfg["c"]:
-                vals = bessel.iv_scaled_array(64, 2.0 * c * t / dx**2) / dx
-                with np.errstate(divide="ignore"):
-                    log_kernel[c] = np.log(vals)
+        # one batch per spacing over every (t, c)
+        rs = np.array([[2.0 * c * t / dx**2 for c in cfg["c"]] for t in ts])
+        with np.errstate(divide="ignore"):
+            log_batch = np.log(bessel.iv_scaled_matrix(64, rs.reshape(-1)) / dx)
+        log_batch = log_batch.reshape(n.size, *rs.shape)
+        for i, t in enumerate(ts):
+            log_kernel = dict(zip(cfg["c"], log_batch[:, i].T))
             for d in (1, 2):
                 combos = [(c,) for c in cfg["c"]] if d == 1 else \
                     [(c1, c2) for c1 in cfg["c"] for c2 in cfg["c"]]
@@ -347,14 +350,11 @@ def suite_pang(samples: int = 50) -> dict:
 
     def fit(npts: int) -> tuple[float, dict]:
         ts = np.logspace(-3, 2, npts)
-        best = 0.0
-        arg = None
-        for n in range(1, 65):
-            for t in ts:
-                ratio = bessel.iv_scaled(n, 2.0 * t) / bounds.pang_rhs(n, t)
-                if ratio > best:
-                    best, arg = ratio, {"n": n, "t": float(t)}
-        return best, arg
+        rhs = np.array([[bounds.pang_rhs(n, t) for t in ts] for n in range(1, 65)])
+        ratio = bessel.iv_scaled_matrix(64, 2.0 * ts)[1:] / rhs
+        # first maximum in (n, t) order
+        n, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+        return float(ratio[n, j]), {"n": int(n) + 1, "t": float(ts[j])}
 
     c1, arg1 = fit(samples)
     c2, _ = fit(2 * samples)

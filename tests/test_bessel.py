@@ -69,6 +69,14 @@ class TestIvScaled:
                 assert arr.shape == ref.shape
                 assert np.all(np.abs(arr - ref) <= 1e-13 * np.abs(ref))
 
+    def test_scalar_routes_are_one_column_batches(self):
+        # bit for bit: iv_scaled and iv_scaled_array read one column of the sweep
+        for r in (0.0, 1e-300, 1e-3, 0.7, 2.0, 29.9, 30.1, 412.0, 1e4):
+            for n in (0, 1, 5, 13, 64):
+                assert bessel.iv_scaled(n, r) == bessel.iv_scaled_matrix(n, [r])[n, 0]
+                assert np.array_equal(bessel.iv_scaled_array(n, r),
+                                      bessel.iv_scaled_matrix(n, [r])[:, 0])
+
     def test_matrix_matches_scalar(self):
         rs = np.array([0.0, 1e-2, 3.0, 29.0, 31.0, 222.2])
         mat = bessel.iv_scaled_matrix(20, rs)

@@ -160,11 +160,18 @@ class TestVerifySubcommand:
     def test_unknown_flag_exit_2(self):
         assert run_cli("kernel", "--nonsense") == 2
 
+    def test_unread_options_are_gone(self, tmp_path):
+        out = str(tmp_path / "o.csv")
+        assert run_cli("verify", "--suite", "mass", "--seed", "7", "--out", out) == 2
+        assert run_cli("oracle", "--dx", "0.25", "--radius", "4", "--coeff", "const:1",
+                       "--time", "0.1", "--quad-nodes", "16", "--out", out) == 2
+        assert not (tmp_path / "o.csv").exists()
+
     def test_report_determinism(self, tmp_path):
         out = str(tmp_path / "rep.json")
-        run_cli("verify", "--suite", "mass", "--seed", "7", "--out", out)
+        run_cli("verify", "--suite", "mass", "--out", out)
         first = Path(out).read_bytes()
-        run_cli("verify", "--suite", "mass", "--seed", "7", "--out", out)
+        run_cli("verify", "--suite", "mass", "--out", out)
         assert Path(out).read_bytes() == first
 
 

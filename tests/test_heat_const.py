@@ -12,7 +12,7 @@ from sdheat.heat_const import (
     kernel_slice,
     kernel_spectral,
     recommended_radius,
-    spectral_factor,
+    spectral_axis_values,
 )
 from sdheat.lattice import Field, GridSpec, lp_norm
 from sdheat.oracle import residual
@@ -75,13 +75,14 @@ class TestSpectral:
         v = kernel_spectral((0,), 0.5, ConstCoeffs.of(1.0), 1.0, nodes=512)
         assert v == pytest.approx(IV_0_1, abs=1e-10)
 
-    def test_imaginary_part_small(self):
-        f = spectral_factor(7, 0.5, 1.0, 1.0, nodes=64)
-        assert abs(f.imag) <= 1e-13
+    def test_even_in_offset(self):
+        # the trapezoid sum has no odd (imaginary) part: factors are even in n
+        vals = spectral_axis_values(7, 0.5, 1.0, 1.0, nodes=64)
+        assert np.abs(vals - vals[::-1]).max() <= 1e-13
 
     def test_node_floor(self):
         with pytest.raises(ValueError):
-            spectral_factor(0, 1.0, 1.0, 1.0, nodes=8)
+            kernel_spectral((0,), 1.0, ConstCoeffs.of(1.0), 1.0, nodes=8)
 
     def test_agreement_with_bessel(self):
         for dx in (1.0, 0.25):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sdheat.heat_const import recommended_radius
 from sdheat.lattice import Field, GridSpec
 from sdheat.oracle import evolve_with_potential, gamma_oracle
 from sdheat.parametrix import Coefficients, ParametrixSolver
@@ -91,8 +90,8 @@ class TestSolveWithPotential:
         assert np.abs(a.values - b.values).max() <= 1e-8
 
     def test_exponential_decay(self):
-        dx = 0.25
-        g = GridSpec(dx=dx, dim=1, radius=recommended_radius(0.25, 1.0, dx))
+        # constant c, psi and Y on a periodic box: the answer is the same on any radius
+        g = GridSpec(dx=0.25, dim=1, radius=4)
         coeffs = Coefficients.constant(g, 1.0)
         lam = 1.3
         prob = CauchyProblem(coeffs, Field.constant(g, 1.0),
