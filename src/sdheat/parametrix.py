@@ -35,10 +35,10 @@ with its correction kernels and runs every order as one product per
 panel of targets, K^(m)(x_i) = dx^d W_i @ K^(m-1); Gamma contracts its
 target with A and applies W to Phi (or to Phi times a vector).  With a
 potential Y the correction kernel is K_Y = K - diag(Y) A, and a Cauchy
-solve contracts each target with K_Y (K when Y = 0) the same way, then
-marches the Volterra equation panel by panel (``march``).  Kernel
-matrices live only while their target is contracted.  The per-order sup
-norms decay like
+solve contracts each target with K_Y (K when Y = 0) the same way and
+marches the Volterra equation panel by panel, one panel's W at a time
+(``march``).  Kernel matrices live only while their target is
+contracted.  The per-order sup norms decay like
 C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order is chosen by
 fitting C and C3 to the measured norms and summing the analytic tail.
 A built ladder is one ``PhiSeries``: Phi on the nodes of the rule, the
@@ -236,11 +236,11 @@ class ParametrixSolver:
     (npts, s) per direction and image, and builds no s x s array.  A
     ladder build keeps the W of every target while it runs its orders
     (about N^2 s^2 / 2 entries for N nodes and s sites); a built ladder
-    keeps only Phi, per horizon.  A march likewise keeps the W of every
-    node for its whole run, sum_i n_i s^2 entries for node i reading n_i
-    nodes: 4992 s^2 at 96 nodes, a 2.7 GB peak at 257 sites.  Gamma is
-    not cached: each call assembles it afresh, and callers that apply one
-    operator many times keep it themselves.
+    keeps only Phi, per horizon.  A march keeps the W of one panel of
+    targets at a time, in one buffer sized for the last panel: 8 N s^2
+    entries, 13 MB at 65 sites and 48 nodes.  Gamma is not cached: each
+    call assembles it afresh, and callers that apply one operator many
+    times keep it themselves.
 
     Kernels are folded on a torus, the mirror image subtracted on
     zero-extension grids (``_folded_offsets``), so Gamma is the fundamental
@@ -555,6 +555,55 @@ class ParametrixSolver:
 
     # -- Cauchy problems ---------------------------------------------------------
 
+    def _march_panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
+                      kernels: Callable[[list[float]], np.ndarray], rho: np.ndarray,
+                      adjoint: bool = False) -> float:
+        """Solve (I - V) rho = b for k right-hand sides at once, in place:
+        ``rho``, shape (nodes s, k), holds the k columns of b on entry and
+        of rho on exit.  V rho = dx^d int_0^x K(x - s) rho(s) ds at the
+        nodes of the rule, K given by ``kernels``; with ``adjoint`` the
+        system is (I - V)^T rho = b instead.
+
+        The targets of panel p read the nodes up to its own end, so V is
+        block lower triangular in the panels of the rule.  A panel's plans
+        are contracted into one (targets s, n s) W in a buffer sized for
+        the last panel and reused by every panel, so only one panel's W is
+        alive at a time; I - dx^d W_pp is formed in the buffer in place.
+        Forward, panel p is one dense solve of all k columns,
+        (I - dx^d W_pp) rho_p = b_p + dx^d W_p< rho_<.  The adjoint takes
+        the panels last to first, solves (I - dx^d W_pp)^T rho_p = b_p and
+        adds dx^d W_p<^T rho_p to the right-hand sides of the panels below.
+        Returns the largest relative residual of the panel solves, column
+        by column.
+        """
+        vol = self.grid.cell_volume
+        s = self.grid.site_count
+        buffer = np.empty(PANEL_POINTS * s * nodes.size * s)
+        residual = 0.0
+        firsts = range(0, nodes.size, PANEL_POINTS)
+        for lo in reversed(firsts) if adjoint else firsts:
+            hi = lo + PANEL_POINTS
+            block = s * hi * s
+            for j, x in enumerate(nodes[lo:hi]):
+                times, c = self._conv_plan(float(x), nodes, weights, bp)
+                _contract(c, kernels(times), buffer[j * block:(j + 1) * block])
+            w = buffer[:PANEL_POINTS * block].reshape(-1, hi * s)
+            own = w[:, lo * s:]
+            own *= -vol
+            np.einsum("ii->i", own)[:] += 1.0
+            b = rho[lo * s:hi * s]
+            if adjoint:
+                own = own.T
+            else:
+                b += vol * (w[:, :lo * s] @ rho[:lo * s])
+            x = np.linalg.solve(own, b)
+            scale = np.maximum(np.abs(b).max(axis=0), np.finfo(float).tiny)
+            residual = max(residual, float((np.abs(own @ x - b).max(axis=0) / scale).max()))
+            b[...] = x
+            if adjoint:
+                rho[:lo * s] += w[:, :lo * s].T @ (vol * x)
+        return residual
+
     def march(self, h: float, u0: np.ndarray, pieces: int, potential: np.ndarray | None = None,
               source: Callable[[np.ndarray], np.ndarray] | None = None, start: float = 0.0,
               every: int = 1) -> tuple[np.ndarray, float]:
@@ -566,52 +615,54 @@ class ParametrixSolver:
         Parabolic Type*, 1964, ch. 1), the piece from t0 is
 
             u(t0 + x) = dx^d A(x) u(t0) + dx^d int_0^x A(x - s) rho(s) ds,
-            rho = f + dx^d K_Y u(t0) + dx^d K_Y * rho.
+            rho = f + dx^d K_Y u(t0) + dx^d K_Y * rho,
 
-        rho is solved at the nodes of the rule on (0, h) panel by panel (H.
-        Brunner, *Collocation Methods for Volterra Integral and Related
-        Functional Equations*, 2004): a target's plan reads nodes only up to
-        the end of its panel, so panel p is one dense solve of
-        (I - dx^d W_pp) rho_p = f_p + dx^d K_Y(x_p) u(t0) + dx^d W_p< rho_<.
-        The plans, the W buffer (I - dx^d W_pp formed in it in place) and
-        the kernels depend on h alone and are built once; a piece repeats
-        only its right-hand sides and panel solves.  The buffer holds the W
-        of every node for the whole run (4992 s^2 doubles at 96 nodes, a 2.7
-        GB peak at s = 257), not only the current panel's.  ``potential`` None
-        means Y = 0, so K_Y = K.  ``source(times)`` gives f at a piece's
-        node times (offset by ``start``) as a (nodes, s) array, None meaning
-        f = 0.  Returns u at every ``every``-th piece end, shape
-        (pieces // every, s), and the largest relative residual of the panel
-        solves.
+        rho taken at the nodes of the rule on (0, h) and the piece's end
+        contracted into dx^d (A(h) u(t0) + W_h rho) (``_end_step``).  rho
+        solves (I - V) rho = f + dx^d K_Y u(t0) panel by panel
+        (``_march_panels``; H. Brunner, *Collocation Methods for Volterra
+        Integral and Related Functional Equations*, 2004, ch. 2).  One
+        piece marches that single column.  The march is linear in u and f,
+        so more pieces are u <- P u + G f_i, f_i the source at the node
+        times of piece i: G = dx^d W_h (I - V)^-1 comes from one adjoint
+        march of the s columns of W_h^T, and the one-piece propagator
+        P = dx^d (A(h) + G K_Y) = Gamma_Y(h) dx^d from G.  Each piece is
+        then one product with P and one with G, and no panel is built or
+        solved twice.  ``potential`` None means Y = 0, so K_Y = K.
+        ``source(times)`` gives f at a piece's node times (offset by
+        ``start``) as a (nodes, s) array, None meaning f = 0.  Returns u at
+        every ``every``-th piece end, shape (pieces // every, s), and the
+        largest relative residual of the panel solves.
         """
+        if not (pieces >= 1 and every >= 1 and pieces % every == 0):
+            raise ValueError(f"need pieces >= 1 and every dividing it, got pieces={pieces}, "
+                             f"every={every}")
         vol = self.grid.cell_volume
         s = self.grid.site_count
         y = None if potential is None else np.asarray(potential, dtype=float).reshape(-1)
         nodes, weights, bp = self.quad.points_with_panels(h, layer=self._layer_scale())
         k_y = partial(self._kernel_stack, correction=True, potential=y)
-        panels = self._contracted_panels(nodes, nodes, weights, bp, k_y)
-        for lo, _, w in panels:
-            own = w[:, lo * s:]  # W_pp: a target reads nodes up to its own panel's end
-            own *= -vol
-            np.einsum("ii->i", own)[:] += 1.0
-        k_nodes = k_y(nodes)
-        a_end, w_end = self._end_step(h, nodes, weights, bp)
         u = np.asarray(u0, dtype=float).reshape(-1)
-        out = np.empty((pieces // every, s))
-        rho = np.empty((nodes.size, s))
-        residual = 0.0
-        for i in range(pieces):
-            rhs = vol * (k_nodes @ u)
+        if pieces == 1:
+            rho = vol * (k_y(nodes) @ u)
             if source is not None:
-                rhs += source(start + i * h + nodes)
-            for lo, hi, w in panels:
-                own, b = w[:, lo * s:], rhs[lo:hi].reshape(-1)
-                b += vol * (w[:, :lo * s] @ rho[:lo].reshape(-1))
-                x = np.linalg.solve(own, b)
-                rho[lo:hi] = x.reshape(hi - lo, s)
-                scale = max(float(np.abs(b).max()), np.finfo(float).tiny)
-                residual = max(residual, float(np.abs(own @ x - b).max()) / scale)
-            u = vol * (a_end @ u + w_end @ rho.reshape(-1))
+                rho += source(start + nodes)
+            rho = rho.reshape(-1, 1)
+            residual = self._march_panels(nodes, weights, bp, k_y, rho)
+            a_end, w_end = self._end_step(h, nodes, weights, bp)
+            return (vol * (a_end @ u + w_end @ rho.reshape(-1)))[None], residual
+
+        a_end, g = self._end_step(h, nodes, weights, bp)
+        residual = self._march_panels(nodes, weights, bp, k_y, g.T, adjoint=True)
+        g *= vol
+        prop = g @ k_y(nodes).reshape(-1, s)
+        prop += a_end
+        prop *= vol
+        out = np.empty((pieces // every, s))
+        for i in range(pieces):
+            u = prop @ u
+            if source is not None:
+                u += g @ source(start + i * h + nodes).reshape(-1)
             if (i + 1) % every == 0:
                 out[i // every] = u
         return out, residual

@@ -4,7 +4,10 @@ u' = L u - Y u + f,  u(0) = psi  (Y = 0 without a potential) is solved by
 putting the potential into the correction kernel, K_Y = K - diag(Y) A,
 and marching the parametrix Volterra equation over equal time pieces
 (``ParametrixSolver.march``): from each requested time to the next, so a
-run of output times is one march.
+run of output times is one march.  A march of one piece solves for its
+initial data alone; a march of more pieces builds the one-piece
+propagator, and the map from a piece's source to its end, once and
+applies them piece by piece.
 """
 
 from __future__ import annotations
@@ -76,8 +79,10 @@ def _solve(prob: CauchyProblem, times: Sequence[float], solver: ParametrixSolver
     The interval d up to a time is cut into n = max(1, ceil(d max|Y|))
     pieces of equal length, short enough to keep the solution smooth
     where Y makes it decay fast.  A run of equal intervals (equal up to
-    rounding of the times) is one ``ParametrixSolver.march`` and shares
-    its build.  The error is the time rule's: on the AC-11 problem at
+    rounding of the times) is one ``ParametrixSolver.march``: a single
+    piece is solved for its own initial data, and more pieces build the
+    propagator of a piece once, so each piece is then one s x s product
+    (and one product with the source map).  The error is the time rule's: on the AC-11 problem at
     dx = 1/8, T = 0.25 and 48 quadrature nodes the solution is 3.9e-9 from
     the certified oracle, and nothing here estimates it.  ``report`` gets
     the pieces in ``panels`` and the largest relative residual of the

@@ -17,7 +17,7 @@ from sdheat.heat_const import (
 from sdheat.lattice import Field, GridSpec, lp_norm
 from sdheat.oracle import residual
 from sdheat.parametrix import Coefficients
-from sdheat.solver import CauchyProblem, solve_inhomogeneous
+from sdheat.solver import CauchyProblem, _solve, solve_inhomogeneous
 
 IV_0_1 = 0.46575960759364043
 
@@ -190,7 +190,8 @@ class TestDuhamelConst:
         assert np.abs(u.values - semigroup(psi.values, 0.5, g.dx)).max() <= 1e-13
 
     def test_constant_source_grows_linearly(self):
-        g = GridSpec(dx=0.5, dim=1, radius=recommended_radius(0.8, 1.0, 0.5))
+        # constant data on a periodic box: the answer does not depend on the radius
+        g = GridSpec(dx=0.5, dim=1, radius=8)
         ones = Field.constant(g, 1.0)
         prob = CauchyProblem(Coefficients.constant(g, 1.0), Field.constant(g, 0.0),
                              source=lambda s: ones, horizon=0.8)
@@ -209,8 +210,8 @@ class TestDuhamelConst:
         fv = Field(g, sum(rng.normal() * np.cos(2 * np.pi * k * x / length) for k in range(3)))
         h = 1e-3
         prob = CauchyProblem(coeffs, psi, source=lambda s: fv, horizon=0.5 + h)
-        us = [solve_inhomogeneous(prob, t) for t in (0.5 - h, 0.5, 0.5 + h)]
-        res = residual(us, [0.5 - h, 0.5, 0.5 + h], coeffs, f=lambda s: fv)
+        times = [0.5 - h, 0.5, 0.5 + h]
+        res = residual(_solve(prob, times, None, None), times, coeffs, f=lambda s: fv)
         assert res <= 1e-6
 
     def test_rejects_nonfinite_source(self):

@@ -11,7 +11,7 @@ from sdheat import bessel, bounds, oracle
 from sdheat.heat_const import ConstCoeffs, kernel_1d, kernel_nd, recommended_radius
 from sdheat.lattice import Field, GridSpec, forward_diff, laplacian_array
 from sdheat.parametrix import Coefficients, ParametrixSolver, _contract, k1
-from sdheat.quadrature import TimeQuadrature
+from sdheat.quadrature import PANEL_POINTS, TimeQuadrature
 
 
 class TestCoefficients:
@@ -505,6 +505,90 @@ class TestGammaEntryPoints:
         assert np.array_equal(solver.gamma_operator(0.0), dirac)
         assert np.array_equal(solver.gamma_column((0,), 0.0).values, Field.dirac(grid).values)
         assert np.array_equal(solver.gamma_apply(0.0, v), v)
+
+
+class TestMarch:
+    """The Cauchy march: one panel's W at a time, and a multi-piece run as
+    one propagator that agrees with the pieces marched one by one."""
+
+    @pytest.mark.parametrize("pieces", [1, 3])
+    def test_one_panel_weights_alive(self, pieces):
+        # the W of the last panel (8 targets reading all 48 nodes) is 13 MB;
+        # the W of every node together would be 45 MB
+        grid = GridSpec(dx=0.125, dim=1, radius=32)
+        coeffs = Coefficients.from_function(grid, lambda x: 1.0 + 0.5 * np.sin(2.0 * np.pi * x))
+        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=48))
+        s = grid.site_count
+        f = np.sin(np.arange(s))
+        panel_w = PANEL_POINTS * s * 48 * s * 8
+        tracemalloc.start()
+        try:
+            ends, _ = solver.march(0.25 / pieces, np.cos(np.arange(s)), pieces, np.full(s, 0.7),
+                                   lambda ts: np.tile(f, (ts.size, 1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ends.shape == (pieces, s) and np.all(np.isfinite(ends))
+        assert peak < 2 * panel_w
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), data=st.data(),
+           h=st.floats(0.02, 0.3), with_y=st.booleans(), with_f=st.booleans(),
+           pieces=st.integers(2, 4), seed=st.integers(0, 2**16))
+    def test_propagator_matches_chained_pieces(self, dim, periodic, data, h, with_y, with_f,
+                                               pieces, seed):
+        radius = data.draw(st.integers(1, 6 if dim == 1 else 3))
+        every = data.draw(st.sampled_from([e for e in (1, 2, 4) if pieces % e == 0]))
+        grid = GridSpec(dx=0.5, dim=dim, radius=radius,
+                        boundary="periodic-wrap" if periodic else "zero-extension")
+        rng = np.random.default_rng(seed)
+        solver = ParametrixSolver(Coefficients(grid, rng.uniform(0.5, 1.5, (dim,) + grid.shape)),
+                                  TimeQuadrature(nodes=16))
+        s = grid.site_count
+        y = rng.uniform(0.0, 5.0, s) if with_y else None
+        f0, f1 = rng.uniform(-1.0, 1.0, (2, s))
+        source = (lambda ts: np.cos(ts)[:, None] * f0 + f1) if with_f else None
+        u0 = rng.uniform(-1.0, 1.0, s)
+        ends, _ = solver.march(h, u0, pieces, y, source, start=0.1, every=every)
+        u, chained = u0, []
+        for i in range(pieces):
+            u = solver.march(h, u, 1, y, source, start=0.1 + i * h)[0][0]
+            chained.append(u)
+        want = np.array(chained[every - 1::every])
+        assert ends.shape == want.shape
+        assert np.abs(ends - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_many_pieces_build_once(self, monkeypatch):
+        # 13 pieces with a source on 3 sites stack as many kernels as one piece
+        grid = GridSpec(dx=0.5, dim=1, radius=1, boundary="zero-extension")
+        solver = ParametrixSolver(Coefficients(grid, np.array([[0.7, 1.3, 1.0]])),
+                                  TimeQuadrature(nodes=16))
+        y = np.array([2.0, 0.5, 1.0])
+        source = lambda ts: np.outer(np.cos(3.0 * ts), [1.0, -0.5, 0.25])  # noqa: E731
+        u0 = np.array([1.0, -1.0, 0.5])
+        stacks = []
+        real_stack = ParametrixSolver._kernel_stack
+
+        def counted(self, *args, **kwargs):
+            stacks.append(1)
+            return real_stack(self, *args, **kwargs)
+
+        monkeypatch.setattr(ParametrixSolver, "_kernel_stack", counted)
+        ends, _ = solver.march(0.05, u0, 13, y, source)
+        built = len(stacks)
+        u = u0
+        for i in range(13):
+            stacks.clear()
+            u = solver.march(0.05, u, 1, y, source, start=i * 0.05)[0][0]
+            assert len(stacks) == built
+            assert np.abs(ends[i] - u).max() <= 1e-13 * np.abs(u).max()
+
+    @pytest.mark.parametrize("pieces, every", [(0, 1), (3, 2), (4, 0), (2, 3)])
+    def test_rejects_pieces_every_mismatch(self, small_var_coeffs, pieces, every):
+        solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=16))
+        u0 = np.ones(small_var_coeffs.grid.site_count)
+        with pytest.raises(ValueError, match="every"):
+            solver.march(0.1, u0, pieces, every=every)
 
 
 class TestPropagation:
