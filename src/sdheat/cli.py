@@ -211,7 +211,8 @@ def cmd_verify(args) -> int:
     if runtime is not None:
         print(f"suite {args.suite} finished in {runtime}s", file=sys.stderr)
     rep["config_echo"] = {"subcommand": args.subcommand,
-                          "options": {k: v for k, v in vars(args).items() if k != "subcommand"}}
+                          "options": {k: v for k, v in vars(args).items()
+                                      if k not in ("subcommand", "run")}}
     _write_json(args.out, rep)
     return 0 if rep["pass"] else 3
 
@@ -226,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, nargs="+", default=[1.0])
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_kernel)
 
-    for name in ("gamma", "oracle"):
+    for name, run in (("gamma", cmd_gamma), ("oracle", cmd_oracle)):
         p = sub.add_parser(name, help=f"{name} fundamental-solution column")
         _grid_args(p)
         p.add_argument("--coeff", required=True,
@@ -238,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--quad-nodes", type=int, default=96)
         p.add_argument("--beta", type=int, nargs="+", default=None)
         p.add_argument("--out", required=True)
+        p.set_defaults(run=run)
 
     p = sub.add_parser("compare", help="distances between two field CSVs")
     p.add_argument("--a", required=True)
@@ -245,12 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dx", type=float, default=1.0)
     p.add_argument("--norm", choices=("l1", "l2", "linf", "all"), default="all")
     p.add_argument("--out", default=None)
+    p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("bound-check", help="empirical bound constants")
     p.add_argument("--bound", required=True,
                    help="lorentz-m0 | lorentz-m1 | lorentz-m2 | gaussian | pang | prop53")
     p.add_argument("--dx", type=float, nargs="+", default=None)
     p.add_argument("--out", default=None)
+    p.set_defaults(run=cmd_bound_check)
 
     p = sub.add_parser("solve", help="solve a Cauchy problem")
     _grid_args(p)
@@ -262,10 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slices", type=int, default=1)
     p.add_argument("--quad-nodes", type=int, default=96)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_solve)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--out", default=None)
+    p.set_defaults(run=cmd_verify)
     return ap
 
 
@@ -276,23 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.subcommand == "kernel":
-            return cmd_kernel(args)
-        if args.subcommand == "gamma":
-            return cmd_gamma(args)
-        if args.subcommand == "oracle":
-            return cmd_oracle(args)
-        if args.subcommand == "compare":
-            return cmd_compare(args)
-        if args.subcommand == "bound-check":
-            return cmd_bound_check(args)
-        if args.subcommand == "solve":
-            return cmd_solve(args)
-        if args.subcommand == "verify":
-            return cmd_verify(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         return _usage_error(str(exc))
-    return _usage_error(f"unknown subcommand {args.subcommand!r}")
 
 
 if __name__ == "__main__":

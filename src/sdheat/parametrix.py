@@ -30,15 +30,15 @@ at fresh Gauss points, where the kernel is exact and the smooth recursive
 factor is interpolated inside its panel.  So the plan of a target is one
 weight matrix C (a row per kernel time, a column per node), and
 ``_contract`` turns C and the target's kernels into W = sum_r C[r, c]
-F(tau_r), stacked over the nodes c.  The ladder contracts each target once
-with its correction kernels and runs every order as one product per
-panel of targets, K^(m)(x_i) = dx^d W_i @ K^(m-1); Gamma contracts its
-target with A and applies W to Phi (or to Phi times a vector).  With a
-potential Y the correction kernel is K_Y = K - diag(Y) A, and a Cauchy
-solve contracts each target with K_Y (K when Y = 0) the same way and
-marches the Volterra equation panel by panel, one panel's W at a time
-(``march``).  Kernel matrices live only while their target is
-contracted.  The per-order sup norms decay like
+F(tau_r), stacked over the nodes c.  One generator, ``_panels``,
+contracts the targets of each panel of the rule with the correction
+kernel K_Y = K - diag(Y) A of a potential Y (K without one) into one W
+per panel.  The ladder keeps every panel's W and runs each order as one
+product per panel, K^(m)(x_i) = dx^d W_i @ K^(m-1); a Cauchy solve takes
+the panels one at a time in one reused buffer and solves the Volterra
+equation panel by panel (``march``).  Gamma contracts its target with A
+and applies W to Phi (or to Phi times a vector).  Kernel matrices live
+only while their target is contracted.  The per-order sup norms decay like
 C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order is chosen by
 fitting C and C3 to the measured norms and summing the analytic tail.
 A built ladder is one ``PhiSeries``: Phi on the nodes of the rule, the
@@ -47,11 +47,9 @@ rule itself, and the truncation record, cached per horizon.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -230,17 +228,18 @@ class ParametrixSolver:
     Cauchy problems.  ``tol`` is the ladder's series tolerance; the march
     does not read it.
 
-    Kernel matrices are stacked per ladder target or Gamma assembly
-    (``_kernel_stack``), contracted with the target's plan weights into
-    one matrix W and dropped.  Construction keeps an index table of shape
-    (npts, s) per direction and image, and builds no s x s array.  A
-    ladder build keeps the W of every target while it runs its orders
+    Kernel matrices are stacked per target of the time rule or Gamma
+    assembly (``_kernel_stack``), contracted with the target's plan
+    weights and dropped; ``_panels`` gathers the contracted targets of
+    one panel into one matrix W.  Construction keeps an index table of
+    shape (npts, s) per direction and image, and builds no s x s array.
+    A ladder build keeps the W of every panel while it runs its orders
     (about N^2 s^2 / 2 entries for N nodes and s sites); a built ladder
-    keeps only Phi, per horizon.  A march keeps the W of one panel of
-    targets at a time, in one buffer sized for the last panel: 8 N s^2
-    entries, 13 MB at 65 sites and 48 nodes.  Gamma is not cached: each
-    call assembles it afresh, and callers that apply one operator many
-    times keep it themselves.
+    keeps only Phi, per horizon.  A march keeps the W of one panel at a
+    time, in one buffer sized for the last panel: 8 N s^2 entries, 13 MB
+    at 65 sites and 48 nodes.  Gamma is not cached: each call assembles
+    it afresh, and callers that apply one operator many times keep it
+    themselves.
 
     Kernels are folded on a torus, the mirror image subtracted on
     zero-extension grids (``_folded_offsets``), so Gamma is the fundamental
@@ -475,36 +474,48 @@ class ParametrixSolver:
         kernels = self._kernel_stack(times + [t])
         return kernels[-1], _contract(c, kernels[:-1])
 
-    def _contracted_panels(self, targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
-                           bp: np.ndarray, kernels: Callable[[list[float]], np.ndarray]
-                           ) -> list[tuple[int, int, np.ndarray]]:
-        """Each target's plan contracted with its ``kernels`` (a stack per
-        list of times), built and dropped per target, into one buffer.  The
-        targets lo..hi-1 of a panel read the same n nodes, so each panel is
-        (lo, hi, W) with W one (targets s, n s) view of the buffer."""
+    def _panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
+                y: np.ndarray | None, buffer: np.ndarray | None = None,
+                extra: Sequence[float] = (), reverse: bool = False
+                ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Yield (lo, hi, W) for each panel of the rule, the last panel first
+        with ``reverse``.  The targets lo..hi-1 are the panel's nodes, joined
+        on the last panel by the ``extra`` times; all of them read the n = lo
+        + 8 nodes up to the panel's end.  W, shape ((hi - lo) s, n s), is
+        their plans contracted with K_Y (K when ``y`` is None), each target's
+        kernels built and dropped in turn.  With a ``buffer`` every W is a
+        view of its start, overwritten by the next panel.  Without one, the
+        W follow each other in one array sized for every panel, so keeping
+        them all costs one allocation."""
         s = self.grid.site_count
-        plans = [self._conv_plan(float(x), nodes, weights, bp) for x in targets]
-        reads = [c.shape[1] for _, c in plans]
-        ends = np.cumsum([0] + [n * s * s for n in reads])
-        buffer = np.empty(ends[-1])
-        for (times, c), lo, hi in zip(plans, ends[:-1], ends[1:]):
-            _contract(c, kernels(times), buffer[lo:hi])
-        panels, lo = [], 0
-        for n, group in itertools.groupby(reads):
-            hi = lo + len(list(group))
-            panels.append((lo, hi, buffer[ends[lo]:ends[hi]].reshape(-1, n * s)))
-            lo = hi
-        return panels
+        kept = buffer is None
+        if kept:  # the 8 targets of panel p read 8 (p + 1) nodes; extra ones all N
+            buffer = np.empty((nodes.size * (nodes.size + PANEL_POINTS) // 2
+                               + len(extra) * nodes.size) * s * s)
+        start = 0
+        firsts = range(0, nodes.size, PANEL_POINTS)
+        for lo in reversed(firsts) if reverse else firsts:
+            n = lo + PANEL_POINTS
+            targets = np.append(nodes[lo:n], extra if n == nodes.size else [])
+            block = n * s * s
+            size = targets.size * block
+            w = buffer[start:start + size]
+            if kept:
+                start += size
+            for j, x in enumerate(targets):
+                times, c = self._conv_plan(float(x), nodes, weights, bp)
+                _contract(c, self._kernel_stack(times, correction=True, potential=y),
+                          w[j * block:(j + 1) * block])
+            yield lo, lo + targets.size, w.reshape(-1, n * s)
 
     def _build_ladder(self, horizon: float) -> PhiSeries:
         if not horizon > 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         nodes, weights, bp = self.quad.points_with_panels(horizon, layer=self._layer_scale())
-        xs = np.append(nodes, horizon)
         vol = self.grid.cell_volume
         s = self.grid.site_count
 
-        prev = self._kernel_stack(xs, correction=True)
+        prev = self._kernel_stack(np.append(nodes, horizon), correction=True)
 
         if float(np.abs(prev[-1]).max()) == 0.0:
             return PhiSeries(self.grid, horizon, nodes, weights, bp, np.zeros_like(prev[:-1]),
@@ -512,8 +523,7 @@ class ParametrixSolver:
 
         # K^(m)(x_i) = dx^d W_i @ K^(m-1) at the first n_i nodes; the horizon
         # joins the targets of the last panel
-        panels = self._contracted_panels(xs, nodes, weights, bp,
-                                         partial(self._kernel_stack, correction=True))
+        panels = list(self._panels(nodes, weights, bp, None, extra=[horizon]))
 
         phi = prev[:-1].copy()
         m_done = 1
@@ -556,23 +566,22 @@ class ParametrixSolver:
     # -- Cauchy problems ---------------------------------------------------------
 
     def _march_panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
-                      kernels: Callable[[list[float]], np.ndarray], rho: np.ndarray,
-                      adjoint: bool = False) -> float:
+                      y: np.ndarray | None, rho: np.ndarray, adjoint: bool = False) -> float:
         """Solve (I - V) rho = b for k right-hand sides at once, in place:
         ``rho``, shape (nodes s, k), holds the k columns of b on entry and
-        of rho on exit.  V rho = dx^d int_0^x K(x - s) rho(s) ds at the
-        nodes of the rule, K given by ``kernels``; with ``adjoint`` the
+        of rho on exit.  V rho = dx^d int_0^x K_Y(x - s) rho(s) ds at the
+        nodes of the rule, K_Y as in ``_panels``; with ``adjoint`` the
         system is (I - V)^T rho = b instead.
 
         The targets of panel p read the nodes up to its own end, so V is
-        block lower triangular in the panels of the rule.  A panel's plans
-        are contracted into one (targets s, n s) W in a buffer sized for
-        the last panel and reused by every panel, so only one panel's W is
-        alive at a time; I - dx^d W_pp is formed in the buffer in place.
-        Forward, panel p is one dense solve of all k columns,
-        (I - dx^d W_pp) rho_p = b_p + dx^d W_p< rho_<.  The adjoint takes
-        the panels last to first, solves (I - dx^d W_pp)^T rho_p = b_p and
-        adds dx^d W_p<^T rho_p to the right-hand sides of the panels below.
+        block lower triangular in the panels of the rule.  ``_panels``
+        contracts each panel into one W in a buffer sized for the last
+        panel, so only one panel's W is alive at a time; I - dx^d W_pp is
+        formed in the buffer in place.  Forward, panel p is one dense solve
+        of all k columns, (I - dx^d W_pp) rho_p = b_p + dx^d W_p< rho_<.
+        The adjoint takes the panels last to first, solves
+        (I - dx^d W_pp)^T rho_p = b_p and adds dx^d W_p<^T rho_p to the
+        right-hand sides of the panels below, one panel's rows at a time.
         Returns the largest relative residual of the panel solves, column
         by column.
         """
@@ -580,14 +589,7 @@ class ParametrixSolver:
         s = self.grid.site_count
         buffer = np.empty(PANEL_POINTS * s * nodes.size * s)
         residual = 0.0
-        firsts = range(0, nodes.size, PANEL_POINTS)
-        for lo in reversed(firsts) if adjoint else firsts:
-            hi = lo + PANEL_POINTS
-            block = s * hi * s
-            for j, x in enumerate(nodes[lo:hi]):
-                times, c = self._conv_plan(float(x), nodes, weights, bp)
-                _contract(c, kernels(times), buffer[j * block:(j + 1) * block])
-            w = buffer[:PANEL_POINTS * block].reshape(-1, hi * s)
+        for lo, hi, w in self._panels(nodes, weights, bp, y, buffer, reverse=adjoint):
             own = w[:, lo * s:]
             own *= -vol
             np.einsum("ii->i", own)[:] += 1.0
@@ -601,7 +603,10 @@ class ParametrixSolver:
             residual = max(residual, float((np.abs(own @ x - b).max(axis=0) / scale).max()))
             b[...] = x
             if adjoint:
-                rho[:lo * s] += w[:, :lo * s].T @ (vol * x)
+                x *= vol
+                for q in range(0, lo * s, PANEL_POINTS * s):
+                    rows = slice(q, q + PANEL_POINTS * s)
+                    rho[rows] += w[:, rows].T @ x
         return residual
 
     def march(self, h: float, u0: np.ndarray, pieces: int, potential: np.ndarray | None = None,
@@ -641,21 +646,20 @@ class ParametrixSolver:
         s = self.grid.site_count
         y = None if potential is None else np.asarray(potential, dtype=float).reshape(-1)
         nodes, weights, bp = self.quad.points_with_panels(h, layer=self._layer_scale())
-        k_y = partial(self._kernel_stack, correction=True, potential=y)
         u = np.asarray(u0, dtype=float).reshape(-1)
         if pieces == 1:
-            rho = vol * (k_y(nodes) @ u)
+            rho = vol * (self._kernel_stack(nodes, correction=True, potential=y) @ u)
             if source is not None:
                 rho += source(start + nodes)
             rho = rho.reshape(-1, 1)
-            residual = self._march_panels(nodes, weights, bp, k_y, rho)
+            residual = self._march_panels(nodes, weights, bp, y, rho)
             a_end, w_end = self._end_step(h, nodes, weights, bp)
             return (vol * (a_end @ u + w_end @ rho.reshape(-1)))[None], residual
 
         a_end, g = self._end_step(h, nodes, weights, bp)
-        residual = self._march_panels(nodes, weights, bp, k_y, g.T, adjoint=True)
+        residual = self._march_panels(nodes, weights, bp, y, g.T, adjoint=True)
         g *= vol
-        prop = g @ k_y(nodes).reshape(-1, s)
+        prop = g @ self._kernel_stack(nodes, correction=True, potential=y).reshape(-1, s)
         prop += a_end
         prop *= vol
         out = np.empty((pieces // every, s))
@@ -675,7 +679,8 @@ class ParametrixSolver:
 
         The plan of t is contracted with the frozen kernels A into W, so
         Gamma(t) = A(t) + dx^d W @ Phi or Gamma(t) rhs = A(t) rhs + dx^d W @ (Phi rhs),
-        with Phi at the nodes the plan reads.
+        with Phi at every node: t is the ladder's horizon, so its plan
+        reads them all.
         """
         t = float(t)
         if t <= 0.0:  # negative times raise, t = 0 is the Dirac matrix
@@ -683,19 +688,22 @@ class ParametrixSolver:
             return dirac if rhs is None else dirac @ rhs
         lad = self.ladder(t)
         a_t, w = self._end_step(t, lad.times, lad.weights, lad.breakpoints)
-        phi = lad.values[:w.shape[1] // self.grid.site_count]
         if rhs is None:
-            out = w @ phi.reshape(w.shape[1], -1)
+            out = w @ lad.values.reshape(w.shape[1], -1)
         else:
-            out = w @ (phi @ rhs).reshape(-1)
+            out = w @ (lad.values @ rhs).reshape(-1)
             a_t = a_t @ rhs
         out *= self.grid.cell_volume
         out += a_t
         return out
 
     def gamma_matrix(self, t: float) -> np.ndarray:
-        """Full fundamental-solution matrix at time t."""
+        """Full fundamental-solution matrix at time t: ``mat @ v * dx^d``
+        applies it.  It is assembled afresh on every call; a caller that
+        applies the same operator many times keeps it."""
         return self._gamma(t, None)
+
+    gamma_operator = gamma_matrix
 
     def gamma_column(self, beta: Sequence[int], t: float) -> Field:
         """One column a -> Gamma_{a, beta}(t) as a Field."""
@@ -707,13 +715,6 @@ class ParametrixSolver:
         """Convolution application sum_b Gamma_{a,b}(t) v_b dx^d."""
         v = np.asarray(v, dtype=float).reshape(-1)
         return self._gamma(t, v) * self.grid.cell_volume
-
-    def gamma_operator(self, t: float) -> np.ndarray:
-        """The Gamma(t) matrix, the same as ``gamma_matrix``: ``mat @ v * dx^d``
-        applies it.  It is assembled afresh on every call; a caller that
-        applies the same operator many times keeps it.
-        """
-        return self._gamma(t, None)
 
     def propagation_defect(self, s: float, t: float) -> float:
         """sup |Gamma(t) - Gamma(s) * Gamma(t-s)| dx^d over index pairs."""

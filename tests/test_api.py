@@ -27,6 +27,23 @@ def test_public_names():
     assert all(hasattr(sdheat, name) for name in sdheat.__all__)
 
 
+#: Public attributes of ``ParametrixSolver``.  Adding or removing one changes
+#: this set.
+SOLVER_PUBLIC = {
+    "coeffs", "correction_matrix", "gamma_apply", "gamma_column", "gamma_matrix",
+    "gamma_operator", "grid", "kernel_matrix", "ladder", "march", "phi_series",
+    "propagation_defect", "quad", "tol",
+}
+
+
+def test_solver_public_names():
+    grid = sdheat.GridSpec(dx=0.5, dim=1, radius=2)
+    solver = sdheat.ParametrixSolver(sdheat.Coefficients.constant(grid, 1.0))
+    assert {name for name in dir(solver) if not name.startswith("_")} == SOLVER_PUBLIC
+    # one method under two names; the benchmark's tracer wraps each name
+    assert sdheat.ParametrixSolver.gamma_operator is sdheat.ParametrixSolver.gamma_matrix
+
+
 def test_benchmark_entry_points(monkeypatch):
     """What the benchmark under ``perfbench/`` uses of the package: the names
     its tracer patches, its workloads' set-up, and the fields it reads."""

@@ -244,8 +244,8 @@ class TestContraction:
         times, batches = [], []
         real_stack = ParametrixSolver._kernel_stack
         monkeypatch.setattr(ParametrixSolver, "_kernel_stack",
-                            lambda self, ts, correction=False:
-                            times.extend(ts) or real_stack(self, ts, correction))
+                            lambda self, ts, correction=False, potential=None:
+                            times.extend(ts) or real_stack(self, ts, correction, potential))
         real_batch = bessel.iv_scaled_matrix
         monkeypatch.setattr(bessel, "iv_scaled_matrix",
                             lambda nmax, r: batches.append(r.size) or real_batch(nmax, r))
@@ -508,8 +508,9 @@ class TestGammaEntryPoints:
 
 
 class TestMarch:
-    """The Cauchy march: one panel's W at a time, and a multi-piece run as
-    one propagator that agrees with the pieces marched one by one."""
+    """The Cauchy march: one panel's W at a time, a multi-piece run as one
+    propagator that agrees with the pieces marched one by one, and the
+    panel solve against the series ladder on the same rule."""
 
     @pytest.mark.parametrize("pieces", [1, 3])
     def test_one_panel_weights_alive(self, pieces):
@@ -582,6 +583,26 @@ class TestMarch:
             u = solver.march(0.05, u, 1, y, source, start=i * 0.05)[0][0]
             assert len(stacks) == built
             assert np.abs(ends[i] - u).max() <= 1e-13 * np.abs(u).max()
+
+    @pytest.mark.parametrize("dim, radius, t, nodes", [(1, 6, 0.2, 32), (2, 3, 0.1, 16)])
+    @pytest.mark.parametrize("boundary", ["periodic-wrap", "zero-extension"])
+    def test_forward_march_solves_the_ladder_equation(self, dim, radius, t, nodes, boundary):
+        # Phi = K + dx^d K * Phi two ways on one rule: the summed series of
+        # the ladder, and one forward march of the s columns of K at the
+        # nodes; they differ by the ladder's truncation tail
+        grid = GridSpec(dx=0.25, dim=dim, radius=radius, boundary=boundary)
+        axes = np.meshgrid(*[grid.axis_coordinates()] * dim, indexing="ij")
+        length = grid.npts * grid.dx
+        coeffs = Coefficients(grid, np.stack(
+            [1.0 + 0.4 * np.sin(2.0 * np.pi * axes[j] / length + j) for j in range(dim)]))
+        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=nodes))
+        lad = solver.phi_series(t)
+        assert lad.m_max > 3 and lad.tail_estimate > 0.0
+        s = grid.site_count
+        rho = solver._kernel_stack(lad.times, correction=True).reshape(-1, s)
+        solver._march_panels(lad.times, lad.weights, lad.breakpoints, None, rho)
+        assert np.abs(rho.reshape(lad.values.shape) - lad.values).max() \
+            <= 4.0 * lad.tail_estimate
 
     @pytest.mark.parametrize("pieces, every", [(0, 1), (3, 2), (4, 0), (2, 3)])
     def test_rejects_pieces_every_mismatch(self, small_var_coeffs, pieces, every):
