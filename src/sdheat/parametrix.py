@@ -21,7 +21,9 @@ G_j[a_j, b] = h(a_j - b_j) for h(n) = e^{-r} I_n(r) folded on a torus, r =
 mirror image is subtracted (``_folded_offsets``).  Kernel and correction
 matrices are therefore broadcast products of (npts, s) direction tables,
 each gathered from a Bessel batch; D2_j G_j is gathered the same way from
-the batch's second difference in the offset.
+the batch's second difference in the offset.  A site b enters G_j only
+through c_b^j, so the batch of direction j runs over the distinct values
+of c^j, not over the sites.
 
 Numerically, one graded Gauss rule on (0, horizon) serves every time
 integral.  Panels well below the target time keep their Gauss weights;
@@ -36,13 +38,14 @@ kernel K_Y = K - diag(Y) A of a potential Y (K without one) into one W
 per panel.  The ladder keeps every panel's W and runs each order as one
 product per panel, K^(m)(x_i) = dx^d W_i @ K^(m-1); a Cauchy solve takes
 the panels one at a time in one reused buffer and solves the Volterra
-equation panel by panel (``march``).  Gamma contracts its target with A
-and applies W to Phi (or to Phi times a vector).  Kernel matrices live
-only while their target is contracted.  The per-order sup norms decay like
-C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order is chosen by
-fitting C and C3 to the measured norms and summing the analytic tail.
-A built ladder is one ``PhiSeries``: Phi on the nodes of the rule, the
-rule itself, and the truncation record, cached per horizon.
+equation panel by panel (``march``).  The end of a ladder build contracts
+the horizon's plan with A and applies W to Phi, Gamma(horizon) = A + dx^d
+W @ Phi.  Kernel matrices live only while their target is contracted.  The
+per-order sup norms decay like C C3^m t^{(m-1)/2} / Gamma(m/2); the
+truncation order is chosen by fitting C and C3 to the measured norms and
+summing the analytic tail.  A built ladder is one ``PhiSeries``:
+Gamma(horizon), the rule behind it, and the truncation record, cached per
+horizon; Phi itself is dropped.
 """
 
 from __future__ import annotations
@@ -126,16 +129,16 @@ class Coefficients:
 
 @dataclass(frozen=True)
 class PhiSeries:
-    """The correction ladder of one horizon: Phi on the nodes of its time rule.
+    """The correction ladder of one horizon, and Gamma at the horizon.
 
     ``times``, ``weights`` and ``breakpoints`` are the graded Gauss rule on
     (0, horizon) that every time integral of the ladder and of Gamma uses:
-    ascending nodes, their weights, and the panel edges.  The summed
-    matrices live in ``values``, shape (nodes, sites, sites): one flat
-    two-point matrix per node.  The rest is the truncation record: the
-    order, the per-order sup norms measured at the horizon, the fitted
-    growth constants, and the analytic tail estimate that justified
-    stopping.
+    ascending nodes, their weights, and the panel edges.  ``gamma`` is
+    Gamma(horizon), a read-only flat two-point matrix (sites, sites); Phi
+    on the nodes is summed to form it and then dropped.  The rest is the
+    truncation record: the order, the per-order sup norms measured at the
+    horizon, the fitted growth constants, and the analytic tail estimate
+    that justified stopping.
     """
 
     grid: GridSpec
@@ -143,7 +146,7 @@ class PhiSeries:
     times: np.ndarray
     weights: np.ndarray
     breakpoints: np.ndarray
-    values: np.ndarray
+    gamma: np.ndarray
     m_max: int
     tol: float
     order_sup_norms: tuple[float, ...]
@@ -170,7 +173,7 @@ def _folded_offsets(grid: GridSpec, a, b) -> list:
 
 
 def _gather(values: np.ndarray, index: list[np.ndarray]) -> np.ndarray:
-    """A folded (orders, sites) slice at the direct offsets, less the mirror."""
+    """A folded (orders, u_j) slice at the direct offsets, less the mirror."""
     out = np.take(values, index[0], mode="clip")
     for mirror in index[1:]:
         out -= np.take(values, mirror, mode="clip")
@@ -231,15 +234,15 @@ class ParametrixSolver:
     Kernel matrices are stacked per target of the time rule or Gamma
     assembly (``_kernel_stack``), contracted with the target's plan
     weights and dropped; ``_panels`` gathers the contracted targets of
-    one panel into one matrix W.  Construction keeps an index table of
-    shape (npts, s) per direction and image, and builds no s x s array.
-    A ladder build keeps the W of every panel while it runs its orders
-    (about N^2 s^2 / 2 entries for N nodes and s sites); a built ladder
-    keeps only Phi, per horizon.  A march keeps the W of one panel at a
-    time, in one buffer sized for the last panel: 8 N s^2 entries, 13 MB
-    at 65 sites and 48 nodes.  Gamma is not cached: each call assembles
-    it afresh, and callers that apply one operator many times keep it
-    themselves.
+    one panel into one matrix W.  Construction keeps, per direction, the
+    distinct coefficient values and each site's index among them, and an
+    index table of shape (npts, s) per direction and image; it builds no
+    s x s array.  A ladder build keeps the W of every panel while it runs
+    its orders (about N^2 s^2 / 2 entries for N nodes and s sites); a
+    built ladder keeps only Gamma(horizon), s^2 entries per horizon, and
+    every Gamma entry point reads it.  A march keeps the W of one panel at
+    a time, in one buffer sized for the last panel: 8 N s^2 entries, 13 MB
+    at 65 sites and 48 nodes.
 
     Kernels are folded on a torus, the mirror image subtracted on
     zero-extension grids (``_folded_offsets``), so Gamma is the fundamental
@@ -260,6 +263,8 @@ class ParametrixSolver:
             raise ValueError(f"two-point storage {n}x{n} exceeds the dense budget "
                              f"of {_DENSE_ENTRIES} entries")
         self._cflat = [coeffs.flat(j) for j in range(self.grid.dim)]
+        # per direction: the distinct values (exact equality) and each site's index among them
+        self._distinct = [np.unique(c, return_inverse=True) for c in self._cflat]
         self._period = _period(self.grid)
         self._index = self._index_tables()
         self._ladders: dict[float, PhiSeries] = {}
@@ -268,16 +273,17 @@ class ParametrixSolver:
 
     def _index_tables(self) -> list[list[np.ndarray]]:
         """Per direction j and image of ``_folded_offsets``, flat indices into
-        one time's (orders, sites) slice of ``_axis_values``: entry [a_j, b]
-        is n s + b, n the folded offset, shaped (npts, s) along box axis j."""
+        one time's (orders, u_j) slice of ``_axis_values``: entry [a_j, b]
+        is n u_j + k_j(b), n the folded offset and k_j(b) the index of c_b^j
+        among the u_j distinct values, shaped (npts, s) along box axis j."""
         grid = self.grid
         s = grid.site_count
         axis = grid.axis_indices()
         pos = np.unravel_index(np.arange(s), grid.shape)
-        return [[(n * s + np.arange(s)).reshape(
+        return [[(n * values.size + k).reshape(
                     [grid.npts if i == j else 1 for i in range(grid.dim)] + [s])
                  for n in _folded_offsets(grid, axis[:, None], axis[pos[j]])]
-                for j in range(grid.dim)]
+                for j, (values, k) in enumerate(self._distinct)]
 
     def _top_order(self, r_max: float) -> int:
         """Highest Bessel order ``_axis_values`` needs at arguments up to
@@ -291,14 +297,14 @@ class ParametrixSolver:
 
     def _axis_values(self, j: int, ts: np.ndarray) -> np.ndarray:
         """Scaled per-direction torus kernels at offsets 0..nmax = period // 2
-        for a time batch, shape (len(ts), nmax+1, sites): the Bessel orders
+        for a time batch, shape (len(ts), nmax+1, u_j): the Bessel orders
+        at r = 2 t c / dx^2 for the u_j distinct values c of c^j,
         wrap-summed over the images of the fold's period."""
-        grid = self.grid
-        s = grid.site_count
+        values = self._distinct[j][0]
         period, nmax = self._period, self._period // 2
-        r = (2.0 * ts[:, None] * self._cflat[j][None, :] / grid.dx**2).reshape(-1)
+        r = (2.0 * ts[:, None] * values[None, :] / self.grid.dx**2).reshape(-1)
         top = self._top_order(float(r.max()))
-        b = bessel.iv_scaled_matrix(top, r).reshape(top + 1, ts.size, s)
+        b = bessel.iv_scaled_matrix(top, r).reshape(top + 1, ts.size, values.size)
         folded = b[:nmax + 1].transpose(1, 0, 2).copy()
         for shift in range(period, top - nmax + 1, period):
             # torus images at offset n - shift (order shift - n) and n + shift
@@ -329,8 +335,9 @@ class ParametrixSolver:
         like G_j (``_gather``) from its offset-space second difference.  A
         ``potential`` Y (flat, correction only) gives K_Y = K - diag(Y) A
         instead, A taken from the same tables.  Bessel values come 8192 // s
-        sorted times at a time, fewer when the top order exceeds 255, so a
-        batch stays within 2^21 values.
+        sorted times at a time, fewer when the top order exceeds 255; a
+        batch of direction j holds (top + 1) batch u_j values for its u_j
+        distinct coefficients, at most 2^21 when every value is distinct.
         """
         grid = self.grid
         s = grid.site_count
@@ -394,7 +401,7 @@ class ParametrixSolver:
         horizon = float(horizon)
         got = self._ladders.get(horizon)
         if got is None:
-            got = self._build_ladder(horizon)
+            got = self._build_ladder(horizon)[0]
             self._ladders[horizon] = got
         return got
 
@@ -508,7 +515,9 @@ class ParametrixSolver:
                           w[j * block:(j + 1) * block])
             yield lo, lo + targets.size, w.reshape(-1, n * s)
 
-    def _build_ladder(self, horizon: float) -> PhiSeries:
+    def _build_ladder(self, horizon: float) -> tuple[PhiSeries, np.ndarray]:
+        """The record ``ladder`` caches, and Phi on the nodes of its rule,
+        shape (nodes, s, s), which the record does not keep."""
         if not horizon > 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         nodes, weights, bp = self.quad.points_with_panels(horizon, layer=self._layer_scale())
@@ -518,8 +527,10 @@ class ParametrixSolver:
         prev = self._kernel_stack(np.append(nodes, horizon), correction=True)
 
         if float(np.abs(prev[-1]).max()) == 0.0:
-            return PhiSeries(self.grid, horizon, nodes, weights, bp, np.zeros_like(prev[:-1]),
-                             1, self.tol, (0.0,), 0.0, 0.0, 0.0)
+            gamma = self.kernel_matrix(horizon)
+            gamma.setflags(write=False)
+            return PhiSeries(self.grid, horizon, nodes, weights, bp, gamma, 1, self.tol,
+                             (0.0,), 0.0, 0.0, 0.0), np.zeros_like(prev[:-1])
 
         # K^(m)(x_i) = dx^d W_i @ K^(m-1) at the first n_i nodes; the horizon
         # joins the targets of the last panel
@@ -554,10 +565,18 @@ class ParametrixSolver:
                 prev = cur
             m_done = target
 
+        # Gamma(horizon) = A + dx^d W @ Phi, its plan reading every node; the
+        # panels go first, so the end step's kernels do not add to the peak
+        del panels
+        a_t, w = self._end_step(horizon, nodes, weights, bp)
+        gamma = w @ phi.reshape(w.shape[1], -1)
+        gamma *= vol
+        gamma += a_t
+        gamma.setflags(write=False)
         c_fit, c3_fit = _fit_growth(norms, horizon)
         tail = _series_tail(c_fit, c3_fit, horizon, m_done)
-        return PhiSeries(self.grid, horizon, nodes, weights, bp, phi,
-                         m_done, self.tol, tuple(norms), c_fit, c3_fit, tail)
+        return PhiSeries(self.grid, horizon, nodes, weights, bp, gamma,
+                         m_done, self.tol, tuple(norms), c_fit, c3_fit, tail), phi
 
     def phi_series(self, horizon: float) -> PhiSeries:
         """The correction ladder on (0, horizon]; the same record as ``ladder``."""
@@ -673,48 +692,31 @@ class ParametrixSolver:
 
     # -- Gamma -----------------------------------------------------------------
 
-    def _gamma(self, t: float, rhs: np.ndarray | None) -> np.ndarray:
-        """Gamma(t) from the ladder on (0, t]: the matrix when ``rhs`` is
-        None, else the vector Gamma(t) @ rhs.
-
-        The plan of t is contracted with the frozen kernels A into W, so
-        Gamma(t) = A(t) + dx^d W @ Phi or Gamma(t) rhs = A(t) rhs + dx^d W @ (Phi rhs),
-        with Phi at every node: t is the ladder's horizon, so its plan
-        reads them all.
-        """
+    def _gamma(self, t: float) -> np.ndarray:
+        """Gamma(t), read-only: the Dirac matrix at t = 0, else the one the
+        ladder on (0, t] keeps."""
         t = float(t)
-        if t <= 0.0:  # negative times raise, t = 0 is the Dirac matrix
-            dirac = self.kernel_matrix(t)
-            return dirac if rhs is None else dirac @ rhs
-        lad = self.ladder(t)
-        a_t, w = self._end_step(t, lad.times, lad.weights, lad.breakpoints)
-        if rhs is None:
-            out = w @ lad.values.reshape(w.shape[1], -1)
-        else:
-            out = w @ (lad.values @ rhs).reshape(-1)
-            a_t = a_t @ rhs
-        out *= self.grid.cell_volume
-        out += a_t
-        return out
+        if t <= 0.0:  # negative times raise
+            return self.kernel_matrix(t)
+        return self.ladder(t).gamma
 
     def gamma_matrix(self, t: float) -> np.ndarray:
         """Full fundamental-solution matrix at time t: ``mat @ v * dx^d``
-        applies it.  It is assembled afresh on every call; a caller that
-        applies the same operator many times keeps it."""
-        return self._gamma(t, None)
+        applies it.  Each call returns a fresh writable copy of the matrix
+        the ladder on (0, t] keeps."""
+        return self._gamma(t).copy()
 
     gamma_operator = gamma_matrix
 
     def gamma_column(self, beta: Sequence[int], t: float) -> Field:
         """One column a -> Gamma_{a, beta}(t) as a Field."""
-        unit = np.zeros(self.grid.site_count)
-        unit[self.grid.flat_index(beta)] = 1.0
-        return Field(self.grid, self._gamma(t, unit).reshape(self.grid.shape))
+        col = self._gamma(t)[:, self.grid.flat_index(beta)]
+        return Field(self.grid, col.reshape(self.grid.shape))
 
     def gamma_apply(self, t: float, v: np.ndarray) -> np.ndarray:
         """Convolution application sum_b Gamma_{a,b}(t) v_b dx^d."""
         v = np.asarray(v, dtype=float).reshape(-1)
-        return self._gamma(t, v) * self.grid.cell_volume
+        return self._gamma(t) @ v * self.grid.cell_volume
 
     def propagation_defect(self, s: float, t: float) -> float:
         """sup |Gamma(t) - Gamma(s) * Gamma(t-s)| dx^d over index pairs."""

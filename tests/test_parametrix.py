@@ -142,10 +142,11 @@ class TestPhi:
     def test_constant_coefficients_vanish(self):
         g = GridSpec(dx=0.5, dim=1, radius=6)
         solver = ParametrixSolver(Coefficients.constant(g, 1.0), TimeQuadrature(nodes=16), tol=1e-8)
-        series = solver.phi_series(0.2)
+        series, phi = solver._build_ladder(0.2)
         assert series.m_max == 1
-        assert all(np.abs(v).max() == 0.0 for v in series.values)
+        assert all(np.abs(v).max() == 0.0 for v in phi)
         assert series.tail_estimate == 0.0
+        assert np.array_equal(series.gamma, solver.kernel_matrix(0.2))
 
     def test_tail_tolerance_honoured(self, small_var_coeffs):
         solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=32), tol=1e-6)
@@ -155,9 +156,9 @@ class TestPhi:
 
     def test_tightening_tolerance_changes_little(self, small_var_coeffs):
         quad = TimeQuadrature(nodes=32)
-        loose = ParametrixSolver(small_var_coeffs, quad, tol=1e-4).phi_series(0.2)
-        tight = ParametrixSolver(small_var_coeffs, quad, tol=1e-5).phi_series(0.2)
-        dev = max(np.abs(a - b).max() for a, b in zip(loose.values, tight.values))
+        loose = ParametrixSolver(small_var_coeffs, quad, tol=1e-4)._build_ladder(0.2)[1]
+        tight = ParametrixSolver(small_var_coeffs, quad, tol=1e-5)._build_ladder(0.2)[1]
+        dev = max(np.abs(a - b).max() for a, b in zip(loose, tight))
         assert dev <= 1e-4
 
     def test_factorial_decay_of_orders(self, small_var_coeffs):
@@ -241,23 +242,26 @@ class TestContraction:
     def test_ladder_builds_each_kernel_once(self, small_var_coeffs, monkeypatch):
         solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=24), tol=1e-8)
         horizon = 0.2
-        times, batches = [], []
+        times, batches = {False: [], True: []}, []
         real_stack = ParametrixSolver._kernel_stack
         monkeypatch.setattr(ParametrixSolver, "_kernel_stack",
                             lambda self, ts, correction=False, potential=None:
-                            times.extend(ts) or real_stack(self, ts, correction, potential))
+                            times[correction].extend(ts)
+                            or real_stack(self, ts, correction, potential))
         real_batch = bessel.iv_scaled_matrix
         monkeypatch.setattr(bessel, "iv_scaled_matrix",
                             lambda nmax, r: batches.append(r.size) or real_batch(nmax, r))
         lad = solver.ladder(horizon)
         assert lad.m_max > 3  # more than one batch of orders
         targets = np.append(lad.times, horizon)
-        plan_times = sum(len(solver._conv_plan(float(x), lad.times, lad.weights,
-                                               lad.breakpoints)[0])
-                         for x in targets)
-        assert len(times) == plan_times + targets.size == 497
-        # at most 8192 // s = 167 times per batch: one batch for the targets, one per plan
-        assert len(batches) == 1 + targets.size == 18
+        plans = [len(solver._conv_plan(float(x), lad.times, lad.weights, lad.breakpoints)[0])
+                 for x in targets]
+        assert len(times[True]) == sum(plans) + targets.size == 497
+        # the end step Gamma(horizon) = A + dx^d W @ Phi: the horizon's plan and A(horizon)
+        assert len(times[False]) == plans[-1] + 1
+        # at most 8192 // s = 167 times per batch: one batch for the targets,
+        # one per plan, one for the end step
+        assert len(batches) == 2 + targets.size == 19
 
 
 class TestKernelStack:
@@ -287,10 +291,11 @@ class TestKernelStack:
         row = int(np.searchsorted(batch, t))
 
         def axis(g, j, step):
-            # G_j at a_j + step, and the sum of the magnitudes of its images
+            # G_j at a_j + step, and the sum of the magnitudes of its images;
+            # column b of the table is c_b^j's among the distinct values
             a_j, b_j = comps[:, j][:, None] + step, comps[:, j][None, :]
             images = [a_j - b_j] if grid.periodic else [a_j - b_j, a_j + b_j + 2 * grid.radius + 2]
-            vals = [g[np.abs((n + period // 2) % period - period // 2), np.arange(s)]
+            vals = [g[np.abs((n + period // 2) % period - period // 2), solver._distinct[j][1]]
                     for n in images]
             return vals[0] - sum(vals[1:]), sum(vals)
 
@@ -313,16 +318,20 @@ class TestKernelStack:
            dx=st.sampled_from([0.125, 0.25, 0.5]), seed=st.integers(0, 2**32 - 1),
            times=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3))
     def test_matches_dense_route(self, dim, periodic, radius, dx, seed, times):
+        # fields with every value distinct, and drawn from three values, so
+        # that the Bessel tables hold fewer columns than there are sites
         grid = GridSpec(dx=dx, dim=dim, radius=radius,
                         boundary="periodic-wrap" if periodic else "zero-extension")
-        vals = np.random.default_rng(seed).uniform(0.5, 2.0, (dim,) + grid.shape)
-        solver = ParametrixSolver(Coefficients(grid, vals))
-        stacks = zip(solver._kernel_stack(times), solver._kernel_stack(times, correction=True))
-        for t, (a, k) in zip(times, stacks):
-            a_ref, k_ref, scale, mag = self._dense(solver, t, times)
-            assert np.array_equal(a, a_ref)
-            assert np.all(a >= -4.0 * np.finfo(float).eps * mag)
-            assert np.all(np.abs(k - k_ref) <= 1e-14 * scale)
+        rng = np.random.default_rng(seed)
+        shape = (dim,) + grid.shape
+        for vals in (rng.uniform(0.5, 2.0, shape), rng.choice([0.6, 1.0, 1.7], shape)):
+            solver = ParametrixSolver(Coefficients(grid, vals))
+            stacks = zip(solver._kernel_stack(times), solver._kernel_stack(times, correction=True))
+            for t, (a, k) in zip(times, stacks):
+                a_ref, k_ref, scale, mag = self._dense(solver, t, times)
+                assert np.array_equal(a, a_ref)
+                assert np.all(a >= -4.0 * np.finfo(float).eps * mag)
+                assert np.all(np.abs(k - k_ref) <= 1e-14 * scale)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), radius=st.integers(1, 5),
@@ -506,6 +515,24 @@ class TestGammaEntryPoints:
         assert np.array_equal(solver.gamma_column((0,), 0.0).values, Field.dirac(grid).values)
         assert np.array_equal(solver.gamma_apply(0.0, v), v)
 
+    def test_built_horizon_keeps_gamma_only(self, solver):
+        # the ladder keeps Gamma(t), read-only; gamma_matrix hands out
+        # copies, gamma_column reads its columns, and no Phi is kept
+        t = 0.1
+        s = solver.grid.site_count
+        mat = solver.gamma_matrix(t)
+        ref = mat.copy()
+        assert mat.flags.writeable
+        mat[:] = 0.0
+        assert np.array_equal(solver.gamma_matrix(t), ref)
+        for beta in ((0,), (-24,), (17,)):
+            col = solver.gamma_column(beta, t).flat()
+            assert np.array_equal(col, ref[:, solver.grid.flat_index(beta)])
+        series = solver.ladder(t)
+        assert not series.gamma.flags.writeable
+        arrays = [v for v in vars(series).values() if isinstance(v, np.ndarray)]
+        assert max(a.size for a in arrays) == s * s
+
 
 class TestMarch:
     """The Cauchy march: one panel's W at a time, a multi-piece run as one
@@ -596,13 +623,12 @@ class TestMarch:
         coeffs = Coefficients(grid, np.stack(
             [1.0 + 0.4 * np.sin(2.0 * np.pi * axes[j] / length + j) for j in range(dim)]))
         solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=nodes))
-        lad = solver.phi_series(t)
+        lad, phi = solver._build_ladder(t)
         assert lad.m_max > 3 and lad.tail_estimate > 0.0
         s = grid.site_count
         rho = solver._kernel_stack(lad.times, correction=True).reshape(-1, s)
         solver._march_panels(lad.times, lad.weights, lad.breakpoints, None, rho)
-        assert np.abs(rho.reshape(lad.values.shape) - lad.values).max() \
-            <= 4.0 * lad.tail_estimate
+        assert np.abs(rho.reshape(phi.shape) - phi).max() <= 4.0 * lad.tail_estimate
 
     @pytest.mark.parametrize("pieces, every", [(0, 1), (3, 2), (4, 0), (2, 3)])
     def test_rejects_pieces_every_mismatch(self, small_var_coeffs, pieces, every):
@@ -656,7 +682,7 @@ class TestPointwiseBounds:
         sups = {}
         for dx in (0.125, 1.0 / 16.0):
             solver = self._setup(dx)
-            lad = solver.ladder(0.25)
+            lad, phi = solver._build_ladder(0.25)
             grid = solver.grid
             cbar = solver.coeffs.cbar
             sup = 0.0
@@ -664,7 +690,7 @@ class TestPointwiseBounds:
             b = grid.flat_index((0,))
             for q in range(0, lad.times.size, 4):
                 s = float(lad.times[q])
-                col = lad.values[q][:, b]
+                col = phi[q][:, b]
                 rhs = bounds.lorentz_rhs(offs, s, cbar, dx, 1, cubic_tail=False)
                 sup = max(sup, float((np.abs(col) / rhs).max()))
             sups[dx] = sup
