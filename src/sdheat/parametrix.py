@@ -31,25 +31,33 @@ the last few boundary-layer widths below it are integrated in tau = t - s
 at fresh Gauss points, where the kernel is exact and the smooth recursive
 factor is interpolated inside its panel.  So the plan of a target is one
 weight matrix C (a row per kernel time, a column per node), and
-``_contract`` turns C and the target's kernels into W = sum_r C[r, c]
-F(tau_r), stacked over the nodes c.  One generator, ``_panels``,
-contracts the targets of each panel of the rule with the correction
-kernel K_Y = K - diag(Y) A of a potential Y (K without one) into one W
-per panel.  The ladder keeps every panel's W and runs each order as one
-product per panel, K^(m)(x_i) = dx^d W_i @ K^(m-1); a Cauchy solve takes
-the panels one at a time in one reused buffer and solves the Volterra
-equation panel by panel (``march``).  The end of a ladder build contracts
-the horizon's plan with A and applies W to Phi, Gamma(horizon) = A + dx^d
-W @ Phi.  Kernel matrices live only while their target is contracted.  The
-per-order sup norms decay like C C3^m t^{(m-1)/2} / Gamma(m/2); the
-truncation order is chosen by fitting C and C3 to the measured norms and
-summing the analytic tail.  A built ladder is one ``PhiSeries``:
-Gamma(horizon), the rule behind it, and the truncation record, cached per
-horizon; Phi itself is dropped.
+``_contract_plan`` turns C into W = sum_r C[r, c] F(tau_r), stacked over
+the nodes c.  A kernel is a gather of one time's joint table (the
+direction tables at every folded offset and distinct coefficient tuple,
+multiplied out) and the gather is linear, so C is contracted with the
+joint tables first, a few hundred entries per node, and each node block of
+W is gathered once: no kernel matrix is built for a plan.  One generator,
+``_panels``, contracts the targets of each panel of the rule with the
+correction kernel K_Y = K - diag(Y) A of a potential Y (K without one)
+into one W per panel.  The ladder keeps every panel's W and runs each
+order as one product per panel, K^(m)(x_i) = dx^d W_i @ K^(m-1); a Cauchy
+solve takes the panels one at a time in one reused buffer and solves the
+Volterra equation panel by panel (``march``).  The end of a ladder build
+contracts the horizon's plan with A and applies W to Phi, Gamma(horizon)
+= A + dx^d W @ Phi, A(horizon) being the block of one more node of unit
+weight.  Kernel matrices are built (``_kernel_stack``) only for K^(1) at
+the nodes and the horizon, for the march's right-hand sides, and for
+``kernel_matrix`` and ``correction_matrix``.  The per-order sup norms
+decay like C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order is
+chosen by fitting C and C3 to the measured norms and summing the analytic
+tail.  A built ladder is one ``PhiSeries``: Gamma(horizon), the rule
+behind it, and the truncation record, cached per horizon; Phi itself is
+dropped.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -172,11 +180,18 @@ def _folded_offsets(grid: GridSpec, a, b) -> list:
     return [abs((n + period // 2) % period - period // 2) for n in images]
 
 
-def _gather(values: np.ndarray, index: list[np.ndarray]) -> np.ndarray:
-    """A folded (orders, u_j) slice at the direct offsets, less the mirror."""
-    out = np.take(values, index[0], mode="clip")
-    for mirror in index[1:]:
-        out -= np.take(values, mirror, mode="clip")
+def _gather(values: np.ndarray, index: tuple[list[np.ndarray], list[np.ndarray]],
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Folded tables, flat along their last axis, at the indices of each
+    image in ``index``: the images of its first list added, those of its
+    second (an odd number of mirrors) subtracted.  ``out``, when given, is
+    a contiguous buffer that receives the result."""
+    plus, minus = index
+    out = np.take(values, plus[0], axis=-1, mode="clip", out=out)
+    for image in plus[1:]:
+        out += np.take(values, image, axis=-1, mode="clip")
+    for image in minus:
+        out -= np.take(values, image, axis=-1, mode="clip")
     return out
 
 
@@ -209,40 +224,26 @@ def k1(alpha: Sequence[int], beta: Sequence[int], t: float, coeffs: Coefficients
     return out
 
 
-def _contract(weights: np.ndarray, kernels: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Contract a plan's weights C (``_conv_plan``) with its kernel
-    matrices F(tau_r), stacked as (times, s, s), into W of shape (s, n*s):
-    the block of node c is sum_r C[r, c] F(tau_r).  W @ G, with the node
-    values G_0..G_{n-1} stacked as rows, is then the plan's integral.
-    ``out``, when given, is a contiguous buffer of s*n*s entries that
-    receives W."""
-    n = weights.shape[1]
-    s = kernels.shape[1]
-    if out is None:
-        out = np.empty(s * n * s)
-    # one (n x times) @ (times x s) product per kernel row, written in W's layout
-    np.matmul(weights.T, kernels.transpose(1, 0, 2), out=out.reshape(s, n, s))
-    return out.reshape(s, n * s)
-
-
 class ParametrixSolver:
     """Builds frozen kernels, the correction ladder and Gamma, and marches
     Cauchy problems.  ``tol`` is the ladder's series tolerance; the march
     does not read it.
 
-    Kernel matrices are stacked per target of the time rule or Gamma
-    assembly (``_kernel_stack``), contracted with the target's plan
-    weights and dropped; ``_panels`` gathers the contracted targets of
+    Each target of the time rule or Gamma assembly has its plan weights
+    contracted in Bessel-table space and gathered into its W
+    (``_contract_plan``); ``_panels`` gathers the contracted targets of
     one panel into one matrix W.  Construction keeps, per direction, the
-    distinct coefficient values and each site's index among them, and an
-    index table of shape (npts, s) per direction and image; it builds no
-    s x s array.  A ladder build keeps the W of every panel while it runs
-    its orders (about N^2 s^2 / 2 entries for N nodes and s sites); a
-    built ladder keeps only Gamma(horizon), s^2 entries per horizon, and
-    every Gamma entry point reads it.  A march keeps the W of one panel at
-    a time, in one buffer sized for the last panel: 8 N s^2 entries, 13 MB
-    at 65 sites and 48 nodes.
+    distinct coefficient values and each site's index among them, and
+    each site's index among the distinct tuples of those indices: O(s)
+    entries, no index table and no s x s array.  Index tables are built
+    per call and dropped with it: (npts, s) per direction and image for
+    ``_kernel_stack``, (s, s) per choice of images for ``_contract_plan``.
+    A ladder build keeps the W of every panel while it runs its orders
+    (about N^2 s^2 / 2 entries for N nodes and s sites); a built ladder
+    keeps only Gamma(horizon), s^2 entries per horizon, and every Gamma
+    entry point reads it.  A march keeps the W of one panel at a time, in
+    one buffer sized for the last panel: 8 N s^2 entries, 13 MB at 65
+    sites and 48 nodes.
 
     Kernels are folded on a torus, the mirror image subtracted on
     zero-extension grids (``_folded_offsets``), so Gamma is the fundamental
@@ -265,25 +266,54 @@ class ParametrixSolver:
         self._cflat = [coeffs.flat(j) for j in range(self.grid.dim)]
         # per direction: the distinct values (exact equality) and each site's index among them
         self._distinct = [np.unique(c, return_inverse=True) for c in self._cflat]
+        # the distinct tuples of those indices, (d, U), and each site's tuple
+        tuples, site_tuple = np.unique(np.stack([k for _, k in self._distinct]), axis=1,
+                                       return_inverse=True)
+        self._tuples = (tuples, site_tuple.reshape(-1))
         self._period = _period(self.grid)
-        self._index = self._index_tables()
         self._ladders: dict[float, PhiSeries] = {}
 
     # -- kernel matrices -----------------------------------------------------
 
-    def _index_tables(self) -> list[list[np.ndarray]]:
-        """Per direction j and image of ``_folded_offsets``, flat indices into
-        one time's (orders, u_j) slice of ``_axis_values``: entry [a_j, b]
-        is n u_j + k_j(b), n the folded offset and k_j(b) the index of c_b^j
-        among the u_j distinct values, shaped (npts, s) along box axis j."""
+    def _image_offsets(self) -> list[list[np.ndarray]]:
+        """Per direction j, the folded offsets n[a_j, b] of each image of
+        ``_folded_offsets``, shaped (npts, s) along box axis j."""
         grid = self.grid
         s = grid.site_count
         axis = grid.axis_indices()
         pos = np.unravel_index(np.arange(s), grid.shape)
-        return [[(n * values.size + k).reshape(
-                    [grid.npts if i == j else 1 for i in range(grid.dim)] + [s])
+        return [[n.reshape([grid.npts if i == j else 1 for i in range(grid.dim)] + [s])
                  for n in _folded_offsets(grid, axis[:, None], axis[pos[j]])]
-                for j, (values, k) in enumerate(self._distinct)]
+                for j in range(grid.dim)]
+
+    def _index_tables(self) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
+        """Per direction j, flat indices into one time's (orders, u_j) slice
+        of ``_axis_values`` for ``_gather``: entry [a_j, b] of an image is
+        n u_j + k_j(b), n its folded offset and k_j(b) the index of c_b^j
+        among the u_j distinct values; the mirror, if any, is subtracted.
+        Built per call and dropped with it."""
+        return [([direct * values.size + k], [mirror * values.size + k for mirror in mirrors])
+                for (direct, *mirrors), (values, k) in zip(self._image_offsets(), self._distinct)]
+
+    def _joint_index(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Flat indices into one time's joint table, laid out (offset along
+        axis 0, ..., offset along axis d-1, coefficient tuple), for
+        ``_gather``: one (s, s) table per choice of image in each direction,
+        entry [a, b] the folded offsets of that choice and the index of b's
+        tuple.  A choice with an odd number of mirrors is subtracted, so on
+        zero-extension grids the product of d absorbing factors is 2^d
+        signed gathers.  Built per call and dropped with it."""
+        d = self.grid.dim
+        s = self.grid.site_count
+        tuples, site_tuple = self._tuples
+        offsets = self._period // 2 + 1
+        scaled = [[n * offsets ** (d - 1 - j) * tuples.shape[1] for n in images]
+                  for j, images in enumerate(self._image_offsets())]
+        plus, minus = [], []
+        for choice in itertools.product(*(enumerate(images) for images in scaled)):
+            index = sum((n for _, n in choice), site_tuple).reshape(s, s)
+            (minus if sum(m for m, _ in choice) % 2 else plus).append(index)
+        return plus, minus
 
     def _top_order(self, r_max: float) -> int:
         """Highest Bessel order ``_axis_values`` needs at arguments up to
@@ -312,6 +342,22 @@ class ParametrixSolver:
                        + b[shift:shift + nmax + 1]).transpose(1, 0, 2)
         return folded
 
+    def _bessel_batches(self, ts: np.ndarray) -> Iterator[list[np.ndarray]]:
+        """The ``_axis_values`` tables of every direction for ascending
+        positive times ts, one batch after another: 8192 // s times a
+        batch, fewer when the top order exceeds 255, so a batch of
+        direction j holds (top + 1) batch u_j values for its u_j distinct
+        coefficients, at most 2^21 when every value is distinct."""
+        grid = self.grid
+        s = grid.site_count
+        lo = 0
+        while lo < ts.size:
+            hi = min(ts.size, lo + max(1, 8192 // s))
+            rows = self._top_order(2.0 * float(ts[hi - 1]) * self.coeffs.c_max / grid.dx**2) + 1
+            hi = lo + max(1, min(hi - lo, 2**21 // (rows * s)))
+            yield [self._axis_values(j, ts[lo:hi]) for j in range(grid.dim)]
+            lo = hi
+
     def _offset_second_difference(self, g: np.ndarray) -> np.ndarray:
         """D2 of folded ``_axis_values`` tables g, taken in offset space:
         (g[n+1] + g[n-1] - 2 g[n]) / dx^2 with g[-1] = g[1] (g is even) and
@@ -334,10 +380,8 @@ class ParametrixSolver:
         increments written into the term's output first; D2 G_j is gathered
         like G_j (``_gather``) from its offset-space second difference.  A
         ``potential`` Y (flat, correction only) gives K_Y = K - diag(Y) A
-        instead, A taken from the same tables.  Bessel values come 8192 // s
-        sorted times at a time, fewer when the top order exceeds 255; a
-        batch of direction j holds (top + 1) batch u_j values for its u_j
-        distinct coefficients, at most 2^21 when every value is distinct.
+        instead, A taken from the same tables.  Bessel values come in the
+        sorted batches of ``_bessel_batches``.
         """
         grid = self.grid
         s = grid.site_count
@@ -353,28 +397,26 @@ class ParametrixSolver:
         scratch = np.empty((s, s)) if correction and grid.dim > 1 else None
         if potential is not None:
             y_rows = np.asarray(potential, dtype=float).reshape(grid.shape + (1,))
+        index = self._index_tables()
         lo = zeros
-        while lo < ts.size:
-            hi = min(ts.size, lo + max(1, 8192 // s))
-            rows = self._top_order(2.0 * float(ts[hi - 1]) * self.coeffs.c_max / grid.dx**2) + 1
-            hi = lo + max(1, min(hi - lo, 2**21 // (rows * s)))
-            per_dir = [self._axis_values(j, ts[lo:hi]) for j in range(grid.dim)]
+        for per_dir in self._bessel_batches(ts[zeros:]):
             if correction:
                 per_dir[0] /= vol  # carried into every term
                 diffs = [self._offset_second_difference(g) for g in per_dir]
             if out is None:  # after the first Bessel batch, where a call peaks
                 out = np.empty((ts.size, s, s))
+            hi = lo + per_dir[0].shape[0]
             for k, q in enumerate(order[lo:hi]):
-                tables = [_gather(v[k], idx) for v, idx in zip(per_dir, self._index)]
+                tables = [_gather(v[k].reshape(-1), idx) for v, idx in zip(per_dir, index)]
                 mat = out[q]
                 box = mat.reshape(grid.shape + (s,))
                 if not correction:
                     np.divide(math.prod(tables[1:], start=tables[0]), vol, out=box)
                     continue
-                for j, (idx, c) in enumerate(zip(self._index, self._cflat)):
+                for j, (idx, c) in enumerate(zip(index, self._cflat)):
                     shaped = (mat if j == 0 else scratch).reshape(box.shape)
                     np.subtract(c.reshape(grid.shape + (1,)), c, out=shaped)
-                    shaped *= _gather(diffs[j][k], idx)
+                    shaped *= _gather(diffs[j][k].reshape(-1), idx)
                     for table in tables[:j] + tables[j + 1:]:
                         shaped *= table
                     if j:
@@ -385,6 +427,83 @@ class ParametrixSolver:
         for q in order[:zeros]:
             out[q] = np.eye(s) / vol
         return out
+
+    def _contract_plan(self, times: Sequence[float], weights: np.ndarray,
+                       correction: bool = True, potential: np.ndarray | None = None,
+                       out: np.ndarray | None = None) -> np.ndarray:
+        """W = sum_r C[r, c] F(tau_r) for a plan's weights C (``_conv_plan``)
+        and positive kernel times tau_r, shape (s, n s) over the n columns
+        of C, so that W @ G, the node values stacked as rows, is the plan's
+        integral.  F is K, K_Y = K - diag(Y) A with a flat ``potential``,
+        or A without ``correction``; ``out`` is an optional contiguous
+        buffer of s n s entries that receives W.
+
+        A kernel is a gather of one time's joint table (the ``_axis_values``
+        tables of every direction multiplied out over their folded offsets
+        and the distinct coefficient tuples, D2 in slot j for term j of K),
+        and the gather is linear: C is contracted with the joint tables, in
+        the Bessel batches ``_kernel_stack`` reads, and each node block is
+        gathered from the result (``_joint_index``), term j times c_a^j -
+        c_b^j, less y_a times the A term for K_Y.  No kernel matrix is built.
+        """
+        grid = self.grid
+        d = grid.dim
+        s = grid.site_count
+        times = np.asarray(times, dtype=float)
+        order = np.argsort(times, kind="stable")
+        tuples, _ = self._tuples
+        n = weights.shape[1]
+
+        def joint(tables: list[np.ndarray]) -> np.ndarray:
+            # (batch, nmax+1, U) per direction -> (batch, nmax+1, ..., nmax+1, U)
+            return math.prod(np.expand_dims(t, tuple(1 + i for i in range(d) if i != j))
+                             for j, t in enumerate(tables))
+
+        parts, lo = [], 0
+        for per_dir in self._bessel_batches(times[order]):
+            g = [v[..., k] for v, k in zip(per_dir, tuples)]
+            terms = []
+            if correction:
+                diffs = [self._offset_second_difference(v)[..., k]
+                         for v, k in zip(per_dir, tuples)]
+                terms += [joint(g[:j] + [diffs[j]] + g[j + 1:]) for j in range(d)]
+            if not correction or potential is not None:
+                terms.append(joint(g))
+            hi = lo + g[0].shape[0]
+            tables = np.stack(terms, axis=1).reshape(hi - lo, -1)
+            parts.append(weights[order[lo:hi]].T @ tables)
+            lo = hi
+        contracted = sum(parts[1:], start=parts[0]).reshape(n, len(terms), -1)
+        contracted /= grid.cell_volume
+
+        index = self._joint_index()
+        if out is None:
+            out = np.empty(s * n * s)
+        blocks = out.reshape(s, n, s).transpose(1, 0, 2)
+        if correction:
+            increments = [c[:, None] - c for c in self._cflat]
+        if potential is not None:
+            y = np.asarray(potential, dtype=float).reshape(s, 1)
+        step = max(1, 2**18 // (s * s))  # nodes gathered at once, 2 MB a term
+        scratch = np.empty((min(step, n), s, s))
+        for lo in range(0, n, step):
+            part, tables = blocks[lo:lo + step], contracted[lo:lo + step]
+            term = scratch[:len(part)]
+            if not correction:
+                part[...] = _gather(tables[:, 0], index, term)
+                continue
+            for j, inc in enumerate(increments):
+                _gather(tables[:, j], index, term)
+                if j == 0:
+                    np.multiply(term, inc, out=part)
+                else:
+                    term *= inc
+                    part += term
+            if potential is not None:
+                _gather(tables[:, d], index, term)
+                term *= y
+                part -= term
+        return out.reshape(s, n * s)
 
     def kernel_matrix(self, t: float) -> np.ndarray:
         """Frozen-kernel matrix A_{a,b}(t) (dense, flat layout)."""
@@ -478,8 +597,14 @@ class ParametrixSolver:
         shape (s, n s) over the n nodes the plan reads: the last step of a
         Gamma assembly and of a march piece, dx^d (A(t) u + W @ rho)."""
         times, c = self._conv_plan(t, nodes, weights, bp)
-        kernels = self._kernel_stack(times + [t])
-        return kernels[-1], _contract(c, kernels[:-1])
+        n = c.shape[1]
+        # A(t) is the block of one more node, of unit weight at t alone
+        plan = np.zeros((len(times) + 1, n + 1))
+        plan[:-1, :n] = c
+        plan[-1, n] = 1.0
+        w = self._contract_plan(times + [t], plan, correction=False)
+        s = self.grid.site_count
+        return w[:, n * s:], w[:, :n * s]
 
     def _panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
                 y: np.ndarray | None, buffer: np.ndarray | None = None,
@@ -489,8 +614,8 @@ class ParametrixSolver:
         with ``reverse``.  The targets lo..hi-1 are the panel's nodes, joined
         on the last panel by the ``extra`` times; all of them read the n = lo
         + 8 nodes up to the panel's end.  W, shape ((hi - lo) s, n s), is
-        their plans contracted with K_Y (K when ``y`` is None), each target's
-        kernels built and dropped in turn.  With a ``buffer`` every W is a
+        their plans contracted with K_Y (K when ``y`` is None) by
+        ``_contract_plan``, one target at a time.  With a ``buffer`` every W is a
         view of its start, overwritten by the next panel.  Without one, the
         W follow each other in one array sized for every panel, so keeping
         them all costs one allocation."""
@@ -511,8 +636,7 @@ class ParametrixSolver:
                 start += size
             for j, x in enumerate(targets):
                 times, c = self._conv_plan(float(x), nodes, weights, bp)
-                _contract(c, self._kernel_stack(times, correction=True, potential=y),
-                          w[j * block:(j + 1) * block])
+                self._contract_plan(times, c, potential=y, out=w[j * block:(j + 1) * block])
             yield lo, lo + targets.size, w.reshape(-1, n * s)
 
     def _build_ladder(self, horizon: float) -> tuple[PhiSeries, np.ndarray]:
@@ -756,10 +880,10 @@ def _series_tail(c: float, c3: float, horizon: float, m_max: int) -> float:
     """Tail sum_{m > m_max} C C3^m T^{(m-1)/2} / Gamma(m/2)."""
     if c == 0.0 or c3 == 0.0:
         return 0.0
+    log_c, log_c3, log_t = math.log(c), math.log(c3), math.log(horizon)
     tail = 0.0
     for m in range(m_max + 1, m_max + 400):
-        log_term = math.log(c) + m * math.log(c3) + 0.5 * (m - 1) * math.log(horizon) \
-            - math.lgamma(m / 2.0)
+        log_term = log_c + m * log_c3 + 0.5 * (m - 1) * log_t - math.lgamma(m / 2.0)
         if log_term < -700:
             break
         tail += math.exp(log_term)

@@ -81,12 +81,14 @@ class TimeQuadrature:
 
 def _lagrange_weights(nodes: np.ndarray, points: float | np.ndarray) -> np.ndarray:
     """Lagrange weights of ``nodes`` at a point, or one row per point of an
-    array; every row is formed in the same order as the scalar case."""
+    array: weight m is the product over k of the factors (x - x_k) / (x_m
+    - x_k), the one at k = m set to 1, taken in the order k = 0, 1, ..."""
     x = np.asarray(points, dtype=float)
-    n = nodes.size
-    w = np.ones(x.shape + (n,))
-    for m in range(n):
-        for k in range(n):
-            if k != m:
-                w[..., m] *= (x - nodes[k]) / (nodes[m] - nodes[k])
+    spans = nodes[:, None] - nodes
+    np.fill_diagonal(spans, 1.0)
+    factors = (x[..., None, None] - nodes) / spans  # (..., m, k)
+    np.einsum("...mm->...m", factors)[...] = 1.0
+    w = factors[..., 0].copy()
+    for k in range(1, nodes.size):
+        w *= factors[..., k]
     return w

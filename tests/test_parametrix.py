@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from sdheat import bessel, bounds, oracle
 from sdheat.heat_const import ConstCoeffs, kernel_1d, kernel_nd, recommended_radius
 from sdheat.lattice import Field, GridSpec, forward_diff, laplacian_array
-from sdheat.parametrix import Coefficients, ParametrixSolver, _contract, k1
+from sdheat.parametrix import Coefficients, ParametrixSolver, k1
 from sdheat.quadrature import PANEL_POINTS, TimeQuadrature
 
 
@@ -192,9 +192,10 @@ class TestPhi:
 
 
 class TestContraction:
-    """The plan weights C (``_conv_plan``) on polynomials, the contracted
-    W (``_contract``) against the plan summed term by term, and the kernel
-    budget of a ladder."""
+    """The plan weights C (``_conv_plan``) on polynomials, the W that
+    ``_contract_plan`` contracts in Bessel-table space against the plan
+    summed term by term over kernel matrices, and the kernel budget of a
+    ladder."""
 
     HORIZON = 0.1
 
@@ -220,34 +221,51 @@ class TestContraction:
                         / math.factorial(i + k + 1)
                     assert got == pytest.approx(want, rel=1e-12)
 
-    def test_matches_direct_plan_evaluation(self, small_var_coeffs):
-        # W @ g = sum_{r,c} C[r, c] K(tau_r) g_c, summed term by term
-        solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=24), tol=1e-6)
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), three_valued=st.booleans(),
+           kernel=st.sampled_from(["K", "K_Y", "A"]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_direct_plan_evaluation(self, dim, periodic, three_valued, kernel, seed):
+        # W @ g = sum_{r,c} C[r, c] F(tau_r) g_c, summed term by term over
+        # the kernel matrices of _kernel_stack, for K, K_Y and A on fields
+        # with every value distinct or drawn from three values
+        grid = GridSpec(dx=0.25, dim=dim, radius=5 if dim == 1 else 2,
+                        boundary="periodic-wrap" if periodic else "zero-extension")
+        rng = np.random.default_rng(seed)
+        shape = (dim,) + grid.shape
+        vals = rng.choice([0.6, 1.0, 1.7], shape) if three_valued else rng.uniform(0.5, 2.0, shape)
+        solver = ParametrixSolver(Coefficients(grid, vals), TimeQuadrature(nodes=24), tol=1e-6)
+        s = grid.site_count
+        y = rng.uniform(0.0, 3.0, s) if kernel == "K_Y" else None
         nodes, weights, bp, targets = self._rule(solver)
-        s = solver.grid.site_count
-        rng = np.random.default_rng(5)
         g_mat = rng.standard_normal((nodes.size, s, s))
         g_vec = rng.standard_normal((nodes.size, s))
         for t in targets:
             times, c = solver._conv_plan(t, nodes, weights, bp)
-            kernels = [solver.correction_matrix(tau) for tau in times]
-            w = _contract(c, np.stack(kernels))
+            w = solver._contract_plan(times, c, kernel != "A", y)
+            kernels = solver._kernel_stack(times, kernel != "A", y)
             n = c.shape[1]
             for g in (g_mat, g_vec):
                 got = w @ g[:n].reshape((n * s,) + g.shape[2:])
-                ref = sum(c[r, q] * (kernel @ g[q])
-                          for r, kernel in enumerate(kernels) for q in range(n))
+                ref = sum(c[r, q] * (f @ g[q]) for r, f in enumerate(kernels) for q in range(n))
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_ladder_builds_each_kernel_once(self, small_var_coeffs, monkeypatch):
+        # every target's plan is contracted once in table space, and kernel
+        # matrices are built only for K^(1) at the nodes and the horizon
         solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=24), tol=1e-8)
         horizon = 0.2
-        times, batches = {False: [], True: []}, []
+        stacks, contracted = {False: [], True: []}, {False: [], True: []}
+        batches = []
         real_stack = ParametrixSolver._kernel_stack
         monkeypatch.setattr(ParametrixSolver, "_kernel_stack",
                             lambda self, ts, correction=False, potential=None:
-                            times[correction].extend(ts)
+                            stacks[correction].extend(ts)
                             or real_stack(self, ts, correction, potential))
+        real_contract = ParametrixSolver._contract_plan
+        monkeypatch.setattr(ParametrixSolver, "_contract_plan",
+                            lambda self, ts, c, correction=True, potential=None, out=None:
+                            contracted[correction].extend(ts)
+                            or real_contract(self, ts, c, correction, potential, out))
         real_batch = bessel.iv_scaled_matrix
         monkeypatch.setattr(bessel, "iv_scaled_matrix",
                             lambda nmax, r: batches.append(r.size) or real_batch(nmax, r))
@@ -256,9 +274,11 @@ class TestContraction:
         targets = np.append(lad.times, horizon)
         plans = [len(solver._conv_plan(float(x), lad.times, lad.weights, lad.breakpoints)[0])
                  for x in targets]
-        assert len(times[True]) == sum(plans) + targets.size == 497
-        # the end step Gamma(horizon) = A + dx^d W @ Phi: the horizon's plan and A(horizon)
-        assert len(times[False]) == plans[-1] + 1
+        assert stacks[True] == list(targets) and not stacks[False]
+        assert len(contracted[True]) == sum(plans) == 480
+        # the end step Gamma(horizon) = A + dx^d W @ Phi: the horizon's plan
+        # and A(horizon), a node of unit weight at the horizon alone
+        assert contracted[False] == contracted[True][-plans[-1]:] + [horizon]
         # at most 8192 // s = 167 times per batch: one batch for the targets,
         # one per plan, one for the end step
         assert len(batches) == 2 + targets.size == 19
@@ -461,11 +481,13 @@ class TestDenseBudget:
         coeffs = Coefficients.constant(grid, 1.0)
         tracemalloc.start()
         try:
-            ParametrixSolver(coeffs)
-            peak = tracemalloc.get_traced_memory()[1]
+            solver = ParametrixSolver(coeffs)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+        # a solver keeps O(s) entries: index tables are built per call
+        assert held < 16 * 8 * solver.grid.site_count
 
 
 class TestGammaEntryPoints:
