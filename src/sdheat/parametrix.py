@@ -19,11 +19,11 @@ The frozen kernel factorises: A_{a,b}(t) = prod_j G_j[a_j, b] / dx^d with
 G_j[a_j, b] = h(a_j - b_j) for h(n) = e^{-r} I_n(r) folded on a torus, r =
 2 t c_b^j / dx^2, and D2_j acts on G_j alone.  On zero-extension grids the
 mirror image is subtracted (``_folded_offsets``).  Kernel and correction
-matrices are therefore broadcast products of (npts, s) direction tables,
-each gathered from a Bessel batch; D2_j G_j is gathered the same way from
-the batch's second difference in the offset.  A site b enters G_j only
-through c_b^j, so the batch of direction j runs over the distinct values
-of c^j, not over the sites.
+matrices are therefore gathers of one joint table per time: the
+direction tables of a Bessel batch multiplied out over the folded offsets,
+D2_j G_j taken from the batch's second difference in the offset.  A site b
+enters G_j only through c_b^j, so the batch of direction j runs over the
+distinct values of c^j, not over the sites.
 
 Numerically, one graded Gauss rule on (0, horizon) serves every time
 integral.  Panels well below the target time keep their Gauss weights;
@@ -45,14 +45,15 @@ solve takes the panels one at a time in one reused buffer and solves the
 Volterra equation panel by panel (``march``).  The end of a ladder build
 contracts the horizon's plan with A and applies W to Phi, Gamma(horizon)
 = A + dx^d W @ Phi, A(horizon) being the block of one more node of unit
-weight.  Kernel matrices are built (``_kernel_stack``) only for K^(1) at
-the nodes and the horizon, for the march's right-hand sides, and for
-``kernel_matrix`` and ``correction_matrix``.  The per-order sup norms
-decay like C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order is
-chosen by fitting C and C3 to the measured norms and summing the analytic
-tail.  A built ladder is one ``PhiSeries``: Gamma(horizon), the rule
-behind it, and the truncation record, cached per horizon; Phi itself is
-dropped.
+weight.  A kernel matrix is the plan of unit weight at its time, so
+``_contract_plan`` is the only gather of kernels: ``_kernel_stack`` lays
+out such plans for K^(1) at the nodes and the horizon, for the march's
+right-hand sides, and for ``kernel_matrix`` and ``correction_matrix``.
+The per-order sup norms decay like C C3^m t^{(m-1)/2} / Gamma(m/2); the
+truncation order is chosen by fitting C and C3 to the measured norms and
+summing the analytic tail.  A built ladder is one ``PhiSeries``:
+Gamma(horizon), the rule behind it, and the truncation record, cached per
+horizon; Phi itself is dropped.
 """
 
 from __future__ import annotations
@@ -232,12 +233,12 @@ class ParametrixSolver:
     Each target of the time rule or Gamma assembly has its plan weights
     contracted in Bessel-table space and gathered into its W
     (``_contract_plan``); ``_panels`` gathers the contracted targets of
-    one panel into one matrix W.  Construction keeps, per direction, the
-    distinct coefficient values and each site's index among them, and
-    each site's index among the distinct tuples of those indices: O(s)
-    entries, no index table and no s x s array.  Index tables are built
-    per call and dropped with it: (npts, s) per direction and image for
-    ``_kernel_stack``, (s, s) per choice of images for ``_contract_plan``.
+    one panel into one matrix W, and a kernel matrix is the plan of unit
+    weight at its time (``_kernel_stack``).  Construction keeps, per
+    direction, the distinct coefficient values and each site's index
+    among them, and each site's index among the distinct tuples of those
+    indices: O(s) entries, no index table and no s x s array.  Index
+    tables are built per block of rows and dropped with it.
     A ladder build keeps the W of every panel while it runs its orders
     (about N^2 s^2 / 2 entries for N nodes and s sites); a built ladder
     keeps only Gamma(horizon), s^2 entries per horizon, and every Gamma
@@ -275,43 +276,31 @@ class ParametrixSolver:
 
     # -- kernel matrices -----------------------------------------------------
 
-    def _image_offsets(self) -> list[list[np.ndarray]]:
-        """Per direction j, the folded offsets n[a_j, b] of each image of
-        ``_folded_offsets``, shaped (npts, s) along box axis j."""
-        grid = self.grid
-        s = grid.site_count
-        axis = grid.axis_indices()
-        pos = np.unravel_index(np.arange(s), grid.shape)
-        return [[n.reshape([grid.npts if i == j else 1 for i in range(grid.dim)] + [s])
-                 for n in _folded_offsets(grid, axis[:, None], axis[pos[j]])]
-                for j in range(grid.dim)]
-
-    def _index_tables(self) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
-        """Per direction j, flat indices into one time's (orders, u_j) slice
-        of ``_axis_values`` for ``_gather``: entry [a_j, b] of an image is
-        n u_j + k_j(b), n its folded offset and k_j(b) the index of c_b^j
-        among the u_j distinct values; the mirror, if any, is subtracted.
-        Built per call and dropped with it."""
-        return [([direct * values.size + k], [mirror * values.size + k for mirror in mirrors])
-                for (direct, *mirrors), (values, k) in zip(self._image_offsets(), self._distinct)]
-
-    def _joint_index(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def _joint_index(self, slabs: slice) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Flat indices into one time's joint table, laid out (offset along
         axis 0, ..., offset along axis d-1, coefficient tuple), for
-        ``_gather``: one (s, s) table per choice of image in each direction,
-        entry [a, b] the folded offsets of that choice and the index of b's
-        tuple.  A choice with an odd number of mirrors is subtracted, so on
-        zero-extension grids the product of d absorbing factors is 2^d
-        signed gathers.  Built per call and dropped with it."""
-        d = self.grid.dim
-        s = self.grid.site_count
+        ``_gather``: one (rows, s) table per choice of image in each
+        direction, for the rows a in the ``slabs`` (box positions along axis
+        0), entry [a, b] the folded offsets of that choice and the index of
+        b's tuple.  A choice with an odd number of mirrors is subtracted, so
+        on zero-extension grids the product of d absorbing factors is 2^d
+        signed gathers."""
+        grid = self.grid
+        d = grid.dim
+        s = grid.site_count
         tuples, site_tuple = self._tuples
         offsets = self._period // 2 + 1
-        scaled = [[n * offsets ** (d - 1 - j) * tuples.shape[1] for n in images]
-                  for j, images in enumerate(self._image_offsets())]
+        axis = grid.axis_indices()
+        pos = np.unravel_index(np.arange(s), grid.shape)
+        scaled = []
+        for j in range(d):
+            rows = axis[slabs] if j == 0 else axis
+            shape = [rows.size if i == j else 1 for i in range(d)] + [s]
+            scaled.append([(n * offsets ** (d - 1 - j) * tuples.shape[1]).reshape(shape)
+                           for n in _folded_offsets(grid, rows[:, None], axis[pos[j]])])
         plus, minus = [], []
         for choice in itertools.product(*(enumerate(images) for images in scaled)):
-            index = sum((n for _, n in choice), site_tuple).reshape(s, s)
+            index = sum((n for _, n in choice), site_tuple).reshape(-1, s)
             (minus if sum(m for m, _ in choice) % 2 else plus).append(index)
         return plus, minus
 
@@ -344,7 +333,7 @@ class ParametrixSolver:
 
     def _bessel_batches(self, ts: np.ndarray) -> Iterator[list[np.ndarray]]:
         """The ``_axis_values`` tables of every direction for ascending
-        positive times ts, one batch after another: 8192 // s times a
+        nonnegative times ts, one batch after another: 8192 // s times a
         batch, fewer when the top order exceeds 255, so a batch of
         direction j holds (top + 1) batch u_j values for its u_j distinct
         coefficients, at most 2^21 when every value is distinct."""
@@ -374,135 +363,100 @@ class ParametrixSolver:
     def _kernel_stack(self, times: Sequence[float], correction: bool = False,
                       potential: np.ndarray | None = None) -> np.ndarray:
         """Frozen kernels A(t), or with ``correction`` the correction kernels
-        K(t), stacked as (len(times), s, s) in the given order (not cached).
+        K(t) (K_Y with a flat ``potential``), stacked as (len(times), s, s)
+        in the given order (not cached): the plan of unit weight at each
+        time, contracted by ``_contract_plan`` and laid out node by node."""
+        s = self.grid.site_count
+        n = np.size(times)
+        w = self._contract_plan(times, np.eye(n), correction, potential)
+        return np.ascontiguousarray(w.reshape(s, n, s).transpose(1, 0, 2))
 
-        Term j of K is (c_a^j - c_b^j) D2 G_j times the other tables, the
-        increments written into the term's output first; D2 G_j is gathered
-        like G_j (``_gather``) from its offset-space second difference.  A
-        ``potential`` Y (flat, correction only) gives K_Y = K - diag(Y) A
-        instead, A taken from the same tables.  Bessel values come in the
-        sorted batches of ``_bessel_batches``.
+    def _contract_plan(self, times: Sequence[float], weights: np.ndarray,
+                       correction: bool = True, potential: np.ndarray | None = None,
+                       out: np.ndarray | None = None) -> np.ndarray:
+        """W = sum_r C[r, c] F(tau_r) for a plan's weights C (``_conv_plan``)
+        and kernel times tau_r, positive for K and nonnegative for A, shape
+        (s, n s) over the n columns of C, so that W @ G, the node values
+        stacked as rows, is the plan's integral.  F is K, K_Y = K - diag(Y)
+        A with a flat ``potential``, or A without ``correction``; ``out`` is
+        an optional contiguous buffer of s n s entries that receives W.
+
+        A kernel is a gather of one time's joint table (the ``_axis_values``
+        tables of every direction multiplied out over their folded offsets
+        and the distinct coefficient tuples, D2 in slot j for term j of K),
+        and the gather is linear: C is contracted with the joint tables one
+        term at a time, in the Bessel batches of ``_bessel_batches``, and
+        each node block is gathered from the result (``_joint_index``), term
+        j times c_a^j - c_b^j, less y_a times the A term for K_Y.  Rows go
+        in blocks of whole slabs along axis 0, about 2^18 index entries a
+        block (one block up to 512 sites), each with its own index tables
+        and increments, so no s x s array is held besides W.
         """
         grid = self.grid
+        d = grid.dim
         s = grid.site_count
-        vol = grid.cell_volume
         times = np.asarray(times, dtype=float).reshape(-1)
         order = np.argsort(times, kind="stable")
         ts = times[order]
         if ts.size and (ts[0] < 0 or (correction and ts[0] == 0)):
             raise ValueError(f"time must be {'positive' if correction else 'nonnegative'}, "
                              f"got {ts[0]}")
-        zeros = int(np.searchsorted(ts, 0.0, side="right"))
-        out = np.empty((ts.size, s, s)) if zeros == ts.size else None
-        scratch = np.empty((s, s)) if correction and grid.dim > 1 else None
-        if potential is not None:
-            y_rows = np.asarray(potential, dtype=float).reshape(grid.shape + (1,))
-        index = self._index_tables()
-        lo = zeros
-        for per_dir in self._bessel_batches(ts[zeros:]):
-            if correction:
-                per_dir[0] /= vol  # carried into every term
-                diffs = [self._offset_second_difference(g) for g in per_dir]
-            if out is None:  # after the first Bessel batch, where a call peaks
-                out = np.empty((ts.size, s, s))
-            hi = lo + per_dir[0].shape[0]
-            for k, q in enumerate(order[lo:hi]):
-                tables = [_gather(v[k].reshape(-1), idx) for v, idx in zip(per_dir, index)]
-                mat = out[q]
-                box = mat.reshape(grid.shape + (s,))
-                if not correction:
-                    np.divide(math.prod(tables[1:], start=tables[0]), vol, out=box)
-                    continue
-                for j, (idx, c) in enumerate(zip(index, self._cflat)):
-                    shaped = (mat if j == 0 else scratch).reshape(box.shape)
-                    np.subtract(c.reshape(grid.shape + (1,)), c, out=shaped)
-                    shaped *= _gather(diffs[j][k].reshape(-1), idx)
-                    for table in tables[:j] + tables[j + 1:]:
-                        shaped *= table
-                    if j:
-                        mat += scratch
-                if potential is not None:
-                    box -= y_rows * math.prod(tables[1:], start=tables[0])
-            lo = hi
-        for q in order[:zeros]:
-            out[q] = np.eye(s) / vol
-        return out
-
-    def _contract_plan(self, times: Sequence[float], weights: np.ndarray,
-                       correction: bool = True, potential: np.ndarray | None = None,
-                       out: np.ndarray | None = None) -> np.ndarray:
-        """W = sum_r C[r, c] F(tau_r) for a plan's weights C (``_conv_plan``)
-        and positive kernel times tau_r, shape (s, n s) over the n columns
-        of C, so that W @ G, the node values stacked as rows, is the plan's
-        integral.  F is K, K_Y = K - diag(Y) A with a flat ``potential``,
-        or A without ``correction``; ``out`` is an optional contiguous
-        buffer of s n s entries that receives W.
-
-        A kernel is a gather of one time's joint table (the ``_axis_values``
-        tables of every direction multiplied out over their folded offsets
-        and the distinct coefficient tuples, D2 in slot j for term j of K),
-        and the gather is linear: C is contracted with the joint tables, in
-        the Bessel batches ``_kernel_stack`` reads, and each node block is
-        gathered from the result (``_joint_index``), term j times c_a^j -
-        c_b^j, less y_a times the A term for K_Y.  No kernel matrix is built.
-        """
-        grid = self.grid
-        d = grid.dim
-        s = grid.site_count
-        times = np.asarray(times, dtype=float)
-        order = np.argsort(times, kind="stable")
         tuples, _ = self._tuples
         n = weights.shape[1]
 
         def joint(tables: list[np.ndarray]) -> np.ndarray:
-            # (batch, nmax+1, U) per direction -> (batch, nmax+1, ..., nmax+1, U)
+            # (batch, nmax+1, U) per direction -> (batch, (nmax+1)^d U)
             return math.prod(np.expand_dims(t, tuple(1 + i for i in range(d) if i != j))
-                             for j, t in enumerate(tables))
+                             for j, t in enumerate(tables)).reshape(len(tables[0]), -1)
 
         parts, lo = [], 0
-        for per_dir in self._bessel_batches(times[order]):
+        for per_dir in self._bessel_batches(ts):
             g = [v[..., k] for v, k in zip(per_dir, tuples)]
             terms = []
             if correction:
                 diffs = [self._offset_second_difference(v)[..., k]
                          for v, k in zip(per_dir, tuples)]
-                terms += [joint(g[:j] + [diffs[j]] + g[j + 1:]) for j in range(d)]
+                terms += [g[:j] + [diffs[j]] + g[j + 1:] for j in range(d)]
             if not correction or potential is not None:
-                terms.append(joint(g))
+                terms.append(g)
             hi = lo + g[0].shape[0]
-            tables = np.stack(terms, axis=1).reshape(hi - lo, -1)
-            parts.append(weights[order[lo:hi]].T @ tables)
+            parts.append([weights[order[lo:hi]].T @ joint(tables) for tables in terms])
             lo = hi
-        contracted = sum(parts[1:], start=parts[0]).reshape(n, len(terms), -1)
-        contracted /= grid.cell_volume
+        contracted = [sum(p[1:], start=p[0]) for p in zip(*parts)]
+        for acc in contracted:
+            acc /= grid.cell_volume
 
-        index = self._joint_index()
         if out is None:
             out = np.empty(s * n * s)
-        blocks = out.reshape(s, n, s).transpose(1, 0, 2)
-        if correction:
-            increments = [c[:, None] - c for c in self._cflat]
+        by_row = out.reshape(s, n, s)
+        slab = s // grid.npts
+        slabs = min(grid.npts, max(1, 2**18 // (s * slab)))  # per row block
+        step = max(1, 2**18 // (slabs * slab * s))  # nodes gathered at once, 2 MB a term
+        scratch = np.empty(min(step, n) * slabs * slab * s)
         if potential is not None:
             y = np.asarray(potential, dtype=float).reshape(s, 1)
-        step = max(1, 2**18 // (s * s))  # nodes gathered at once, 2 MB a term
-        scratch = np.empty((min(step, n), s, s))
-        for lo in range(0, n, step):
-            part, tables = blocks[lo:lo + step], contracted[lo:lo + step]
-            term = scratch[:len(part)]
-            if not correction:
-                part[...] = _gather(tables[:, 0], index, term)
-                continue
-            for j, inc in enumerate(increments):
-                _gather(tables[:, j], index, term)
-                if j == 0:
-                    np.multiply(term, inc, out=part)
-                else:
-                    term *= inc
-                    part += term
-            if potential is not None:
-                _gather(tables[:, d], index, term)
-                term *= y
-                part -= term
+        for first in range(0, grid.npts, slabs):
+            index = self._joint_index(slice(first, first + slabs))
+            rows = slice(first * slab, min(first + slabs, grid.npts) * slab)
+            increments = [c[rows, None] - c for c in self._cflat] if correction else []
+            for lo in range(0, n, step):
+                part = by_row[rows, lo:lo + step].transpose(1, 0, 2)
+                tables = [acc[lo:lo + step] for acc in contracted]
+                term = scratch[:part.size].reshape(part.shape)
+                if not correction:
+                    part[...] = _gather(tables[0], index, term)
+                    continue
+                for j, inc in enumerate(increments):
+                    _gather(tables[j], index, term)
+                    if j == 0:
+                        np.multiply(term, inc, out=part)
+                    else:
+                        term *= inc
+                        part += term
+                if potential is not None:
+                    _gather(tables[d], index, term)
+                    term *= y[rows]
+                    part -= term
         return out.reshape(s, n * s)
 
     def kernel_matrix(self, t: float) -> np.ndarray:

@@ -1,9 +1,10 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -123,6 +124,18 @@ class TestCorrectionKernel:
     def test_time_validation(self, small_var_coeffs):
         with pytest.raises(ValueError):
             k1((1,), (0,), 0.0, small_var_coeffs)
+
+    def test_matrix_time_validation(self, small_var_coeffs):
+        # K needs t > 0 and A t >= 0, where A(0) is the Dirac matrix
+        solver = ParametrixSolver(small_var_coeffs)
+        for call in (lambda: solver.correction_matrix(0.0),
+                     lambda: solver.correction_matrix(-0.1),
+                     lambda: solver.kernel_matrix(-0.1)):
+            with pytest.raises(ValueError, match="time must be"):
+                call()
+        grid = small_var_coeffs.grid
+        assert np.array_equal(solver.kernel_matrix(0.0),
+                              np.eye(grid.site_count) / grid.cell_volume)
 
     def test_matrix_matches_pointwise(self):
         # torus images beyond the first are negligible at this time, while
@@ -251,7 +264,8 @@ class TestContraction:
 
     def test_ladder_builds_each_kernel_once(self, small_var_coeffs, monkeypatch):
         # every target's plan is contracted once in table space, and kernel
-        # matrices are built only for K^(1) at the nodes and the horizon
+        # matrices are built only for K^(1) at the nodes and the horizon, as
+        # one plan of unit weights
         solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=24), tol=1e-8)
         horizon = 0.2
         stacks, contracted = {False: [], True: []}, {False: [], True: []}
@@ -275,7 +289,8 @@ class TestContraction:
         plans = [len(solver._conv_plan(float(x), lad.times, lad.weights, lad.breakpoints)[0])
                  for x in targets]
         assert stacks[True] == list(targets) and not stacks[False]
-        assert len(contracted[True]) == sum(plans) == 480
+        assert contracted[True][:targets.size] == list(targets)
+        assert len(contracted[True]) - targets.size == sum(plans) == 480
         # the end step Gamma(horizon) = A + dx^d W @ Phi: the horizon's plan
         # and A(horizon), a node of unit weight at the horizon alone
         assert contracted[False] == contracted[True][-plans[-1]:] + [horizon]
@@ -285,23 +300,27 @@ class TestContraction:
 
 
 class TestKernelStack:
-    """``_kernel_stack`` against the dense route: A gathered entry by entry
-    through s x s offset tables, and K = sum_j (c_a^j - c_b^j) D2_j A by
-    ``laplacian_array`` along a_j on the whole matrix (zero outside the box
-    on zero-extension grids, as in the absorbing generator).
+    """Kernel matrices of ``_kernel_stack``, plans of unit weight contracted
+    by ``_contract_plan``, against the dense route: A gathered entry by
+    entry through s x s offset tables, and K = sum_j (c_a^j - c_b^j) D2_j A
+    by ``laplacian_array`` along a_j on the whole matrix (zero outside the
+    box on zero-extension grids, as in the absorbing generator).
 
     On zero-extension grids each factor of A is the torus kernel of period
     2 npts + 2 at the offset a_j - b_j less the one at the mirror offset
-    a_j + b_j + 2R + 2.  A must be bit-identical.  The two routes round the
-    second difference in different orders, so K is held to 1e-14 of the
-    magnitude terms D2 cancels, entry by entry (the rows at a_j = -R and R
-    included), the mirror's terms added to the direct ones: on a kernel
-    spread over the whole box those terms exceed K by orders of magnitude.
-    A is nonnegative up to the rounding of direct less mirror."""
+    a_j + b_j + 2R + 2, and their product is written out as the signed sum
+    over the choices of image in each direction: each choice's product
+    divided by dx^d, the choices with an even number of mirrors added
+    first, then the others subtracted.  A must be bit-identical.  The two
+    routes round the second difference in different orders, so K is held
+    to 1e-14 of the magnitude terms D2 cancels, entry by entry (the rows at
+    a_j = -R and R included), the mirror's terms added to the direct ones:
+    on a kernel spread over the whole box those terms exceed K by orders of
+    magnitude.  A is nonnegative up to the rounding of direct less mirror."""
 
     @staticmethod
     def _dense(solver, t, times):
-        # the tables come from the sorted batch _kernel_stack reads: the
+        # the tables come from the sorted batch _contract_plan reads: the
         # number of torus images follows the batch's largest argument
         grid = solver.grid
         s = grid.site_count
@@ -311,24 +330,30 @@ class TestKernelStack:
         row = int(np.searchsorted(batch, t))
 
         def axis(g, j, step):
-            # G_j at a_j + step, and the sum of the magnitudes of its images;
+            # G_j at a_j + step at each image (the mirror, if any, second);
             # column b of the table is c_b^j's among the distinct values
             a_j, b_j = comps[:, j][:, None] + step, comps[:, j][None, :]
             images = [a_j - b_j] if grid.periodic else [a_j - b_j, a_j + b_j + 2 * grid.radius + 2]
-            vals = [g[np.abs((n + period // 2) % period - period // 2), solver._distinct[j][1]]
+            return [g[np.abs((n + period // 2) % period - period // 2), solver._distinct[j][1]]
                     for n in images]
-            return vals[0] - sum(vals[1:]), sum(vals)
 
         tables = [solver._axis_values(j, batch)[row] for j in range(grid.dim)]
-        vals, sizes = zip(*(axis(g, j, 0) for j, g in enumerate(tables)))
-        a = math.prod(vals, start=np.ones((s, s))) / grid.cell_volume
+        images = [axis(g, j, 0) for j, g in enumerate(tables)]
+        plus, minus = [], []
+        for choice in itertools.product(*(enumerate(vals) for vals in images)):
+            term = math.prod((v for _, v in choice), start=np.ones((s, s))) / grid.cell_volume
+            (minus if sum(m for m, _ in choice) % 2 else plus).append(term)
+        a = sum(plus[1:], start=plus[0])
+        for term in minus:
+            a -= term
+        sizes = [sum(vals) for vals in images]
         shaped = a.reshape(*grid.shape, s)
         k = np.zeros((s, s))
         scale = np.zeros((s, s))
         for j, (c, g) in enumerate(zip(solver._cflat, tables)):
             d2 = laplacian_array(shaped, j, grid.dx, grid.periodic).reshape(s, s)
             k += (c[:, None] - c[None, :]) * d2
-            terms = sum(axis(g, j, step)[1] for step in (-1, 0, 0, 1))
+            terms = sum(sum(axis(g, j, step)) for step in (-1, 0, 0, 1))
             terms = math.prod(sizes[:j] + sizes[j + 1:], start=terms)
             scale += np.abs(c[:, None] - c[None, :]) * terms / (grid.dx**2 * grid.cell_volume)
         return a, k, scale, math.prod(sizes) / grid.cell_volume
@@ -337,9 +362,12 @@ class TestKernelStack:
     @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), radius=st.integers(1, 6),
            dx=st.sampled_from([0.125, 0.25, 0.5]), seed=st.integers(0, 2**32 - 1),
            times=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3))
+    @example(dim=2, periodic=True, radius=12, dx=0.25, seed=7, times=[0.3, 0.02])
+    @example(dim=2, periodic=False, radius=12, dx=0.25, seed=7, times=[0.3, 0.02])
     def test_matches_dense_route(self, dim, periodic, radius, dx, seed, times):
         # fields with every value distinct, and drawn from three values, so
-        # that the Bessel tables hold fewer columns than there are sites
+        # that the Bessel tables hold fewer columns than there are sites;
+        # the 625 sites of the examples gather in two blocks of rows
         grid = GridSpec(dx=dx, dim=dim, radius=radius,
                         boundary="periodic-wrap" if periodic else "zero-extension")
         rng = np.random.default_rng(seed)
@@ -469,8 +497,8 @@ class TestDenseBudget:
         grid = GridSpec(dx=1.0, dim=2, radius=46)
         assert grid.site_count == 8649
         coeffs = Coefficients.constant(grid, 1.0)
-        monkeypatch.setattr(ParametrixSolver, "_index_tables",
-                            lambda self: pytest.fail("index tables built"))
+        monkeypatch.setattr(ParametrixSolver, "_joint_index",
+                            lambda self, slabs: pytest.fail("index tables built"))
         with pytest.raises(ValueError, match="dense budget"):
             ParametrixSolver(coeffs)
 
