@@ -40,16 +40,18 @@ W is gathered once: no kernel matrix is built for a plan.  One generator,
 ``_panels``, contracts the targets of each panel of the rule with the
 correction kernel K_Y = K - diag(Y) A of a potential Y (K without one)
 into one W per panel.  The ladder keeps every panel's W and runs each
-order as one product per panel, K^(m)(x_i) = dx^d W_i @ K^(m-1); a Cauchy
-solve takes the panels one at a time in one reused buffer and solves the
-Volterra equation panel by panel (``march``).  The end of a ladder build
-contracts the horizon's plan with A and applies W to Phi, Gamma(horizon)
-= A + dx^d W @ Phi, A(horizon) being the block of one more node of unit
-weight.  A kernel matrix is the plan of unit weight at its time, so
-``_contract_plan`` is the only gather of kernels: ``_kernel_stack`` lays
-out such plans for K^(1) at the nodes and the horizon, for the march's
-right-hand sides, and for ``kernel_matrix`` and ``correction_matrix``.
-The per-order sup norms decay like C C3^m t^{(m-1)/2} / Gamma(m/2); the
+order transposed, one product per panel, K^(m)(x_i)^T = dx^d K^(m-1)^T
+W_i^T, the nodes side by side in one of two order buffers that swap roles;
+a Cauchy solve takes the panels one at a time in one reused buffer and
+solves the Volterra equation panel by panel (``march``).  The end of a
+ladder build contracts the horizon's plan with A and applies W to Phi,
+Gamma(horizon) = A + dx^d W @ Phi, A(horizon) being the block of one more
+node of unit weight.  A kernel matrix is the plan of unit weight at its
+time, so ``_contract_plan`` is the only gather of kernels:
+``_kernel_stack`` lays out such plans for K^(1) at the nodes and the
+horizon, for the march's right-hand sides, and for ``kernel_matrix`` and
+``correction_matrix``; unit weights are read as joint-table rows, with no
+weight matrix.  The per-order sup norms decay like C C3^m t^{(m-1)/2} / Gamma(m/2); the
 truncation order is chosen by fitting C and C3 to the measured norms and
 summing the analytic tail.  A built ladder is one ``PhiSeries``:
 Gamma(horizon), the rule behind it, and the truncation record, cached per
@@ -240,9 +242,11 @@ class ParametrixSolver:
     indices: O(s) entries, no index table and no s x s array.  Index
     tables are built per block of rows and dropped with it.
     A ladder build keeps the W of every panel while it runs its orders
-    (about N^2 s^2 / 2 entries for N nodes and s sites); a built ladder
-    keeps only Gamma(horizon), s^2 entries per horizon, and every Gamma
-    entry point reads it.  A march keeps the W of one panel at a time, in
+    (about N^2 s^2 / 2 entries for N nodes and s sites), and besides them
+    two order buffers and Phi, (N + 1) s^2 entries each; the panels and the
+    order buffers are dropped before the end step.  A built ladder keeps
+    only Gamma(horizon), s^2 entries per horizon, and every Gamma entry
+    point reads it.  A march keeps the W of one panel at a time, in
     one buffer sized for the last panel: 8 N s^2 entries, 13 MB at 65
     sites and 48 nodes.
 
@@ -365,21 +369,24 @@ class ParametrixSolver:
         """Frozen kernels A(t), or with ``correction`` the correction kernels
         K(t) (K_Y with a flat ``potential``), stacked as (len(times), s, s)
         in the given order (not cached): the plan of unit weight at each
-        time, contracted by ``_contract_plan`` and laid out node by node."""
+        time, contracted by ``_contract_plan`` without weights and laid out
+        node by node."""
         s = self.grid.site_count
-        n = np.size(times)
-        w = self._contract_plan(times, np.eye(n), correction, potential)
-        return np.ascontiguousarray(w.reshape(s, n, s).transpose(1, 0, 2))
+        w = self._contract_plan(times, None, correction, potential)
+        return np.ascontiguousarray(w.reshape(s, -1, s).transpose(1, 0, 2))
 
-    def _contract_plan(self, times: Sequence[float], weights: np.ndarray,
+    def _contract_plan(self, times: Sequence[float], weights: np.ndarray | None,
                        correction: bool = True, potential: np.ndarray | None = None,
                        out: np.ndarray | None = None) -> np.ndarray:
         """W = sum_r C[r, c] F(tau_r) for a plan's weights C (``_conv_plan``)
         and kernel times tau_r, positive for K and nonnegative for A, shape
         (s, n s) over the n columns of C, so that W @ G, the node values
-        stacked as rows, is the plan's integral.  F is K, K_Y = K - diag(Y)
-        A with a flat ``potential``, or A without ``correction``; ``out`` is
-        an optional contiguous buffer of s n s entries that receives W.
+        stacked as rows, is the plan's integral.  ``weights`` None stands for
+        the unit weights C = I, one column per time: the kernel matrices
+        F(tau_r) side by side, each taken from its row of the joint tables
+        with no product.  F is K, K_Y = K - diag(Y) A with a flat
+        ``potential``, or A without ``correction``; ``out`` is an optional
+        contiguous buffer of s n s entries that receives W.
 
         A kernel is a gather of one time's joint table (the ``_axis_values``
         tables of every direction multiplied out over their folded offsets
@@ -402,7 +409,7 @@ class ParametrixSolver:
             raise ValueError(f"time must be {'positive' if correction else 'nonnegative'}, "
                              f"got {ts[0]}")
         tuples, _ = self._tuples
-        n = weights.shape[1]
+        n = ts.size if weights is None else weights.shape[1]
 
         def joint(tables: list[np.ndarray]) -> np.ndarray:
             # (batch, nmax+1, U) per direction -> (batch, (nmax+1)^d U)
@@ -420,9 +427,13 @@ class ParametrixSolver:
             if not correction or potential is not None:
                 terms.append(g)
             hi = lo + g[0].shape[0]
-            parts.append([weights[order[lo:hi]].T @ joint(tables) for tables in terms])
+            parts.append([joint(tables) if weights is None
+                          else weights[order[lo:hi]].T @ joint(tables) for tables in terms])
             lo = hi
-        contracted = [sum(p[1:], start=p[0]) for p in zip(*parts)]
+        if weights is None:  # unit weights: the joint rows, back in the given time order
+            contracted = [np.concatenate(p)[np.argsort(order)] for p in zip(*parts)]
+        else:
+            contracted = [sum(p[1:], start=p[0]) for p in zip(*parts)]
         for acc in contracted:
             acc /= grid.cell_volume
 
@@ -595,28 +606,34 @@ class ParametrixSolver:
 
     def _build_ladder(self, horizon: float) -> tuple[PhiSeries, np.ndarray]:
         """The record ``ladder`` caches, and Phi on the nodes of its rule,
-        shape (nodes, s, s), which the record does not keep."""
+        shape (nodes, s, s), which the record does not keep; Phi may be a
+        view of the transposed orders, [c, a, b] = Phi(x_c)[a, b]."""
         if not horizon > 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         nodes, weights, bp = self.quad.points_with_panels(horizon, layer=self._layer_scale())
         vol = self.grid.cell_volume
         s = self.grid.site_count
 
-        prev = self._kernel_stack(np.append(nodes, horizon), correction=True)
+        k1 = self._kernel_stack(np.append(nodes, horizon), correction=True)
 
-        if float(np.abs(prev[-1]).max()) == 0.0:
+        if float(np.abs(k1[-1]).max()) == 0.0:
             gamma = self.kernel_matrix(horizon)
             gamma.setflags(write=False)
             return PhiSeries(self.grid, horizon, nodes, weights, bp, gamma, 1, self.tol,
-                             (0.0,), 0.0, 0.0, 0.0), np.zeros_like(prev[:-1])
+                             (0.0,), 0.0, 0.0, 0.0), np.zeros_like(k1[:-1])
 
-        # K^(m)(x_i) = dx^d W_i @ K^(m-1) at the first n_i nodes; the horizon
-        # joins the targets of the last panel
+        # the orders are kept transposed, [b, c s + a] = K^(m)(x_c)[a, b], in
+        # two buffers that swap roles: K^(m) at the first n_i nodes is then
+        # dx^d K^(m-1)^T W_i^T, whose wide shape multiplies faster than W_i
+        # K^(m-1); the horizon joins the targets of the last panel
+        prev = np.ascontiguousarray(k1.transpose(2, 0, 1)).reshape(s, -1)
+        del k1
         panels = list(self._panels(nodes, weights, bp, None, extra=[horizon]))
 
-        phi = prev[:-1].copy()
+        cur = np.empty_like(prev)
+        phi = prev[:, :-s].copy()
         m_done = 1
-        norms = [float(np.abs(prev[-1]).max())]
+        norms = [float(np.abs(prev[:, -s:]).max())]
         while True:
             if m_done == 1:
                 target = min(3, _M_CAP)
@@ -633,26 +650,26 @@ class ParametrixSolver:
                 if target <= m_done:
                     break
             for _ in range(m_done + 1, target + 1):
-                cur = np.empty_like(prev)
                 for lo, hi, w in panels:
-                    np.matmul(w, prev[:w.shape[1] // s].reshape(-1, s),
-                              out=cur[lo:hi].reshape(-1, s))
+                    np.matmul(prev[:, :w.shape[1]], w.T, out=cur[:, lo * s:hi * s])
                 cur *= vol
-                phi += cur[:-1]
-                norms.append(float(np.abs(cur[-1]).max()))
-                prev = cur
+                phi += cur[:, :-s]
+                norms.append(float(np.abs(cur[:, -s:]).max()))
+                prev, cur = cur, prev
             m_done = target
 
         # Gamma(horizon) = A + dx^d W @ Phi, its plan reading every node; the
-        # panels go first, so the end step's kernels do not add to the peak
-        del panels
+        # panels (w is a view of their buffer) and the order buffers go first,
+        # so the end step's kernels do not add to the peak
+        del panels, w, prev, cur
         a_t, w = self._end_step(horizon, nodes, weights, bp)
-        gamma = w @ phi.reshape(w.shape[1], -1)
+        gamma = w @ phi.T
         gamma *= vol
         gamma += a_t
         gamma.setflags(write=False)
         c_fit, c3_fit = _fit_growth(norms, horizon)
         tail = _series_tail(c_fit, c3_fit, horizon, m_done)
+        phi = phi.reshape(s, -1, s).transpose(1, 2, 0)  # [c, a, b] = Phi(x_c)[a, b]
         return PhiSeries(self.grid, horizon, nodes, weights, bp, gamma,
                          m_done, self.tol, tuple(norms), c_fit, c3_fit, tail), phi
 

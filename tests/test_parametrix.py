@@ -11,8 +11,16 @@ from hypothesis.extra.numpy import arrays
 from sdheat import bessel, bounds, oracle
 from sdheat.heat_const import ConstCoeffs, kernel_1d, kernel_nd, recommended_radius
 from sdheat.lattice import Field, GridSpec, forward_diff, laplacian_array
-from sdheat.parametrix import Coefficients, ParametrixSolver, k1
+from sdheat.parametrix import Coefficients, ParametrixSolver, _fit_growth, _series_tail, k1
 from sdheat.quadrature import PANEL_POINTS, TimeQuadrature
+
+
+def _shifted_sines(grid: GridSpec) -> Coefficients:
+    """c^j = 1 + 0.4 sin(2 pi x_j / L + j), one period across the box."""
+    axes = np.meshgrid(*[grid.axis_coordinates()] * grid.dim, indexing="ij")
+    length = grid.npts * grid.dx
+    return Coefficients(grid, np.stack(
+        [1.0 + 0.4 * np.sin(2.0 * np.pi * axes[j] / length + j) for j in range(grid.dim)]))
 
 
 class TestCoefficients:
@@ -99,6 +107,21 @@ class TestFrozenKernel:
         stack = solver._kernel_stack(np.linspace(0.5, 4.0, 2000))
         assert max(sizes) <= 2**21
         assert np.array_equal(stack[-1], solver.kernel_matrix(4.0))
+
+    @pytest.mark.parametrize("correction", [False, True])
+    def test_long_stack_holds_no_weight_matrix(self, correction):
+        # a stack is the plan of unit weights, taken from the Bessel rows
+        # directly: 2000 times on 5 sites (a 0.4 MB stack) hold no 2000 x
+        # 2000 weight matrix (32 MB) and no product with one
+        grid = GridSpec(dx=0.125, dim=1, radius=2)
+        solver = ParametrixSolver(Coefficients.constant(grid, 2.0))
+        tracemalloc.start()
+        try:
+            solver._kernel_stack(np.linspace(0.5, 4.0, 2000), correction)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestCorrectionKernel:
@@ -502,6 +525,27 @@ class TestDenseBudget:
         with pytest.raises(ValueError, match="dense budget"):
             ParametrixSolver(coeffs)
 
+    @pytest.mark.parametrize("dim, radius, nodes, t", [(1, 12, 32, 0.2), (2, 4, 24, 0.1)])
+    def test_ladder_peak(self, dim, radius, nodes, t):
+        # a build holds its panels, two order buffers and Phi while the
+        # orders run, K^(1) only until its transposed copy is made, and
+        # neither panels nor order buffers during the end step: the peak
+        # stays below the panels and six stacks of (N + 1) s^2 entries, which
+        # the 1-D box exceeds if K^(1) stays alive, or if the panels and the
+        # order buffers live through the end step
+        grid = GridSpec(dx=0.25, dim=dim, radius=radius)
+        solver = ParametrixSolver(_shifted_sines(grid), TimeQuadrature(nodes=nodes))
+        rule = solver.quad.points_with_panels(t, layer=solver._layer_scale())
+        panels = sum(w.nbytes for _, _, w in solver._panels(*rule, None, extra=[t]))
+        tracemalloc.start()
+        try:
+            solver._build_ladder(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = 8 * (rule[0].size + 1) * grid.site_count ** 2
+        assert peak < panels + 6 * stack
+
     def test_largest_grid_accepted_without_dense_allocation(self):
         # 7921^2 entries fit the budget; one s x s array would take 502 MB
         grid = GridSpec(dx=1.0, dim=2, radius=44)
@@ -668,17 +712,44 @@ class TestMarch:
         # the ladder, and one forward march of the s columns of K at the
         # nodes; they differ by the ladder's truncation tail
         grid = GridSpec(dx=0.25, dim=dim, radius=radius, boundary=boundary)
-        axes = np.meshgrid(*[grid.axis_coordinates()] * dim, indexing="ij")
-        length = grid.npts * grid.dx
-        coeffs = Coefficients(grid, np.stack(
-            [1.0 + 0.4 * np.sin(2.0 * np.pi * axes[j] / length + j) for j in range(dim)]))
-        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=nodes))
+        solver = ParametrixSolver(_shifted_sines(grid), TimeQuadrature(nodes=nodes))
         lad, phi = solver._build_ladder(t)
         assert lad.m_max > 3 and lad.tail_estimate > 0.0
         s = grid.site_count
         rho = solver._kernel_stack(lad.times, correction=True).reshape(-1, s)
         solver._march_panels(lad.times, lad.weights, lad.breakpoints, None, rho)
         assert np.abs(rho.reshape(phi.shape) - phi).max() <= 4.0 * lad.tail_estimate
+
+    @pytest.mark.parametrize("dim, radius, t, nodes", [(1, 6, 0.2, 32), (2, 3, 0.1, 16)])
+    @pytest.mark.parametrize("boundary", ["periodic-wrap", "zero-extension"])
+    def test_transposed_orders_match_stacked_orders(self, dim, radius, t, nodes, boundary):
+        # the ladder keeps K^(m) transposed; the orders stacked node by node,
+        # K^(m)(x_i) = dx^d W_i @ K^(m-1), with the same truncation rule give
+        # the same orders, norms and Phi
+        grid = GridSpec(dx=0.25, dim=dim, radius=radius, boundary=boundary)
+        solver = ParametrixSolver(_shifted_sines(grid), TimeQuadrature(nodes=nodes))
+        lad, phi = solver._build_ladder(t)
+        s = grid.site_count
+        prev = solver._kernel_stack(np.append(lad.times, t), True)
+        panels = list(solver._panels(lad.times, lad.weights, lad.breakpoints, None, extra=[t]))
+        ref, norms = prev[:-1].copy(), [float(np.abs(prev[-1]).max())]
+        target = 3
+        while len(norms) < target:
+            cur = np.empty_like(prev)
+            for lo, hi, w in panels:
+                cur[lo:hi] = (w @ prev[:w.shape[1] // s].reshape(-1, s)).reshape(-1, s, s)
+            cur *= grid.cell_volume
+            ref += cur[:-1]
+            norms.append(float(np.abs(cur[-1]).max()))
+            prev = cur
+            if len(norms) == target:
+                c, c3 = _fit_growth(norms, t)
+                while target < 20 and _series_tail(c, c3, t, target) > solver.tol:
+                    target += 1
+        assert lad.m_max == len(norms) > 3
+        assert np.allclose(lad.order_sup_norms, norms, rtol=1e-13, atol=0.0)
+        assert phi.shape == ref.shape
+        assert np.abs(phi - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("pieces, every", [(0, 1), (3, 2), (4, 0), (2, 3)])
     def test_rejects_pieces_every_mismatch(self, small_var_coeffs, pieces, every):
