@@ -21,8 +21,8 @@ G_j[a_j, b] = h(a_j - b_j) for h(n) = e^{-r} I_n(r) folded on a torus, r =
 mirror image is subtracted (``_folded_offsets``).  Kernel and correction
 matrices are therefore gathers of one joint table per time: the
 direction tables of a Bessel batch multiplied out over the folded offsets,
-D2_j G_j taken from the batch's second difference in the offset.  A site b
-enters G_j only through c_b^j, so the batch of direction j runs over the
+D2_j G_j the second difference along its offset axis j.  A site b enters
+G_j only through c_b^j, so the batch of direction j runs over the
 distinct values of c^j, not over the sites.
 
 Numerically, one graded Gauss rule on (0, horizon) serves every time
@@ -30,32 +30,32 @@ integral.  Panels well below the target time keep their Gauss weights;
 the last few boundary-layer widths below it are integrated in tau = t - s
 at fresh Gauss points, where the kernel is exact and the smooth recursive
 factor is interpolated inside its panel.  So the plan of a target is one
-weight matrix C (a row per kernel time, a column per node), and
-``_contract_plan`` turns C into W = sum_r C[r, c] F(tau_r), stacked over
-the nodes c.  A kernel is a gather of one time's joint table (the
-direction tables at every folded offset and distinct coefficient tuple,
-multiplied out) and the gather is linear, so C is contracted with the
-joint tables first, a few hundred entries per node, and each node block of
-W is gathered once: no kernel matrix is built for a plan.  One generator,
-``_panels``, contracts the targets of each panel of the rule with the
-correction kernel K_Y = K - diag(Y) A of a potential Y (K without one)
-into one W per panel.  The ladder keeps every panel's W and runs each
-order transposed, one product per panel, K^(m)(x_i)^T = dx^d K^(m-1)^T
-W_i^T, the nodes side by side in one of two order buffers that swap roles;
-a Cauchy solve takes the panels one at a time in one reused buffer and
-solves the Volterra equation panel by panel (``march``).  The end of a
-ladder build contracts the horizon's plan with A and applies W to Phi,
-Gamma(horizon) = A + dx^d W @ Phi, A(horizon) being the block of one more
-node of unit weight.  A kernel matrix is the plan of unit weight at its
-time, so ``_contract_plan`` is the only gather of kernels:
-``_kernel_stack`` lays out such plans for K^(1) at the nodes and the
-horizon, for the march's right-hand sides, and for ``kernel_matrix`` and
-``correction_matrix``; unit weights are read as joint-table rows, with no
-weight matrix.  The per-order sup norms decay like C C3^m t^{(m-1)/2} / Gamma(m/2); the
-truncation order is chosen by fitting C and C3 to the measured norms and
-summing the analytic tail.  A built ladder is one ``PhiSeries``:
-Gamma(horizon), the rule behind it, and the truncation record, cached per
-horizon; Phi itself is dropped.
+weight matrix C (a row per kernel time, a column per node).  A build (a
+ladder or a march) tabulates A's joint tables once, at 20 Gauss points on
+each panel of the tau edges 0, lam/4, lam/2, lam, 2 lam, ..., horizon
+(``_tau_table``), and folds each plan onto them by barycentric
+interpolation in tau (``_fold``), within about 1e-15 of sup |K|.  The
+contraction, D2_j and the gather are linear, so ``_contract_plan`` takes
+D2_j of the contracted rows along offset axis j and gathers each node
+block of W = sum_r C[r, c] F(tau_r) once: the table holds A alone, and no
+kernel matrix is built for a plan.  One generator, ``_panels``, contracts
+the targets of each panel of the rule with the correction kernel
+K_Y = K - diag(Y) A of a potential Y (K without one) into one W per panel.  The
+ladder keeps every panel's W and runs each order transposed, one product
+per panel, K^(m)(x_i)^T = dx^d K^(m-1)^T W_i^T, the nodes side by side in
+one of two order buffers that swap roles; a Cauchy solve takes the panels
+one at a time in one reused buffer and solves the Volterra equation panel
+by panel (``march``).  The end of a ladder build contracts the horizon's
+plan with A and applies W to Phi, Gamma(horizon) = A + dx^d W @ Phi,
+A(horizon) being the row of one more node of unit weight.  A kernel
+matrix (K^(1), the march's right-hand sides, ``kernel_matrix``,
+``correction_matrix``) is the plan of unit weight at an exact time, whose
+rows are the joint tables themselves (``_joint_rows``).  The per-order sup
+norms decay like C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order is
+chosen by fitting C and C3 to the measured norms and summing the analytic
+tail.  A built ladder is one ``PhiSeries``: Gamma(horizon), the rule
+behind it, and the truncation record, cached per horizon; Phi itself is
+dropped.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ _M_CAP = 20
 
 #: Largest dense two-point matrix (sites x sites entries) a solver accepts.
 _DENSE_ENTRIES = 2**26
+
+#: Gauss points on each panel of a build's tau table (``_tau_table``).
+_TABLE_POINTS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +201,28 @@ def _gather(values: np.ndarray, index: tuple[list[np.ndarray], list[np.ndarray]]
     return out
 
 
+def _fold(table: tuple[np.ndarray, np.ndarray], times: Sequence[float],
+          weights: np.ndarray) -> np.ndarray:
+    """The rows sum_r C[r, c] A(tau_r) of a plan's weights C, one per
+    column c, read off a ``_tau_table``: A(tau_r) is interpolated at the
+    Gauss points of the panel that holds tau_r, in the barycentric form
+    with the Gauss-Legendre weights (-1)^k sqrt((1 - x_k^2) w_k) (J.-P.
+    Berrut and L. N. Trefethen, *SIAM Rev.* 46, 2004), so the rows are C^T L
+    times the table's rows up to the last panel read."""
+    edges, rows = table
+    x, w = gauss_legendre(_TABLE_POINTS)
+    tau = np.asarray(times, dtype=float)
+    panel = np.clip(np.searchsorted(edges, tau, side="right") - 1, 0, edges.size - 2)
+    diff = ((tau - edges[panel]) / (0.5 * np.diff(edges)[panel]) - 1.0)[:, None] - x
+    hit = diff == 0.0
+    lagrange = np.sqrt((1.0 - x**2) * w) * (-1.0) ** np.arange(x.size) / np.where(hit, 1.0, diff)
+    lagrange /= lagrange.sum(axis=1, keepdims=True)
+    lagrange = np.where(hit.any(axis=1, keepdims=True), hit, lagrange)
+    fold = np.zeros((tau.size, int(panel.max()) + 1, x.size))
+    fold[np.arange(tau.size), panel] = lagrange
+    return (weights.T @ fold.reshape(tau.size, -1)) @ rows[:fold[0].size]
+
+
 def k1(alpha: Sequence[int], beta: Sequence[int], t: float, coeffs: Coefficients) -> float:
     """Correction kernel K_{alpha,beta}(t): coefficient increments times
     the directional second differences of the frozen kernel.
@@ -233,7 +258,7 @@ class ParametrixSolver:
     does not read it.
 
     Each target of the time rule or Gamma assembly has its plan weights
-    contracted in Bessel-table space and gathered into its W
+    folded onto the build's tau table (``_fold``) and gathered into its W
     (``_contract_plan``); ``_panels`` gathers the contracted targets of
     one panel into one matrix W, and a kernel matrix is the plan of unit
     weight at its time (``_kernel_stack``).  Construction keeps, per
@@ -241,14 +266,17 @@ class ParametrixSolver:
     among them, and each site's index among the distinct tuples of those
     indices: O(s) entries, no index table and no s x s array.  Index
     tables are built per block of rows and dropped with it.
-    A ladder build keeps the W of every panel while it runs its orders
+    A build's tau table, 20 rows a tau panel of (period // 2 + 1)^d U
+    entries for U distinct tuples (0.9 MB at 65 sites, 19 tuples and nine
+    panels), is a local of the build.  A ladder build drops it once its
+    panels are contracted and keeps their W while it runs its orders
     (about N^2 s^2 / 2 entries for N nodes and s sites), and besides them
     two order buffers and Phi, (N + 1) s^2 entries each; the panels and the
     order buffers are dropped before the end step.  A built ladder keeps
     only Gamma(horizon), s^2 entries per horizon, and every Gamma entry
-    point reads it.  A march keeps the W of one panel at a time, in
-    one buffer sized for the last panel: 8 N s^2 entries, 13 MB at 65
-    sites and 48 nodes.
+    point reads it.  A march holds its table and the W of one panel at a
+    time, in one buffer sized for the last panel: 8 N s^2 entries, 13 MB
+    at 65 sites and 48 nodes.
 
     Kernels are folded on a torus, the mirror image subtracted on
     zero-extension grids (``_folded_offsets``), so Gamma is the fundamental
@@ -276,6 +304,8 @@ class ParametrixSolver:
                                        return_inverse=True)
         self._tuples = (tuples, site_tuple.reshape(-1))
         self._period = _period(self.grid)
+        # one time's joint table: the folded offset along each axis, then the tuple
+        self._joint_shape = (self._period // 2 + 1,) * self.grid.dim + (tuples.shape[1],)
         self._ladders: dict[float, PhiSeries] = {}
 
     # -- kernel matrices -----------------------------------------------------
@@ -351,92 +381,101 @@ class ParametrixSolver:
             yield [self._axis_values(j, ts[lo:hi]) for j in range(grid.dim)]
             lo = hi
 
-    def _offset_second_difference(self, g: np.ndarray) -> np.ndarray:
-        """D2 of folded ``_axis_values`` tables g, taken in offset space:
-        (g[n+1] + g[n-1] - 2 g[n]) / dx^2 with g[-1] = g[1] (g is even) and
-        g[nmax+1] = g[period - nmax - 1] (the torus wrap, either parity).
-        Gathered less its mirror, it is D2 of the absorbing kernel."""
-        d2 = np.empty_like(g)
-        np.add(g[:, 2:], g[:, :-2], out=d2[:, 1:-1])
-        np.add(g[:, 1], g[:, 1], out=d2[:, 0])
-        np.add(g[:, self._period - self._period // 2 - 1], g[:, -2], out=d2[:, -1])
-        d2 -= 2.0 * g
-        d2 /= self.grid.dx**2
-        return d2
+    def _offset_second_difference(self, g: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+        """D2 of folded tables g along their offset ``axis``, written into
+        ``out`` with no copy of g: (g[n+1] + g[n-1] - 2 g[n]) / dx^2 with
+        g[-1] = g[1] (g is even) and g[nmax+1] = g[period - nmax - 1] (the
+        torus wrap, either parity).  Gathered less its mirror, it is D2 of
+        the absorbing kernel."""
+        g, d2 = np.moveaxis(g, axis, 0), np.moveaxis(out, axis, 0)
+        np.add(g[2:], g[:-2], out=d2[1:-1])
+        np.add(g[1], g[1], out=d2[0])
+        np.add(g[self._period - self._period // 2 - 1], g[-2], out=d2[-1])
+        d2 -= g
+        d2 -= g
+        out /= self.grid.dx**2
+        return out
+
+    def _joint_rows(self, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A's joint tables at nonnegative ``times`` over dx^d, one row per
+        time in the given order, laid out (time, ``_joint_shape``) and flat:
+        the ``_axis_values`` tables of every direction, in the Bessel batches
+        of ``_bessel_batches``, multiplied out over their folded offsets and
+        the distinct coefficient tuples.  ``out`` optionally receives them."""
+        times = np.asarray(times, dtype=float).reshape(-1)
+        if times.size and times.min() < 0:
+            raise ValueError(f"time must be nonnegative, got {times.min()}")
+        order = np.argsort(times, kind="stable")
+        if out is None:
+            out = np.empty((times.size, math.prod(self._joint_shape)))
+        d = self.grid.dim
+        tuples, _ = self._tuples
+        lo = 0
+        for per_dir in self._bessel_batches(times[order]):
+            g = [v[..., k] for v, k in zip(per_dir, tuples)]
+            hi = lo + g[0].shape[0]
+            out[order[lo:hi]] = math.prod(
+                np.expand_dims(t, tuple(1 + i for i in range(d) if i != j))
+                for j, t in enumerate(g)).reshape(hi - lo, -1)
+            lo = hi
+        out /= self.grid.cell_volume
+        return out
+
+    def _tau_table(self, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+        """The tau table of one build on (0, horizon]: the panel edges 0,
+        lam/4, lam/2, lam, 2 lam, 4 lam, ..., the last one clipped at the
+        horizon (lam the layer scale), and A's joint tables
+        (``_joint_rows``) at ``_TABLE_POINTS`` Gauss points on each panel,
+        one Bessel batch a panel.  ``_fold`` reads every weighted plan of
+        the build off it."""
+        lam = self._layer_scale()
+        edges = lam * 2.0 ** np.arange(-2, math.ceil(math.log2(horizon / lam)) + 1)
+        edges = np.concatenate([[0.0], edges[edges < horizon], [horizon]])
+        x, _ = gauss_legendre(_TABLE_POINTS)
+        half = 0.5 * np.diff(edges)
+        points = (edges[:-1] + half)[:, None] + half[:, None] * x
+        rows = np.empty((points.size, math.prod(self._joint_shape)))
+        for k, panel in enumerate(points):
+            self._joint_rows(panel, rows[k * _TABLE_POINTS:(k + 1) * _TABLE_POINTS])
+        return edges, rows
 
     def _kernel_stack(self, times: Sequence[float], correction: bool = False,
                       potential: np.ndarray | None = None) -> np.ndarray:
         """Frozen kernels A(t), or with ``correction`` the correction kernels
         K(t) (K_Y with a flat ``potential``), stacked as (len(times), s, s)
         in the given order (not cached): the plan of unit weight at each
-        time, contracted by ``_contract_plan`` without weights and laid out
-        node by node."""
+        time, whose contracted rows are the exact joint tables
+        (``_joint_rows``), laid out node by node."""
         s = self.grid.site_count
-        w = self._contract_plan(times, None, correction, potential)
+        times = np.asarray(times, dtype=float).reshape(-1)
+        if correction and times.size and times.min() <= 0:
+            raise ValueError(f"time must be positive, got {times.min()}")
+        w = self._contract_plan(self._joint_rows(times), correction, potential)
         return np.ascontiguousarray(w.reshape(s, -1, s).transpose(1, 0, 2))
 
-    def _contract_plan(self, times: Sequence[float], weights: np.ndarray | None,
-                       correction: bool = True, potential: np.ndarray | None = None,
+    def _contract_plan(self, contracted: np.ndarray, correction: bool = True,
+                       potential: np.ndarray | None = None,
                        out: np.ndarray | None = None) -> np.ndarray:
-        """W = sum_r C[r, c] F(tau_r) for a plan's weights C (``_conv_plan``)
-        and kernel times tau_r, positive for K and nonnegative for A, shape
-        (s, n s) over the n columns of C, so that W @ G, the node values
-        stacked as rows, is the plan's integral.  ``weights`` None stands for
-        the unit weights C = I, one column per time: the kernel matrices
-        F(tau_r) side by side, each taken from its row of the joint tables
-        with no product.  F is K, K_Y = K - diag(Y) A with a flat
-        ``potential``, or A without ``correction``; ``out`` is an optional
-        contiguous buffer of s n s entries that receives W.
+        """W = sum_r C[r, c] F(tau_r) of a plan (``_conv_plan``) from its
+        contracted rows sum_r C[r, c] A(tau_r), one per column c of C in A's
+        joint-table layout (``_fold`` of the build's tau table, or
+        ``_joint_rows`` for unit weights), shape (s, n s) over the n rows,
+        so that W @ G, the node values stacked as rows, is the plan's
+        integral.  F is K, K_Y = K - diag(Y) A with a flat ``potential``, or
+        A without ``correction``; ``out`` is an optional contiguous buffer
+        of s n s entries that receives W.
 
-        A kernel is a gather of one time's joint table (the ``_axis_values``
-        tables of every direction multiplied out over their folded offsets
-        and the distinct coefficient tuples, D2 in slot j for term j of K),
-        and the gather is linear: C is contracted with the joint tables one
-        term at a time, in the Bessel batches of ``_bessel_batches``, and
-        each node block is gathered from the result (``_joint_index``), term
-        j times c_a^j - c_b^j, less y_a times the A term for K_Y.  Rows go
-        in blocks of whole slabs along axis 0, about 2^18 index entries a
-        block (one block up to 512 sites), each with its own index tables
-        and increments, so no s x s array is held besides W.
+        The contraction in tau, D2 and the gather are linear, so each node
+        block is gathered from the contracted rows (``_joint_index``): term
+        j from D2_j of the rows along offset axis j, in a scratch buffer,
+        times c_a^j - c_b^j, less y_a times the A term for K_Y.  Rows go in
+        blocks of whole slabs along axis 0, about 2^18 index entries a block
+        (one block up to 512 sites), each with its own index tables and
+        increments, so no s x s array is held besides W.
         """
         grid = self.grid
-        d = grid.dim
         s = grid.site_count
-        times = np.asarray(times, dtype=float).reshape(-1)
-        order = np.argsort(times, kind="stable")
-        ts = times[order]
-        if ts.size and (ts[0] < 0 or (correction and ts[0] == 0)):
-            raise ValueError(f"time must be {'positive' if correction else 'nonnegative'}, "
-                             f"got {ts[0]}")
-        tuples, _ = self._tuples
-        n = ts.size if weights is None else weights.shape[1]
-
-        def joint(tables: list[np.ndarray]) -> np.ndarray:
-            # (batch, nmax+1, U) per direction -> (batch, (nmax+1)^d U)
-            return math.prod(np.expand_dims(t, tuple(1 + i for i in range(d) if i != j))
-                             for j, t in enumerate(tables)).reshape(len(tables[0]), -1)
-
-        parts, lo = [], 0
-        for per_dir in self._bessel_batches(ts):
-            g = [v[..., k] for v, k in zip(per_dir, tuples)]
-            terms = []
-            if correction:
-                diffs = [self._offset_second_difference(v)[..., k]
-                         for v, k in zip(per_dir, tuples)]
-                terms += [g[:j] + [diffs[j]] + g[j + 1:] for j in range(d)]
-            if not correction or potential is not None:
-                terms.append(g)
-            hi = lo + g[0].shape[0]
-            parts.append([joint(tables) if weights is None
-                          else weights[order[lo:hi]].T @ joint(tables) for tables in terms])
-            lo = hi
-        if weights is None:  # unit weights: the joint rows, back in the given time order
-            contracted = [np.concatenate(p)[np.argsort(order)] for p in zip(*parts)]
-        else:
-            contracted = [sum(p[1:], start=p[0]) for p in zip(*parts)]
-        for acc in contracted:
-            acc /= grid.cell_volume
-
+        n = contracted.shape[0]
         if out is None:
             out = np.empty(s * n * s)
         by_row = out.reshape(s, n, s)
@@ -444,6 +483,8 @@ class ParametrixSolver:
         slabs = min(grid.npts, max(1, 2**18 // (s * slab)))  # per row block
         step = max(1, 2**18 // (slabs * slab * s))  # nodes gathered at once, 2 MB a term
         scratch = np.empty(min(step, n) * slabs * slab * s)
+        if correction:
+            d2 = np.empty((min(step, n),) + self._joint_shape)
         if potential is not None:
             y = np.asarray(potential, dtype=float).reshape(s, 1)
         for first in range(0, grid.npts, slabs):
@@ -452,20 +493,22 @@ class ParametrixSolver:
             increments = [c[rows, None] - c for c in self._cflat] if correction else []
             for lo in range(0, n, step):
                 part = by_row[rows, lo:lo + step].transpose(1, 0, 2)
-                tables = [acc[lo:lo + step] for acc in contracted]
+                a = contracted[lo:lo + step]
                 term = scratch[:part.size].reshape(part.shape)
                 if not correction:
-                    part[...] = _gather(tables[0], index, term)
+                    part[...] = _gather(a, index, term)
                     continue
+                diff = d2[:len(a)]
                 for j, inc in enumerate(increments):
-                    _gather(tables[j], index, term)
+                    self._offset_second_difference(a.reshape(diff.shape), 1 + j, diff)
+                    _gather(diff.reshape(len(a), -1), index, term)
                     if j == 0:
                         np.multiply(term, inc, out=part)
                     else:
                         term *= inc
                         part += term
                 if potential is not None:
-                    _gather(tables[d], index, term)
+                    _gather(a, index, term)
                     term *= y[rows]
                     part -= term
         return out.reshape(s, n * s)
@@ -556,34 +599,33 @@ class ParametrixSolver:
                 c[row, panel] += w * lw
         return list(rows), c[:len(rows)]
 
-    def _end_step(self, t: float, nodes: np.ndarray, weights: np.ndarray,
-                  bp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A(t) and the plan of t contracted with the frozen kernels, W of
-        shape (s, n s) over the n nodes the plan reads: the last step of a
-        Gamma assembly and of a march piece, dx^d (A(t) u + W @ rho)."""
+    def _end_rows(self, t: float, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
+                  table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The plan of t folded onto the build's tau ``table``, and A(t) as
+        the row of one more node of unit weight at t alone: contracted with
+        the frozen kernels, W = [W_t, A(t)] over the n nodes the plan reads
+        and that node, for the last step of a Gamma assembly and of a march
+        piece, dx^d (A(t) u + W_t @ rho)."""
         times, c = self._conv_plan(t, nodes, weights, bp)
-        n = c.shape[1]
-        # A(t) is the block of one more node, of unit weight at t alone
-        plan = np.zeros((len(times) + 1, n + 1))
-        plan[:-1, :n] = c
-        plan[-1, n] = 1.0
-        w = self._contract_plan(times + [t], plan, correction=False)
-        s = self.grid.site_count
-        return w[:, n * s:], w[:, :n * s]
+        plan = np.zeros((len(times) + 1, c.shape[1] + 1))
+        plan[:-1, :-1] = c
+        plan[-1, -1] = 1.0
+        return _fold(table, times + [t], plan)
 
     def _panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
-                y: np.ndarray | None, buffer: np.ndarray | None = None,
-                extra: Sequence[float] = (), reverse: bool = False
-                ) -> Iterator[tuple[int, int, np.ndarray]]:
+                y: np.ndarray | None, table: tuple[np.ndarray, np.ndarray],
+                buffer: np.ndarray | None = None, extra: Sequence[float] = (),
+                reverse: bool = False) -> Iterator[tuple[int, int, np.ndarray]]:
         """Yield (lo, hi, W) for each panel of the rule, the last panel first
         with ``reverse``.  The targets lo..hi-1 are the panel's nodes, joined
         on the last panel by the ``extra`` times; all of them read the n = lo
         + 8 nodes up to the panel's end.  W, shape ((hi - lo) s, n s), is
-        their plans contracted with K_Y (K when ``y`` is None) by
-        ``_contract_plan``, one target at a time.  With a ``buffer`` every W is a
-        view of its start, overwritten by the next panel.  Without one, the
-        W follow each other in one array sized for every panel, so keeping
-        them all costs one allocation."""
+        their plans folded onto the build's tau ``table`` (``_fold``) and
+        contracted with K_Y (K when ``y`` is None) by ``_contract_plan``,
+        one target at a time.  With a ``buffer`` every W is a view of its
+        start, overwritten by the next panel.  Without one, the W follow
+        each other in one array sized for every panel, so keeping them all
+        costs one allocation."""
         s = self.grid.site_count
         kept = buffer is None
         if kept:  # the 8 targets of panel p read 8 (p + 1) nodes; extra ones all N
@@ -601,7 +643,8 @@ class ParametrixSolver:
                 start += size
             for j, x in enumerate(targets):
                 times, c = self._conv_plan(float(x), nodes, weights, bp)
-                self._contract_plan(times, c, potential=y, out=w[j * block:(j + 1) * block])
+                self._contract_plan(_fold(table, times, c), potential=y,
+                                    out=w[j * block:(j + 1) * block])
             yield lo, lo + targets.size, w.reshape(-1, n * s)
 
     def _build_ladder(self, horizon: float) -> tuple[PhiSeries, np.ndarray]:
@@ -614,21 +657,26 @@ class ParametrixSolver:
         vol = self.grid.cell_volume
         s = self.grid.site_count
 
-        k1 = self._kernel_stack(np.append(nodes, horizon), correction=True)
-
-        if float(np.abs(k1[-1]).max()) == 0.0:
+        if self._tuples[0].shape[1] == 1:  # every c^j constant, so K = 0
             gamma = self.kernel_matrix(horizon)
             gamma.setflags(write=False)
             return PhiSeries(self.grid, horizon, nodes, weights, bp, gamma, 1, self.tol,
-                             (0.0,), 0.0, 0.0, 0.0), np.zeros_like(k1[:-1])
+                             (0.0,), 0.0, 0.0, 0.0), np.zeros((nodes.size, s, s))
+
+        # the build's tau table serves the panels and the end step's plan;
+        # it is dropped before K^(1) and the orders
+        table = self._tau_table(horizon)
+        panels = list(self._panels(nodes, weights, bp, None, table, extra=[horizon]))
+        end = self._end_rows(horizon, nodes, weights, bp, table)
+        del table
 
         # the orders are kept transposed, [b, c s + a] = K^(m)(x_c)[a, b], in
         # two buffers that swap roles: K^(m) at the first n_i nodes is then
         # dx^d K^(m-1)^T W_i^T, whose wide shape multiplies faster than W_i
         # K^(m-1); the horizon joins the targets of the last panel
+        k1 = self._kernel_stack(np.append(nodes, horizon), correction=True)
         prev = np.ascontiguousarray(k1.transpose(2, 0, 1)).reshape(s, -1)
         del k1
-        panels = list(self._panels(nodes, weights, bp, None, extra=[horizon]))
 
         cur = np.empty_like(prev)
         phi = prev[:, :-s].copy()
@@ -662,10 +710,10 @@ class ParametrixSolver:
         # panels (w is a view of their buffer) and the order buffers go first,
         # so the end step's kernels do not add to the peak
         del panels, w, prev, cur
-        a_t, w = self._end_step(horizon, nodes, weights, bp)
-        gamma = w @ phi.T
+        w = self._contract_plan(end, correction=False)
+        gamma = w[:, :-s] @ phi.T
         gamma *= vol
-        gamma += a_t
+        gamma += w[:, -s:]
         gamma.setflags(write=False)
         c_fit, c3_fit = _fit_growth(norms, horizon)
         tail = _series_tail(c_fit, c3_fit, horizon, m_done)
@@ -680,7 +728,8 @@ class ParametrixSolver:
     # -- Cauchy problems ---------------------------------------------------------
 
     def _march_panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
-                      y: np.ndarray | None, rho: np.ndarray, adjoint: bool = False) -> float:
+                      y: np.ndarray | None, table: tuple[np.ndarray, np.ndarray],
+                      rho: np.ndarray, adjoint: bool = False) -> float:
         """Solve (I - V) rho = b for k right-hand sides at once, in place:
         ``rho``, shape (nodes s, k), holds the k columns of b on entry and
         of rho on exit.  V rho = dx^d int_0^x K_Y(x - s) rho(s) ds at the
@@ -695,7 +744,10 @@ class ParametrixSolver:
         of all k columns, (I - dx^d W_pp) rho_p = b_p + dx^d W_p< rho_<.
         The adjoint takes the panels last to first, solves
         (I - dx^d W_pp)^T rho_p = b_p and adds dx^d W_p<^T rho_p to the
-        right-hand sides of the panels below, one panel's rows at a time.
+        right-hand sides of the panels below, one panel's rows at a time,
+        in the wide shape rho^T += dx^d rho_p^T W_p< on rho^T, (k, nodes s),
+        which is contiguous when rho is the transpose of a C-ordered array.
+        ``table`` is the build's tau table (``_panels``).
         Returns the largest relative residual of the panel solves, column
         by column.
         """
@@ -703,7 +755,7 @@ class ParametrixSolver:
         s = self.grid.site_count
         buffer = np.empty(PANEL_POINTS * s * nodes.size * s)
         residual = 0.0
-        for lo, hi, w in self._panels(nodes, weights, bp, y, buffer, reverse=adjoint):
+        for lo, hi, w in self._panels(nodes, weights, bp, y, table, buffer, reverse=adjoint):
             own = w[:, lo * s:]
             own *= -vol
             np.einsum("ii->i", own)[:] += 1.0
@@ -716,11 +768,11 @@ class ParametrixSolver:
             scale = np.maximum(np.abs(b).max(axis=0), np.finfo(float).tiny)
             residual = max(residual, float((np.abs(own @ x - b).max(axis=0) / scale).max()))
             b[...] = x
-            if adjoint:
+            if adjoint:  # rho^T[:, rows] += dx^d x^T W_p<[:, rows], the wide shape
                 x *= vol
                 for q in range(0, lo * s, PANEL_POINTS * s):
                     rows = slice(q, q + PANEL_POINTS * s)
-                    rho[rows] += w[:, rows].T @ x
+                    rho.T[:, rows] += x.T @ w[:, rows]
         return residual
 
     def march(self, h: float, u0: np.ndarray, pieces: int, potential: np.ndarray | None = None,
@@ -737,7 +789,7 @@ class ParametrixSolver:
             rho = f + dx^d K_Y u(t0) + dx^d K_Y * rho,
 
         rho taken at the nodes of the rule on (0, h) and the piece's end
-        contracted into dx^d (A(h) u(t0) + W_h rho) (``_end_step``).  rho
+        contracted into dx^d (A(h) u(t0) + W_h rho) (``_end_rows``).  rho
         solves (I - V) rho = f + dx^d K_Y u(t0) panel by panel
         (``_march_panels``; H. Brunner, *Collocation Methods for Volterra
         Integral and Related Functional Equations*, 2004, ch. 2).  One
@@ -747,7 +799,9 @@ class ParametrixSolver:
         march of the s columns of W_h^T, and the one-piece propagator
         P = dx^d (A(h) + G K_Y) = Gamma_Y(h) dx^d from G.  Each piece is
         then one product with P and one with G, and no panel is built or
-        solved twice.  ``potential`` None means Y = 0, so K_Y = K.
+        solved twice.  Every plan of the march is folded onto one tau table
+        on (0, h), a local of the call (``_fold``); K_Y u(t0) and K_Y in P
+        take the exact kernels at the nodes.  ``potential`` None means Y = 0.
         ``source(times)`` gives f at a piece's node times (offset by
         ``start``) as a (nodes, s) array, None meaning f = 0.  Returns u at
         every ``every``-th piece end, shape (pieces // every, s), and the
@@ -761,20 +815,23 @@ class ParametrixSolver:
         y = None if potential is None else np.asarray(potential, dtype=float).reshape(-1)
         nodes, weights, bp = self.quad.points_with_panels(h, layer=self._layer_scale())
         u = np.asarray(u0, dtype=float).reshape(-1)
+        table = self._tau_table(h)
         if pieces == 1:
             rho = vol * (self._kernel_stack(nodes, correction=True, potential=y) @ u)
             if source is not None:
                 rho += source(start + nodes)
             rho = rho.reshape(-1, 1)
-            residual = self._march_panels(nodes, weights, bp, y, rho)
-            a_end, w_end = self._end_step(h, nodes, weights, bp)
-            return (vol * (a_end @ u + w_end @ rho.reshape(-1)))[None], residual
+            residual = self._march_panels(nodes, weights, bp, y, table, rho)
+            w = self._contract_plan(self._end_rows(h, nodes, weights, bp, table), correction=False)
+            return (vol * (w[:, -s:] @ u + w[:, :-s] @ rho.reshape(-1)))[None], residual
 
-        a_end, g = self._end_step(h, nodes, weights, bp)
-        residual = self._march_panels(nodes, weights, bp, y, g.T, adjoint=True)
+        w = self._contract_plan(self._end_rows(h, nodes, weights, bp, table), correction=False)
+        g = w[:, :-s]
+        residual = self._march_panels(nodes, weights, bp, y, table, g.T, adjoint=True)
+        del table
         g *= vol
         prop = g @ self._kernel_stack(nodes, correction=True, potential=y).reshape(-1, s)
-        prop += a_end
+        prop += w[:, -s:]
         prop *= vol
         out = np.empty((pieces // every, s))
         for i in range(pieces):

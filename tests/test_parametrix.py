@@ -8,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sdheat import bessel, bounds, oracle
+from sdheat import bessel, bounds, oracle, parametrix
 from sdheat.heat_const import ConstCoeffs, kernel_1d, kernel_nd, recommended_radius
 from sdheat.lattice import Field, GridSpec, forward_diff, laplacian_array
-from sdheat.parametrix import Coefficients, ParametrixSolver, _fit_growth, _series_tail, k1
+from sdheat.parametrix import (Coefficients, ParametrixSolver, _fit_growth, _fold, _series_tail,
+                               k1)
 from sdheat.quadrature import PANEL_POINTS, TimeQuadrature
 
 
@@ -229,9 +230,9 @@ class TestPhi:
 
 class TestContraction:
     """The plan weights C (``_conv_plan``) on polynomials, the W that
-    ``_contract_plan`` contracts in Bessel-table space against the plan
-    summed term by term over kernel matrices, and the kernel budget of a
-    ladder."""
+    ``_contract_plan`` gathers from a plan folded onto the build's tau table
+    against the plan summed term by term over kernel matrices, the table
+    against exact kernels, and the kernel budget of a ladder."""
 
     HORIZON = 0.1
 
@@ -261,9 +262,10 @@ class TestContraction:
     @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), three_valued=st.booleans(),
            kernel=st.sampled_from(["K", "K_Y", "A"]), seed=st.integers(0, 2**32 - 1))
     def test_matches_direct_plan_evaluation(self, dim, periodic, three_valued, kernel, seed):
-        # W @ g = sum_{r,c} C[r, c] F(tau_r) g_c, summed term by term over
-        # the kernel matrices of _kernel_stack, for K, K_Y and A on fields
-        # with every value distinct or drawn from three values
+        # W @ g = sum_{r,c} C[r, c] F(tau_r) g_c, W folded from the build's
+        # tau table and summed term by term over the exact kernel matrices
+        # of _kernel_stack, for K, K_Y and A on fields with every value
+        # distinct or drawn from three values
         grid = GridSpec(dx=0.25, dim=dim, radius=5 if dim == 1 else 2,
                         boundary="periodic-wrap" if periodic else "zero-extension")
         rng = np.random.default_rng(seed)
@@ -273,11 +275,12 @@ class TestContraction:
         s = grid.site_count
         y = rng.uniform(0.0, 3.0, s) if kernel == "K_Y" else None
         nodes, weights, bp, targets = self._rule(solver)
+        table = solver._tau_table(self.HORIZON)
         g_mat = rng.standard_normal((nodes.size, s, s))
         g_vec = rng.standard_normal((nodes.size, s))
         for t in targets:
             times, c = solver._conv_plan(t, nodes, weights, bp)
-            w = solver._contract_plan(times, c, kernel != "A", y)
+            w = solver._contract_plan(_fold(table, times, c), kernel != "A", y)
             kernels = solver._kernel_stack(times, kernel != "A", y)
             n = c.shape[1]
             for g in (g_mat, g_vec):
@@ -285,41 +288,69 @@ class TestContraction:
                 ref = sum(c[r, q] * (f @ g[q]) for r, f in enumerate(kernels) for q in range(n))
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), three_valued=st.booleans(),
+           kernel=st.sampled_from(["K", "K_Y", "A"]), seed=st.integers(0, 2**32 - 1),
+           taus=st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=4))
+    def test_table_matches_exact_kernels(self, dim, periodic, three_valued, kernel, seed, taus):
+        # a kernel at tau in (0, h], folded from the table as a plan of unit
+        # weight at tau, against the exact one of _kernel_stack, within
+        # 1e-14 of sup |F|, which |F| nears as tau -> 0 (tau = 1e-9 is among
+        # the times); h itself lies in the clipped last panel
+        grid = GridSpec(dx=0.25, dim=dim, radius=5 if dim == 1 else 2,
+                        boundary="periodic-wrap" if periodic else "zero-extension")
+        rng = np.random.default_rng(seed)
+        shape = (dim,) + grid.shape
+        vals = rng.choice([0.6, 1.0, 1.7], shape) if three_valued else rng.uniform(0.5, 2.0, shape)
+        solver = ParametrixSolver(Coefficients(grid, vals))
+        y = rng.uniform(0.0, 3.0, grid.site_count) if kernel == "K_Y" else None
+        horizon = 0.3
+        times = [horizon * tau for tau in taus] + [horizon, 1e-9]
+        table = solver._tau_table(horizon)
+        got = solver._contract_plan(_fold(table, times, np.eye(len(times))), kernel != "A", y)
+        want = solver._kernel_stack(times, kernel != "A", y)
+        got = got.reshape(grid.site_count, len(times), -1).transpose(1, 0, 2)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_ladder_builds_each_kernel_once(self, small_var_coeffs, monkeypatch):
-        # every target's plan is contracted once in table space, and kernel
-        # matrices are built only for K^(1) at the nodes and the horizon, as
-        # one plan of unit weights
+        # kernel matrices are built only for K^(1) at the nodes and the
+        # horizon, as one plan of unit weights; every weighted plan, the end
+        # step's among them, is folded once onto the build's tau table, which
+        # takes one Bessel batch a tau panel: no plan runs a batch of its own
         solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=24), tol=1e-8)
         horizon = 0.2
-        stacks, contracted = {False: [], True: []}, {False: [], True: []}
-        batches = []
+        stacks = {False: [], True: []}
+        tables, folded, batches = [], [], []
         real_stack = ParametrixSolver._kernel_stack
         monkeypatch.setattr(ParametrixSolver, "_kernel_stack",
                             lambda self, ts, correction=False, potential=None:
                             stacks[correction].extend(ts)
                             or real_stack(self, ts, correction, potential))
-        real_contract = ParametrixSolver._contract_plan
-        monkeypatch.setattr(ParametrixSolver, "_contract_plan",
-                            lambda self, ts, c, correction=True, potential=None, out=None:
-                            contracted[correction].extend(ts)
-                            or real_contract(self, ts, c, correction, potential, out))
+        real_table = ParametrixSolver._tau_table
+        monkeypatch.setattr(ParametrixSolver, "_tau_table",
+                            lambda self, h: tables.append(h) or real_table(self, h))
+        monkeypatch.setattr(parametrix, "_fold",
+                            lambda table, ts, c: folded.extend(ts) or _fold(table, ts, c))
         real_batch = bessel.iv_scaled_matrix
         monkeypatch.setattr(bessel, "iv_scaled_matrix",
                             lambda nmax, r: batches.append(r.size) or real_batch(nmax, r))
         lad = solver.ladder(horizon)
+        built = len(batches)
         assert lad.m_max > 3  # more than one batch of orders
         targets = np.append(lad.times, horizon)
-        plans = [len(solver._conv_plan(float(x), lad.times, lad.weights, lad.breakpoints)[0])
+        plans = [solver._conv_plan(float(x), lad.times, lad.weights, lad.breakpoints)[0]
                  for x in targets]
         assert stacks[True] == list(targets) and not stacks[False]
-        assert contracted[True][:targets.size] == list(targets)
-        assert len(contracted[True]) - targets.size == sum(plans) == 480
+        assert tables == [horizon]
         # the end step Gamma(horizon) = A + dx^d W @ Phi: the horizon's plan
         # and A(horizon), a node of unit weight at the horizon alone
-        assert contracted[False] == contracted[True][-plans[-1]:] + [horizon]
+        assert folded == sum(plans, start=[]) + plans[-1] + [horizon]
+        assert len(folded) == 480 + len(plans[-1]) + 1
         # at most 8192 // s = 167 times per batch: one batch for the targets,
-        # one per plan, one for the end step
-        assert len(batches) == 2 + targets.size == 19
+        # one per tau panel (edges 0, lam/4, lam/2, lam, 2 lam, ..., 32 lam
+        # and the horizon, 33.3 lam)
+        panels = real_table(solver, horizon)[0].size - 1
+        assert built == 1 + panels == 10
 
 
 class TestKernelStack:
@@ -536,7 +567,9 @@ class TestDenseBudget:
         grid = GridSpec(dx=0.25, dim=dim, radius=radius)
         solver = ParametrixSolver(_shifted_sines(grid), TimeQuadrature(nodes=nodes))
         rule = solver.quad.points_with_panels(t, layer=solver._layer_scale())
-        panels = sum(w.nbytes for _, _, w in solver._panels(*rule, None, extra=[t]))
+        table = solver._tau_table(t)
+        panels = sum(w.nbytes for _, _, w in solver._panels(*rule, None, table, extra=[t]))
+        del table
         tracemalloc.start()
         try:
             solver._build_ladder(t)
@@ -560,6 +593,35 @@ class TestDenseBudget:
         assert peak < 64e6
         # a solver keeps O(s) entries: index tables are built per call
         assert held < 16 * 8 * solver.grid.site_count
+
+    def test_solver_keeps_no_build_state(self):
+        # a build's tau table, panels and order buffers are locals of the
+        # build: after a march the solver holds O(s) array entries, after a
+        # ladder O(s) entries and the Gamma(horizon) it caches, while the
+        # table alone is 0.8 MB here; array data is counted apart from
+        # Python objects parked in free lists
+        grid = GridSpec(dx=0.125, dim=1, radius=32)
+        coeffs = Coefficients.from_function(grid, lambda x: 1.0 + 0.5 * np.sin(2.0 * np.pi * x))
+        s = grid.site_count
+        u0 = np.cos(np.arange(s))
+        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=16))
+
+        def held():
+            arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+            snapshot = tracemalloc.take_snapshot().filter_traces([arrays])
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            solver.march(0.1, u0, 1)
+            solver.march(0.1, u0, 2)
+            after_march = held()
+            gamma = solver.ladder(0.1).gamma
+            after_ladder = held()
+        finally:
+            tracemalloc.stop()
+        assert after_march < 16 * 8 * s
+        assert after_ladder - gamma.nbytes < 16 * 8 * s
 
 
 class TestGammaEntryPoints:
@@ -717,7 +779,8 @@ class TestMarch:
         assert lad.m_max > 3 and lad.tail_estimate > 0.0
         s = grid.site_count
         rho = solver._kernel_stack(lad.times, correction=True).reshape(-1, s)
-        solver._march_panels(lad.times, lad.weights, lad.breakpoints, None, rho)
+        solver._march_panels(lad.times, lad.weights, lad.breakpoints, None, solver._tau_table(t),
+                             rho)
         assert np.abs(rho.reshape(phi.shape) - phi).max() <= 4.0 * lad.tail_estimate
 
     @pytest.mark.parametrize("dim, radius, t, nodes", [(1, 6, 0.2, 32), (2, 3, 0.1, 16)])
@@ -731,7 +794,8 @@ class TestMarch:
         lad, phi = solver._build_ladder(t)
         s = grid.site_count
         prev = solver._kernel_stack(np.append(lad.times, t), True)
-        panels = list(solver._panels(lad.times, lad.weights, lad.breakpoints, None, extra=[t]))
+        panels = list(solver._panels(lad.times, lad.weights, lad.breakpoints, None,
+                                     solver._tau_table(t), extra=[t]))
         ref, norms = prev[:-1].copy(), [float(np.abs(prev[-1]).max())]
         target = 3
         while len(norms) < target:
