@@ -43,11 +43,13 @@ the targets of each panel of the rule with the correction kernel
 K_Y = K - diag(Y) A of a potential Y (K without one) into one W per panel.  The
 ladder keeps every panel's W and runs each order transposed, one product
 per panel, K^(m)(x_i)^T = dx^d K^(m-1)^T W_i^T, the nodes side by side in
-one of two order buffers that swap roles; a Cauchy solve takes the panels
-one at a time in one reused buffer and solves the Volterra equation panel
-by panel (``march``).  The end of a ladder build contracts the horizon's
-plan with A and applies W to Phi, Gamma(horizon) = A + dx^d W @ Phi,
-A(horizon) being the row of one more node of unit weight.  A kernel
+one of two order buffers that swap roles.  A Cauchy solve (``march``)
+solves the Volterra equation panel by panel: forward, only a panel's own
+node block of W is gathered and the rest of its plans act on the solution
+straight from the folded rows; its adjoint takes each panel's whole W in
+turn, in one reused buffer.  The end of a ladder build contracts the
+horizon's plan with A and applies W to Phi, Gamma(horizon) = A + dx^d W @
+Phi, A(horizon) being the row of one more node of unit weight.  A kernel
 matrix (K^(1), the march's right-hand sides, ``kernel_matrix``,
 ``correction_matrix``) is the plan of unit weight at an exact time, whose
 rows are the joint tables themselves (``_joint_rows``).  The per-order sup
@@ -265,7 +267,8 @@ class ParametrixSolver:
     direction, the distinct coefficient values and each site's index
     among them, and each site's index among the distinct tuples of those
     indices: O(s) entries, no index table and no s x s array.  Index
-    tables are built per block of rows and dropped with it.
+    tables are built per block of rows and dropped with it; a forward
+    march keeps those of its history gathers, 2^d s^2 entries at most.
     A build's tau table, 20 rows a tau panel of (period // 2 + 1)^d U
     entries for U distinct tuples (0.9 MB at 65 sites, 19 tuples and nine
     panels), is a local of the build.  A ladder build drops it once its
@@ -274,9 +277,12 @@ class ParametrixSolver:
     two order buffers and Phi, (N + 1) s^2 entries each; the panels and the
     order buffers are dropped before the end step.  A built ladder keeps
     only Gamma(horizon), s^2 entries per horizon, and every Gamma entry
-    point reads it.  A march holds its table and the W of one panel at a
+    point reads it.  A forward march holds its table, one panel's folded
+    rows (8 n (period // 2 + 1)^d U entries for the n nodes it reads) and
+    its own block, 64 s^2 entries: 1.9 and 2.2 MB at 65 sites, 19 tuples
+    and 48 nodes.  The adjoint march holds the whole W of one panel at a
     time, in one buffer sized for the last panel: 8 N s^2 entries, 13 MB
-    at 65 sites and 48 nodes.
+    there.
 
     Kernels are folded on a torus, the mirror image subtracted on
     zero-extension grids (``_folded_offsets``), so Gamma is the fundamental
@@ -310,19 +316,22 @@ class ParametrixSolver:
 
     # -- kernel matrices -----------------------------------------------------
 
-    def _joint_index(self, slabs: slice) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def _joint_index(self, slabs: slice, sites: np.ndarray | None = None
+                     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Flat indices into one time's joint table, laid out (offset along
         axis 0, ..., offset along axis d-1, coefficient tuple), for
         ``_gather``: one (rows, s) table per choice of image in each
         direction, for the rows a in the ``slabs`` (box positions along axis
         0), entry [a, b] the folded offsets of that choice and the index of
-        b's tuple.  A choice with an odd number of mirrors is subtracted, so
-        on zero-extension grids the product of d absorbing factors is 2^d
-        signed gathers."""
+        b's tuple.  With ``sites`` the last axis runs over the s sites
+        instead, b at position sites[b].  A choice with an odd number of
+        mirrors is subtracted, so on zero-extension grids the product of d
+        absorbing factors is 2^d signed gathers."""
         grid = self.grid
         d = grid.dim
         s = grid.site_count
         tuples, site_tuple = self._tuples
+        width, last = (tuples.shape[1], site_tuple) if sites is None else (s, sites)
         offsets = self._period // 2 + 1
         axis = grid.axis_indices()
         pos = np.unravel_index(np.arange(s), grid.shape)
@@ -330,13 +339,23 @@ class ParametrixSolver:
         for j in range(d):
             rows = axis[slabs] if j == 0 else axis
             shape = [rows.size if i == j else 1 for i in range(d)] + [s]
-            scaled.append([(n * offsets ** (d - 1 - j) * tuples.shape[1]).reshape(shape)
+            scaled.append([(n * offsets ** (d - 1 - j) * width).reshape(shape)
                            for n in _folded_offsets(grid, rows[:, None], axis[pos[j]])])
         plus, minus = [], []
         for choice in itertools.product(*(enumerate(images) for images in scaled)):
-            index = sum((n for _, n in choice), site_tuple).reshape(-1, s)
+            index = sum((n for _, n in choice), last).reshape(-1, s)
             (minus if sum(m for m, _ in choice) % 2 else plus).append(index)
         return plus, minus
+
+    def _row_blocks(self) -> list[tuple[slice, slice]]:
+        """Rows a of a gather in blocks of whole slabs along axis 0, about
+        2^18 index entries a block (one block up to 512 sites), the largest
+        first: the rows and the slabs ``_joint_index`` takes, per block."""
+        grid = self.grid
+        slab = grid.site_count // grid.npts
+        slabs = min(grid.npts, max(1, 2**18 // (grid.site_count * slab)))
+        return [(slice(i * slab, min(i + slabs, grid.npts) * slab), slice(i, i + slabs))
+                for i in range(0, grid.npts, slabs)]
 
     def _top_order(self, r_max: float) -> int:
         """Highest Bessel order ``_axis_values`` needs at arguments up to
@@ -469,27 +488,24 @@ class ParametrixSolver:
         block is gathered from the contracted rows (``_joint_index``): term
         j from D2_j of the rows along offset axis j, in a scratch buffer,
         times c_a^j - c_b^j, less y_a times the A term for K_Y.  Rows go in
-        blocks of whole slabs along axis 0, about 2^18 index entries a block
-        (one block up to 512 sites), each with its own index tables and
+        the blocks of ``_row_blocks``, each with its own index tables and
         increments, so no s x s array is held besides W.
         """
-        grid = self.grid
-        s = grid.site_count
+        s = self.grid.site_count
         n = contracted.shape[0]
         if out is None:
             out = np.empty(s * n * s)
         by_row = out.reshape(s, n, s)
-        slab = s // grid.npts
-        slabs = min(grid.npts, max(1, 2**18 // (s * slab)))  # per row block
-        step = max(1, 2**18 // (slabs * slab * s))  # nodes gathered at once, 2 MB a term
-        scratch = np.empty(min(step, n) * slabs * slab * s)
+        blocks = self._row_blocks()
+        size = (blocks[0][0].stop - blocks[0][0].start) * s  # index entries of a block
+        step = max(1, 2**18 // size)  # nodes gathered at once, 2 MB a term
+        scratch = np.empty(min(step, n) * size)
         if correction:
             d2 = np.empty((min(step, n),) + self._joint_shape)
         if potential is not None:
             y = np.asarray(potential, dtype=float).reshape(s, 1)
-        for first in range(0, grid.npts, slabs):
-            index = self._joint_index(slice(first, first + slabs))
-            rows = slice(first * slab, min(first + slabs, grid.npts) * slab)
+        for rows, slabs in blocks:
+            index = self._joint_index(slabs)
             increments = [c[rows, None] - c for c in self._cflat] if correction else []
             for lo in range(0, n, step):
                 part = by_row[rows, lo:lo + step].transpose(1, 0, 2)
@@ -622,10 +638,10 @@ class ParametrixSolver:
         + 8 nodes up to the panel's end.  W, shape ((hi - lo) s, n s), is
         their plans folded onto the build's tau ``table`` (``_fold``) and
         contracted with K_Y (K when ``y`` is None) by ``_contract_plan``,
-        one target at a time.  With a ``buffer`` every W is a view of its
-        start, overwritten by the next panel.  Without one, the W follow
-        each other in one array sized for every panel, so keeping them all
-        costs one allocation."""
+        one target at a time.  With a ``buffer`` (the adjoint march's)
+        every W is a view of its start, overwritten by the next panel.
+        Without one (the ladder's), the W follow each other in one array
+        sized for every panel, so keeping them all costs one allocation."""
         s = self.grid.site_count
         kept = buffer is None
         if kept:  # the 8 targets of panel p read 8 (p + 1) nodes; extra ones all N
@@ -727,43 +743,98 @@ class ParametrixSolver:
 
     # -- Cauchy problems ---------------------------------------------------------
 
+    def _own_panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
+                    y: np.ndarray | None, table: tuple[np.ndarray, np.ndarray]
+                    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Yield (lo, hi, W_pp, rows) for each panel of the rule, first to
+        last: ``rows``, (8, lo + 8, J), the plans of its 8 targets folded
+        onto the build's tau ``table``, and W_pp, (8 s, 8 s), their rows at
+        the panel's own nodes contracted with K_Y as in ``_panels``, in one
+        buffer for every panel."""
+        s = self.grid.site_count
+        own = np.empty((PANEL_POINTS * s, PANEL_POINTS * s))
+        for lo in range(0, nodes.size, PANEL_POINTS):
+            rows = np.stack([_fold(table, *self._conv_plan(float(x), nodes, weights, bp))
+                             for x in nodes[lo:lo + PANEL_POINTS]])
+            for j, target in enumerate(rows):
+                self._contract_plan(target[lo:], potential=y, out=own[j * s:(j + 1) * s])
+            yield lo, lo + PANEL_POINTS, own, rows
+
+    def _history(self, rows: np.ndarray, rho: np.ndarray, y: np.ndarray | None,
+                 order: np.ndarray, blocks: list) -> np.ndarray:
+        """W_p< rho_<, (targets s, k), from the targets' folded rows at the
+        lo nodes below their panel, (targets, lo, J), with no W_p< formed.
+        For each coefficient tuple u, one product of the rows' u-slice with
+        rho_< at the sites of u gives H = sum_c rows_c rho_c, laid out
+        (targets k, offsets^d, s) with the sites sorted by tuple
+        (``order``).  D2_j H along offset axis j is gathered in the row
+        ``blocks`` (``_joint_index`` of the sorted sites) and reduced as
+        sum_j (c_a^j sum_b g_j - sum_b c_b^j g_j) - y_a sum_b g_A."""
+        s = self.grid.site_count
+        targets, lo = rows.shape[:2]
+        k = rho.shape[1]
+        by_tuple = np.ascontiguousarray(
+            rows.reshape(targets, lo, -1, self._joint_shape[-1]).transpose(3, 0, 2, 1))
+        rho = rho.reshape(lo, s, k)[:, order]
+        h = np.empty((targets, k, by_tuple.shape[2], s))
+        first = 0
+        for u, last in enumerate(np.cumsum(np.bincount(self._tuples[1]))):
+            part = by_tuple[u].reshape(-1, lo) @ rho[:, first:last].reshape(lo, -1)
+            h[..., first:last] = part.reshape(targets, -1, last - first, k).transpose(0, 3, 1, 2)
+            first = last
+        h = h.reshape((targets * k,) + self._joint_shape[:-1] + (s,))
+        d2 = [self._offset_second_difference(h, 1 + j, np.empty_like(h)).reshape(targets * k, -1)
+              for j in range(self.grid.dim)]
+        h = h.reshape(targets * k, -1)
+        out = np.zeros((targets * k, s))
+        for sites, index in blocks:
+            for c, f in zip(self._cflat, d2):
+                g = _gather(f, index)
+                out[:, sites] += c[sites] * g.sum(axis=-1) - g @ c
+            if y is not None:
+                out[:, sites] -= y[sites] * _gather(h, index).sum(axis=-1)
+        return out.reshape(targets, k, s).transpose(0, 2, 1).reshape(-1, k)
+
     def _march_panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
                       y: np.ndarray | None, table: tuple[np.ndarray, np.ndarray],
                       rho: np.ndarray, adjoint: bool = False) -> float:
         """Solve (I - V) rho = b for k right-hand sides at once, in place:
-        ``rho``, shape (nodes s, k), holds the k columns of b on entry and
-        of rho on exit.  V rho = dx^d int_0^x K_Y(x - s) rho(s) ds at the
-        nodes of the rule, K_Y as in ``_panels``; with ``adjoint`` the
+        ``rho``, shape (nodes s, k), holds b on entry and rho on exit.  V rho
+        = dx^d int_0^x K_Y(x - s) rho(s) ds at the nodes of the rule, K_Y as
+        in ``_panels``, ``table`` the build's tau table; with ``adjoint`` the
         system is (I - V)^T rho = b instead.
 
-        The targets of panel p read the nodes up to its own end, so V is
-        block lower triangular in the panels of the rule.  ``_panels``
-        contracts each panel into one W in a buffer sized for the last
-        panel, so only one panel's W is alive at a time; I - dx^d W_pp is
-        formed in the buffer in place.  Forward, panel p is one dense solve
-        of all k columns, (I - dx^d W_pp) rho_p = b_p + dx^d W_p< rho_<.
-        The adjoint takes the panels last to first, solves
-        (I - dx^d W_pp)^T rho_p = b_p and adds dx^d W_p<^T rho_p to the
-        right-hand sides of the panels below, one panel's rows at a time,
-        in the wide shape rho^T += dx^d rho_p^T W_p< on rho^T, (k, nodes s),
-        which is contiguous when rho is the transpose of a C-ordered array.
-        ``table`` is the build's tau table (``_panels``).
-        Returns the largest relative residual of the panel solves, column
-        by column.
+        V is block lower triangular in the panels of the rule.  Forward,
+        panel p is one dense solve of all k columns, (I - dx^d W_pp) rho_p =
+        b_p + dx^d W_p< rho_<, W_pp alone contracted (``_own_panels``) and
+        W_p< rho_< taken from the folded rows (``_history``).  The adjoint
+        takes each panel's whole W from ``_panels``, last to first, in one
+        buffer sized for the last (8 N s^2 entries), solves (I - dx^d
+        W_pp)^T rho_p = b_p and adds dx^d rho_p^T W_p< to rho^T, (k, nodes
+        s), one panel's rows at a time, the wide shape, contiguous when rho
+        is the transpose of a C-ordered array.  Returns the largest relative
+        residual of the panel solves, column by column.
         """
         vol = self.grid.cell_volume
         s = self.grid.site_count
-        buffer = np.empty(PANEL_POINTS * s * nodes.size * s)
+        if adjoint:
+            buffer = np.empty(PANEL_POINTS * s * nodes.size * s)
+            panels = ((lo, hi, w[:, lo * s:], w) for lo, hi, w in
+                      self._panels(nodes, weights, bp, y, table, buffer, reverse=True))
+        else:
+            panels = self._own_panels(nodes, weights, bp, y, table)
+            order = np.argsort(self._tuples[1], kind="stable")
+            blocks = [(sites, self._joint_index(slabs, np.argsort(order)))
+                      for sites, slabs in self._row_blocks()]
         residual = 0.0
-        for lo, hi, w in self._panels(nodes, weights, bp, y, table, buffer, reverse=adjoint):
-            own = w[:, lo * s:]
+        for lo, hi, own, w in panels:
             own *= -vol
             np.einsum("ii->i", own)[:] += 1.0
             b = rho[lo * s:hi * s]
             if adjoint:
                 own = own.T
-            else:
-                b += vol * (w[:, :lo * s] @ rho[:lo * s])
+            elif lo:
+                b += vol * self._history(w[:, :lo], rho[:lo * s], y, order, blocks)
             x = np.linalg.solve(own, b)
             scale = np.maximum(np.abs(b).max(axis=0), np.finfo(float).tiny)
             residual = max(residual, float((np.abs(own @ x - b).max(axis=0) / scale).max()))
@@ -793,7 +864,8 @@ class ParametrixSolver:
         solves (I - V) rho = f + dx^d K_Y u(t0) panel by panel
         (``_march_panels``; H. Brunner, *Collocation Methods for Volterra
         Integral and Related Functional Equations*, 2004, ch. 2).  One
-        piece marches that single column.  The march is linear in u and f,
+        piece marches that single column forward, gathering only each
+        panel's own block of W.  The march is linear in u and f,
         so more pieces are u <- P u + G f_i, f_i the source at the node
         times of piece i: G = dx^d W_h (I - V)^-1 comes from one adjoint
         march of the s columns of W_h^T, and the one-piece propagator

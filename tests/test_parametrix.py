@@ -691,14 +691,17 @@ class TestGammaEntryPoints:
 
 
 class TestMarch:
-    """The Cauchy march: one panel's W at a time, a multi-piece run as one
-    propagator that agrees with the pieces marched one by one, and the
-    panel solve against the series ladder on the same rule."""
+    """The Cauchy march: at most one panel's W at a time, a multi-piece run
+    as one propagator that agrees with the pieces marched one by one, and
+    the panel solve against the series ladder on the same rule and against
+    forward substitution over the W that ``_panels`` lays out."""
 
     @pytest.mark.parametrize("pieces", [1, 3])
     def test_one_panel_weights_alive(self, pieces):
-        # the W of the last panel (8 targets reading all 48 nodes) is 13 MB;
-        # the W of every node together would be 45 MB
+        # the adjoint sweep of three pieces holds one panel's whole W, the
+        # last panel's (8 targets reading all 48 nodes) being 13 MB, where
+        # the W of every node together would be 45 MB; one piece marches
+        # forward and gathers only each panel's own 8 x 8 node block
         grid = GridSpec(dx=0.125, dim=1, radius=32)
         coeffs = Coefficients.from_function(grid, lambda x: 1.0 + 0.5 * np.sin(2.0 * np.pi * x))
         solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=48))
@@ -714,6 +717,39 @@ class TestMarch:
             tracemalloc.stop()
         assert ends.shape == (pieces, s) and np.all(np.isfinite(ends))
         assert peak < 2 * panel_w
+        if pieces == 1:
+            assert peak < panel_w
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), sines=st.booleans(),
+           with_y=st.booleans(), k=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
+    def test_forward_march_matches_materialised_panels(self, dim, periodic, sines, with_y, k,
+                                                       seed):
+        # the forward march applies W_p< rho_< from the folded rows; block
+        # forward substitution over the whole W of each panel from _panels
+        # solves the same system, on sine fields (few coefficient tuples)
+        # and random ones (every tuple distinct)
+        grid = GridSpec(dx=0.25, dim=dim, radius=5 if dim == 1 else 2,
+                        boundary="periodic-wrap" if periodic else "zero-extension")
+        rng = np.random.default_rng(seed)
+        axes = np.stack(np.meshgrid(*[grid.axis_coordinates()] * dim, indexing="ij"))
+        vals = 1.0 + 0.5 * np.sin(2.0 * np.pi * axes) if sines else \
+            rng.uniform(0.5, 1.5, axes.shape)
+        solver = ParametrixSolver(Coefficients(grid, vals), TimeQuadrature(nodes=24))
+        s = grid.site_count
+        y = rng.uniform(0.0, 3.0, s) if with_y else None
+        h = 0.1
+        nodes, weights, bp = solver.quad.points_with_panels(h, layer=solver._layer_scale())
+        table = solver._tau_table(h)
+        b = rng.standard_normal((nodes.size * s, k))
+        got = b.copy()
+        solver._march_panels(nodes, weights, bp, y, table, got)
+        want = b.copy()
+        vol = grid.cell_volume
+        for lo, hi, w in solver._panels(nodes, weights, bp, y, table):
+            rhs = want[lo * s:hi * s] + vol * (w[:, :lo * s] @ want[:lo * s])
+            want[lo * s:hi * s] = np.linalg.solve(np.eye((hi - lo) * s) - vol * w[:, lo * s:], rhs)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), data=st.data(),
