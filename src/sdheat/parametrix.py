@@ -26,38 +26,44 @@ G_j only through c_b^j, so the batch of direction j runs over the
 distinct values of c^j, not over the sites.
 
 Numerically, one graded Gauss rule on (0, horizon) serves every time
-integral.  Panels well below the target time keep their Gauss weights;
-the last few boundary-layer widths below it are integrated in tau = t - s
-at fresh Gauss points, where the kernel is exact and the smooth recursive
-factor is interpolated inside its panel.  So the plan of a target is one
-weight matrix C (a row per kernel time, a column per node).  A build (a
-ladder or a march) tabulates A's joint tables once, at 20 Gauss points on
-each panel of the tau edges 0, lam/4, lam/2, lam, 2 lam, ..., horizon
-(``_tau_table``), and folds each plan onto them by barycentric
-interpolation in tau (``_fold``), within about 1e-15 of sup |K|.  The
-contraction, D2_j and the gather are linear, so ``_contract_plan`` takes
-D2_j of the contracted rows along offset axis j and gathers each node
-block of W = sum_r C[r, c] F(tau_r) once: the table holds A alone, and no
-kernel matrix is built for a plan.  One generator, ``_panels``, contracts
-the targets of each panel of the rule with the correction kernel
-K_Y = K - diag(Y) A of a potential Y (K without one) into one W per panel.  The
-ladder keeps every panel's W and runs each order transposed, one product
-per panel, K^(m)(x_i)^T = dx^d K^(m-1)^T W_i^T, the nodes side by side in
-one of two order buffers that swap roles.  A Cauchy solve (``march``)
-solves the Volterra equation panel by panel: forward, only a panel's own
-node block of W is gathered and the rest of its plans act on the solution
-straight from the folded rows; its adjoint takes each panel's whole W in
-turn, in one reused buffer.  The end of a ladder build contracts the
-horizon's plan with A and applies W to Phi, Gamma(horizon) = A + dx^d W @
-Phi, A(horizon) being the row of one more node of unit weight.  A kernel
-matrix (K^(1), the march's right-hand sides, ``kernel_matrix``,
-``correction_matrix``) is the plan of unit weight at an exact time, whose
-rows are the joint tables themselves (``_joint_rows``).  The per-order sup
-norms decay like C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order is
-chosen by fitting C and C3 to the measured norms and summing the analytic
-tail.  A built ladder is one ``PhiSeries``: Gamma(horizon), the rule
-behind it, and the truncation record, cached per horizon; Phi itself is
-dropped.
+integral.  Panels well below the target time keep their Gauss weights; the
+last few boundary-layer widths below it are integrated in tau = t - s at
+fresh Gauss points, where the kernel is exact and the smooth recursive
+factor is interpolated inside its panel.  So the plan of a target is a
+weight matrix C (a row per kernel time, a column per node), which one
+vectorised pass over a list of targets (``_plans``) writes as flat
+(target, tau, node, weight) entries.  A build (a ladder or a march)
+tabulates A's joint tables once, at 20 Gauss points on each panel of the
+tau edges 0, lam/4, lam/2, lam, 2 lam, ..., horizon (``_tau_table``), and
+folds the entries onto them by barycentric interpolation in tau, one
+Lagrange evaluation and one scatter (``_fold``), into each target's fold
+weights F = C^T L, within about 1e-15 of sup |K|; F @ rows are the plan's
+contracted rows.  The contraction, D2_j and the gather are linear, so
+``_contract_plan`` takes D2_j of the contracted rows along offset axis j
+and gathers each node block of W = sum_r C[r, c] F(tau_r) once: the table
+holds A alone, and no kernel matrix is built for a plan.  One generator,
+``_panels``, contracts the targets of each panel of the rule with the
+correction kernel K_Y = K - diag(Y) A of a potential Y (K without one)
+into one W per panel.  The ladder keeps every panel's W and runs each
+order transposed, one product per panel, K^(m)(x_i)^T = dx^d K^(m-1)^T
+W_i^T, the nodes side by side in one of two order buffers that swap roles.
+A Cauchy solve (``march``) solves the Volterra equation panel by panel:
+forward, one pass folds the plans of a panel's 8 targets, only its own
+node block of W is gathered, and the rest of the plans act on the solution
+through the table, F^T rho then one product per coefficient tuple with the
+table's rows (no folded rows of the nodes below the panel are formed); its
+adjoint takes each panel's whole W in turn, in one reused buffer.  The end
+of a ladder build contracts the horizon's plan with A and applies W to
+Phi, Gamma(horizon) = A + dx^d W @ Phi, A(horizon) being the row of one
+more node of unit weight.  A kernel matrix (K^(1), the propagator's K_Y,
+``kernel_matrix``, ``correction_matrix``) is the plan of unit weight at an
+exact time, whose rows are the joint tables themselves (``_joint_rows``);
+a one-piece march applies K_Y to its initial data from those rows, with no
+s x s array.  The per-order sup norms decay like C C3^m t^{(m-1)/2} /
+Gamma(m/2); the truncation order is chosen by fitting C and C3 to the
+measured norms and summing the analytic tail.  A built ladder is one
+``PhiSeries``: Gamma(horizon), the rule behind it, and the truncation
+record, cached per horizon; Phi itself is dropped.
 """
 
 from __future__ import annotations
@@ -203,26 +209,39 @@ def _gather(values: np.ndarray, index: tuple[list[np.ndarray], list[np.ndarray]]
     return out
 
 
-def _fold(table: tuple[np.ndarray, np.ndarray], times: Sequence[float],
-          weights: np.ndarray) -> np.ndarray:
-    """The rows sum_r C[r, c] A(tau_r) of a plan's weights C, one per
-    column c, read off a ``_tau_table``: A(tau_r) is interpolated at the
-    Gauss points of the panel that holds tau_r, in the barycentric form
-    with the Gauss-Legendre weights (-1)^k sqrt((1 - x_k^2) w_k) (J.-P.
-    Berrut and L. N. Trefethen, *SIAM Rev.* 46, 2004), so the rows are C^T L
-    times the table's rows up to the last panel read."""
-    edges, rows = table
+def _table_points(edges: np.ndarray) -> np.ndarray:
+    """The tau points of a ``_tau_table`` with panel ``edges``:
+    ``_TABLE_POINTS`` Gauss points a panel, shape (panels, points)."""
+    x, _ = gauss_legendre(_TABLE_POINTS)
+    half = 0.5 * np.diff(edges)
+    return (edges[:-1] + half)[:, None] + half[:, None] * x
+
+
+def _fold(edges: np.ndarray, tau: np.ndarray,
+          entries: tuple[np.ndarray, np.ndarray, np.ndarray], slots: int) -> np.ndarray:
+    """Fold weights F = C^T L of plan entries onto a ``_tau_table`` with
+    panel ``edges``, shape (slots, P), so that F @ rows[:P] are the plans'
+    rows sum_r C[r, c] A(tau_r).  An entry (which, slot, weight) puts
+    weight A(tau[which]) into row ``slot``.  A(tau) is interpolated at the
+    Gauss points of the panel that holds tau, in the barycentric form with
+    the Gauss-Legendre weights (-1)^k sqrt((1 - x_k^2) w_k) (J.-P. Berrut
+    and L. N. Trefethen, *SIAM Rev.* 46, 2004), one evaluation for all of
+    ``tau``, and the entries are added into F in one scatter; F reaches the
+    last table panel any tau reads, P points."""
     x, w = gauss_legendre(_TABLE_POINTS)
-    tau = np.asarray(times, dtype=float)
     panel = np.clip(np.searchsorted(edges, tau, side="right") - 1, 0, edges.size - 2)
     diff = ((tau - edges[panel]) / (0.5 * np.diff(edges)[panel]) - 1.0)[:, None] - x
     hit = diff == 0.0
     lagrange = np.sqrt((1.0 - x**2) * w) * (-1.0) ** np.arange(x.size) / np.where(hit, 1.0, diff)
     lagrange /= lagrange.sum(axis=1, keepdims=True)
     lagrange = np.where(hit.any(axis=1, keepdims=True), hit, lagrange)
-    fold = np.zeros((tau.size, int(panel.max()) + 1, x.size))
-    fold[np.arange(tau.size), panel] = lagrange
-    return (weights.T @ fold.reshape(tau.size, -1)) @ rows[:fold[0].size]
+    which, slot, weight = entries
+    size = _TABLE_POINTS * (int(panel.max()) + 1)
+    index = (slot * size + panel[which] * _TABLE_POINTS)[:, None] + np.arange(_TABLE_POINTS)
+    values = lagrange[which]
+    values *= weight[:, None]
+    return np.bincount(index.reshape(-1), values.reshape(-1),
+                       minlength=slots * size).reshape(slots, size)
 
 
 def k1(alpha: Sequence[int], beta: Sequence[int], t: float, coeffs: Coefficients) -> float:
@@ -259,30 +278,32 @@ class ParametrixSolver:
     Cauchy problems.  ``tol`` is the ladder's series tolerance; the march
     does not read it.
 
-    Each target of the time rule or Gamma assembly has its plan weights
-    folded onto the build's tau table (``_fold``) and gathered into its W
-    (``_contract_plan``); ``_panels`` gathers the contracted targets of
-    one panel into one matrix W, and a kernel matrix is the plan of unit
-    weight at its time (``_kernel_stack``).  Construction keeps, per
-    direction, the distinct coefficient values and each site's index
-    among them, and each site's index among the distinct tuples of those
-    indices: O(s) entries, no index table and no s x s array.  Index
-    tables are built per block of rows and dropped with it; a forward
-    march keeps those of its history gathers, 2^d s^2 entries at most.
-    A build's tau table, 20 rows a tau panel of (period // 2 + 1)^d U
-    entries for U distinct tuples (0.9 MB at 65 sites, 19 tuples and nine
-    panels), is a local of the build.  A ladder build drops it once its
-    panels are contracted and keeps their W while it runs its orders
-    (about N^2 s^2 / 2 entries for N nodes and s sites), and besides them
-    two order buffers and Phi, (N + 1) s^2 entries each; the panels and the
-    order buffers are dropped before the end step.  A built ladder keeps
-    only Gamma(horizon), s^2 entries per horizon, and every Gamma entry
-    point reads it.  A forward march holds its table, one panel's folded
-    rows (8 n (period // 2 + 1)^d U entries for the n nodes it reads) and
-    its own block, 64 s^2 entries: 1.9 and 2.2 MB at 65 sites, 19 tuples
-    and 48 nodes.  The adjoint march holds the whole W of one panel at a
-    time, in one buffer sized for the last panel: 8 N s^2 entries, 13 MB
-    there.
+    The targets of the time rule or Gamma assembly have their plans folded
+    onto the build's tau table by the plan pass over a list of targets
+    (``_fold_plans``: a panel's 8 in the forward march, one at a time in
+    ``_panels``) and gathered into their W (``_contract_plan``); ``_panels``
+    gathers the contracted targets of one panel into one matrix W, and a
+    kernel matrix is the plan of unit weight at its time
+    (``_kernel_stack``).  Construction keeps, per direction, the distinct
+    coefficient values and each site's index among them, and each site's
+    index among the distinct tuples of those indices: O(s) entries, no index
+    table and no s x s array.  Index tables are built per block of rows and
+    dropped with it; a forward march keeps those of its own blocks and of
+    its history gathers, 2^d s^2 entries each at most.  A build's tau table, 20 rows a tau panel of
+    (period // 2 + 1)^d U entries for U distinct tuples (0.9 MB at 65 sites,
+    19 tuples and nine panels), is a local of the build.  A ladder build
+    drops it once its panels are contracted and keeps their W while it runs
+    its orders (about N^2 s^2 / 2 entries for N nodes and s sites), and
+    besides them two order buffers and Phi, (N + 1) s^2 entries each; the
+    panels and the order buffers are dropped before the end step.  A built
+    ladder keeps only Gamma(horizon), s^2 entries per horizon, and every
+    Gamma entry point reads it.  A forward march holds its table and a
+    tuple-major copy of it (0.9 MB each at 65 sites, 19 tuples and nine
+    panels), one panel's fold weights (8 n P entries for the n nodes and P
+    table points it reads, 0.55 MB at 48 nodes) and its own block, 64 s^2
+    entries (2.2 MB), but no folded rows.  The adjoint march holds the whole
+    W of one panel at a time, in one buffer sized for the last panel: 8 N
+    s^2 entries, 13 MB there.
 
     Kernels are folded on a torus, the mirror image subtracted on
     zero-extension grids (``_folded_offsets``), so Gamma is the fundamental
@@ -450,9 +471,7 @@ class ParametrixSolver:
         lam = self._layer_scale()
         edges = lam * 2.0 ** np.arange(-2, math.ceil(math.log2(horizon / lam)) + 1)
         edges = np.concatenate([[0.0], edges[edges < horizon], [horizon]])
-        x, _ = gauss_legendre(_TABLE_POINTS)
-        half = 0.5 * np.diff(edges)
-        points = (edges[:-1] + half)[:, None] + half[:, None] * x
+        points = _table_points(edges)
         rows = np.empty((points.size, math.prod(self._joint_shape)))
         for k, panel in enumerate(points):
             self._joint_rows(panel, rows[k * _TABLE_POINTS:(k + 1) * _TABLE_POINTS])
@@ -473,16 +492,18 @@ class ParametrixSolver:
         return np.ascontiguousarray(w.reshape(s, -1, s).transpose(1, 0, 2))
 
     def _contract_plan(self, contracted: np.ndarray, correction: bool = True,
-                       potential: np.ndarray | None = None,
-                       out: np.ndarray | None = None) -> np.ndarray:
-        """W = sum_r C[r, c] F(tau_r) of a plan (``_conv_plan``) from its
+                       potential: np.ndarray | None = None, out: np.ndarray | None = None,
+                       tables: list | None = None) -> np.ndarray:
+        """W = sum_r C[r, c] F(tau_r) of a plan (``_plans``) from its
         contracted rows sum_r C[r, c] A(tau_r), one per column c of C in A's
         joint-table layout (``_fold`` of the build's tau table, or
         ``_joint_rows`` for unit weights), shape (s, n s) over the n rows,
         so that W @ G, the node values stacked as rows, is the plan's
         integral.  F is K, K_Y = K - diag(Y) A with a flat ``potential``, or
         A without ``correction``; ``out`` is an optional contiguous buffer
-        of s n s entries that receives W.
+        of s n s entries that receives W, and ``tables`` the
+        ``_joint_index`` tables of every row block, when a caller that
+        contracts many plans builds them once.
 
         The contraction in tau, D2 and the gather are linear, so each node
         block is gathered from the contracted rows (``_joint_index``): term
@@ -504,8 +525,8 @@ class ParametrixSolver:
             d2 = np.empty((min(step, n),) + self._joint_shape)
         if potential is not None:
             y = np.asarray(potential, dtype=float).reshape(s, 1)
-        for rows, slabs in blocks:
-            index = self._joint_index(slabs)
+        for b, (rows, slabs) in enumerate(blocks):
+            index = self._joint_index(slabs) if tables is None else tables[b]
             increments = [c[rows, None] - c for c in self._cflat] if correction else []
             for lo in range(0, n, step):
                 part = by_row[rows, lo:lo + step].transpose(1, 0, 2)
@@ -552,68 +573,73 @@ class ParametrixSolver:
         # endpoint boundary-layer width of the kernel integrands
         return self.grid.dx**2 / (2.0 * self.coeffs.cbar)
 
-    def _conv_plan(self, t: float, nodes: np.ndarray, weights: np.ndarray,
-                   bp: np.ndarray) -> tuple[list[float], np.ndarray]:
-        """Integration plan of int_0^t F(t-s) G(s) ds for a target t in
-        (0, horizon], on the rule ``nodes``, ``weights``, breakpoints ``bp``.
-
-        Returns the distinct kernel times tau_r and the weights C, one row
-        per time and one column per node up to the last one the plan reads,
-        with int_0^t F(t-s) G(s) ds = sum_{r,c} C[r, c] F(tau_r) G_c.
+    def _plans(self, targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
+               bp: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...], int]:
+        """Integration plans of int_0^t F(t-s) G(s) ds for every target t
+        in (0, horizon] at once, on the rule ``nodes``, ``weights``,
+        breakpoints ``bp``, as flat entries for ``_fold``: kernel times tau,
+        and entries (which, slot, weight) with slot = c T + i for node c
+        and target i of T, so int_0^t F(t-s) G(s) ds = sum over the entries
+        of target i of weight F(tau[which]) G_c.  Also returns n, the nodes
+        up to the last one a plan reads.
 
         Panels far enough below t contribute through their Gauss nodes, at
-        kernel times t - s_q with the Gauss weights; their rows come first.
-        The remainder (within a few layer widths of t, which may span panel
-        edges) is handled in the variable tau = t - s: F, which carries the
-        dx^2-scale layer at tau = 0, is evaluated exactly at fresh Gauss
-        points on geometrically growing tau pieces (split at panel edges),
-        while the smooth recursive factor G is interpolated inside whichever
-        panel each piece lands in.
+        kernel times t - s_q with the Gauss weights.  The remainder (within
+        a few layer widths of t, which may span panel edges) is handled in
+        the variable tau = t - s: F, which carries the dx^2-scale layer at
+        tau = 0, is evaluated exactly at fresh Gauss points on
+        geometrically growing tau pieces (split at panel edges), while the
+        smooth recursive factor G is interpolated inside whichever panel
+        each piece lands in, one Lagrange evaluation for every piece.
         """
-        k = int(np.searchsorted(bp, t, side="left")) - 1
-        k = min(max(k, 0), bp.size - 2)
+        t = np.asarray(targets, dtype=float).reshape(-1)
         lam = self._layer_scale()
-        # lower the split point so the tau treatment covers the whole
-        # layer neighbourhood of t, even past panel edges
-        sp = k
-        while sp > 0 and t - bp[sp] < 3.0 * lam:
-            sp -= 1
+        last = bp.size - 2
+        k = np.clip(np.searchsorted(bp, t, side="left") - 1, 0, last)
+        # the split point: the highest edge up to k at least 3 lam below t,
+        # else 0, so the tau treatment covers the whole layer neighbourhood
+        sp = np.maximum(np.minimum(k, (t[:, None] - bp >= 3.0 * lam).sum(axis=1) - 1), 0)
+        depth = t - bp[sp]
         full = sp * PANEL_POINTS
-        depth = t - float(bp[sp])
 
-        # geometric tau edges out of the layer, split at panel crossings
-        edges = {0.0, min(lam, depth), depth}
-        g = lam
-        while g < depth:
-            edges.add(min(4.0 * g, depth))
-            g *= 4.0
-        for kk in range(sp + 1, k + 1):
-            edges.add(t - float(bp[kk]))
-        edges = sorted(edges)
-
+        # tau edges 0, lam, 4 lam, ... below depth, and the panel crossings;
+        # the rest are depth, whose repeats leave empty pieces out
+        geometric = lam * 4.0 ** np.arange(max(1, math.ceil(math.log(depth.max() / lam, 4)) + 1))
+        inner = np.arange(1, last + 1)
+        crossing = (inner > sp[:, None]) & (inner <= k[:, None])
+        edges = np.sort(np.concatenate([
+            np.zeros((t.size, 1)), np.minimum(geometric, depth[:, None]),
+            np.where(crossing, t[:, None] - bp[inner], depth[:, None]), depth[:, None]], axis=1))
+        target, piece = np.nonzero(np.diff(edges, axis=1) > 0.0)
+        lo, hi = edges[target, piece], edges[target, piece + 1]
+        half = 0.5 * (hi - lo)
+        panel = np.clip(np.searchsorted(bp, t[target] - 0.5 * (lo + hi), side="left") - 1, 0, last)
         xg, wg = gauss_legendre(PANEL_POINTS)
-        pieces = []  # (tau points, tau weights, first node of the panel)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi - lo <= 0.0:
-                continue
-            half = 0.5 * (hi - lo)
-            pk = int(np.searchsorted(bp, t - 0.5 * (lo + hi), side="left")) - 1
-            pk = min(max(pk, 0), bp.size - 2)
-            pieces.append((lo + half * (xg + 1.0), half * wg, pk * PANEL_POINTS))
+        tau_pts = lo[:, None] + half[:, None] * (xg + 1.0)
+        piece_nodes = panel[:, None] * PANEL_POINTS + np.arange(PANEL_POINTS)
+        lagrange = _lagrange_weights(nodes[piece_nodes], t[target, None] - tau_pts)
+        lagrange *= (half[:, None] * wg)[..., None]  # (pieces, tau points, nodes)
 
         # full panels lie below every piece's panel
-        n = PANEL_POINTS + max(first for _, _, first in pieces)
-        rows: dict[float, int] = {}
-        c = np.zeros((full + len(pieces) * PANEL_POINTS, n))
-        for q in range(full):
-            c[rows.setdefault(float(t - nodes[q]), len(rows)), q] += weights[q]
-        for tau_pts, tau_w, first in pieces:
-            panel = slice(first, first + PANEL_POINTS)
-            lagrange = _lagrange_weights(nodes[panel], t - tau_pts)
-            for tp, w, lw in zip(tau_pts, tau_w, lagrange):
-                row = rows.setdefault(float(tp), len(rows))
-                c[row, panel] += w * lw
-        return list(rows), c[:len(rows)]
+        q = np.arange(full.max())
+        target_q, q = np.nonzero(q < full[:, None])
+        n = PANEL_POINTS * (int(panel.max()) + 1)
+        tau = np.concatenate([t[target_q] - nodes[q], tau_pts.reshape(-1)])
+        which = np.concatenate([np.arange(q.size),
+                                q.size + np.repeat(np.arange(tau_pts.size), PANEL_POINTS)])
+        piece_slots = (piece_nodes * t.size + target[:, None])[:, None, :]
+        slot = np.concatenate([q * t.size + target_q,
+                               np.broadcast_to(piece_slots, lagrange.shape).reshape(-1)])
+        return tau, (which, slot, np.concatenate([weights[q], lagrange.reshape(-1)])), n
+
+    def _fold_plans(self, targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
+                    bp: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """The plans of ``targets`` (``_plans``) folded onto a tau table with
+        panel ``edges`` (``_fold``): F, shape (n, targets, P), so that F[:,
+        i] @ rows[:P] are the contracted rows of target i at its n nodes."""
+        tau, entries, n = self._plans(targets, nodes, weights, bp)
+        size = np.size(targets)
+        return _fold(edges, tau, entries, n * size).reshape(n, size, -1)
 
     def _end_rows(self, t: float, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
                   table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -622,11 +648,11 @@ class ParametrixSolver:
         the frozen kernels, W = [W_t, A(t)] over the n nodes the plan reads
         and that node, for the last step of a Gamma assembly and of a march
         piece, dx^d (A(t) u + W_t @ rho)."""
-        times, c = self._conv_plan(t, nodes, weights, bp)
-        plan = np.zeros((len(times) + 1, c.shape[1] + 1))
-        plan[:-1, :-1] = c
-        plan[-1, -1] = 1.0
-        return _fold(table, times + [t], plan)
+        edges, rows = table
+        tau, (which, slot, weight), n = self._plans(np.array([t]), nodes, weights, bp)
+        unit = (np.append(which, tau.size), np.append(slot, n), np.append(weight, 1.0))
+        f = _fold(edges, np.append(tau, t), unit, n + 1)
+        return f @ rows[:f.shape[1]]
 
     def _panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
                 y: np.ndarray | None, table: tuple[np.ndarray, np.ndarray],
@@ -636,10 +662,11 @@ class ParametrixSolver:
         with ``reverse``.  The targets lo..hi-1 are the panel's nodes, joined
         on the last panel by the ``extra`` times; all of them read the n = lo
         + 8 nodes up to the panel's end.  W, shape ((hi - lo) s, n s), is
-        their plans folded onto the build's tau ``table`` (``_fold``) and
-        contracted with K_Y (K when ``y`` is None) by ``_contract_plan``,
-        one target at a time.  With a ``buffer`` (the adjoint march's)
-        every W is a view of its start, overwritten by the next panel.
+        their plans folded onto the build's tau ``table`` (``_fold_plans``)
+        and contracted with K_Y (K when ``y`` is None) by ``_contract_plan``,
+        one target at a time, so one target's fold weights are held at a
+        time.  With a ``buffer`` (the adjoint march's) every W is a view of
+        its start, overwritten by the next panel.
         Without one (the ladder's), the W follow each other in one array
         sized for every panel, so keeping them all costs one allocation."""
         s = self.grid.site_count
@@ -647,6 +674,7 @@ class ParametrixSolver:
         if kept:  # the 8 targets of panel p read 8 (p + 1) nodes; extra ones all N
             buffer = np.empty((nodes.size * (nodes.size + PANEL_POINTS) // 2
                                + len(extra) * nodes.size) * s * s)
+        edges, rows = table
         start = 0
         firsts = range(0, nodes.size, PANEL_POINTS)
         for lo in reversed(firsts) if reverse else firsts:
@@ -657,10 +685,10 @@ class ParametrixSolver:
             w = buffer[start:start + size]
             if kept:
                 start += size
-            for j, x in enumerate(targets):
-                times, c = self._conv_plan(float(x), nodes, weights, bp)
-                self._contract_plan(_fold(table, times, c), potential=y,
-                                    out=w[j * block:(j + 1) * block])
+            for j in range(targets.size):
+                f = self._fold_plans(targets[j:j + 1], nodes, weights, bp, edges)[:, 0]
+                f = f @ rows[:f.shape[1]]
+                self._contract_plan(f, potential=y, out=w[j * block:(j + 1) * block])
             yield lo, lo + targets.size, w.reshape(-1, n * s)
 
     def _build_ladder(self, horizon: float) -> tuple[PhiSeries, np.ndarray]:
@@ -703,14 +731,15 @@ class ParametrixSolver:
                 target = min(3, _M_CAP)
             else:
                 c_fit, c3_fit = _fit_growth(norms, horizon)
+                tail = _series_tails(c_fit, c3_fit, horizon, m_done)
                 target = m_done
-                while target < _M_CAP and _series_tail(c_fit, c3_fit, horizon, target) > self.tol:
+                while target < _M_CAP and tail(target) > self.tol:
                     target += 1
-                if _series_tail(c_fit, c3_fit, horizon, target) > self.tol:
+                if tail(target) > self.tol:
                     raise RuntimeError(
                         f"correction series not convergent at tol={self.tol}: fitted "
                         f"C={c_fit:.3g}, C3={c3_fit:.3g}, horizon={horizon}, tail at "
-                        f"order {target} is {_series_tail(c_fit, c3_fit, horizon, target):.3g}")
+                        f"order {target} is {tail(target):.3g}")
                 if target <= m_done:
                     break
             for _ in range(m_done + 1, target + 1):
@@ -732,7 +761,7 @@ class ParametrixSolver:
         gamma += w[:, -s:]
         gamma.setflags(write=False)
         c_fit, c3_fit = _fit_growth(norms, horizon)
-        tail = _series_tail(c_fit, c3_fit, horizon, m_done)
+        tail = _series_tails(c_fit, c3_fit, horizon, m_done)(m_done)
         phi = phi.reshape(s, -1, s).transpose(1, 2, 0)  # [c, a, b] = Phi(x_c)[a, b]
         return PhiSeries(self.grid, horizon, nodes, weights, bp, gamma,
                          m_done, self.tol, tuple(norms), c_fit, c3_fit, tail), phi
@@ -746,54 +775,104 @@ class ParametrixSolver:
     def _own_panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
                     y: np.ndarray | None, table: tuple[np.ndarray, np.ndarray]
                     ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-        """Yield (lo, hi, W_pp, rows) for each panel of the rule, first to
-        last: ``rows``, (8, lo + 8, J), the plans of its 8 targets folded
-        onto the build's tau ``table``, and W_pp, (8 s, 8 s), their rows at
-        the panel's own nodes contracted with K_Y as in ``_panels``, in one
-        buffer for every panel."""
+        """Yield (lo, hi, W_pp, F) for each panel of the rule, first to
+        last: F, (lo + 8, 8, P), the fold weights of its 8 targets' plans on
+        the build's tau ``table`` (``_fold_plans``), and W_pp, (8 s, 8 s),
+        their rows at the panel's own nodes contracted with K_Y as in
+        ``_panels``, in one buffer for every panel."""
         s = self.grid.site_count
+        edges, rows = table
         own = np.empty((PANEL_POINTS * s, PANEL_POINTS * s))
+        tables = [self._joint_index(slabs) for _, slabs in self._row_blocks()]
         for lo in range(0, nodes.size, PANEL_POINTS):
-            rows = np.stack([_fold(table, *self._conv_plan(float(x), nodes, weights, bp))
-                             for x in nodes[lo:lo + PANEL_POINTS]])
-            for j, target in enumerate(rows):
-                self._contract_plan(target[lo:], potential=y, out=own[j * s:(j + 1) * s])
-            yield lo, lo + PANEL_POINTS, own, rows
+            f = self._fold_plans(nodes[lo:lo + PANEL_POINTS], nodes, weights, bp, edges)
+            own_f = np.ascontiguousarray(f[lo:].transpose(1, 0, 2))  # (targets, nodes, P)
+            own_rows = own_f.reshape(-1, f.shape[2]) @ rows[:f.shape[2]]
+            for j in range(PANEL_POINTS):
+                self._contract_plan(own_rows[j * PANEL_POINTS:(j + 1) * PANEL_POINTS],
+                                    potential=y, out=own[j * s:(j + 1) * s], tables=tables)
+            yield lo, lo + PANEL_POINTS, own, f
 
-    def _history(self, rows: np.ndarray, rho: np.ndarray, y: np.ndarray | None,
-                 order: np.ndarray, blocks: list) -> np.ndarray:
-        """W_p< rho_<, (targets s, k), from the targets' folded rows at the
-        lo nodes below their panel, (targets, lo, J), with no W_p< formed.
-        For each coefficient tuple u, one product of the rows' u-slice with
-        rho_< at the sites of u gives H = sum_c rows_c rho_c, laid out
-        (targets k, offsets^d, s) with the sites sorted by tuple
-        (``order``).  D2_j H along offset axis j is gathered in the row
-        ``blocks`` (``_joint_index`` of the sorted sites) and reduced as
-        sum_j (c_a^j sum_b g_j - sum_b c_b^j g_j) - y_a sum_b g_A."""
+    def _site_blocks(self) -> tuple[np.ndarray, list[tuple[slice, tuple]]]:
+        """The sites sorted by coefficient tuple, and for each row block of
+        ``_row_blocks`` its rows and the ``_joint_index`` tables of the
+        sorted sites, for ``_apply_joint``."""
+        order = np.argsort(self._tuples[1], kind="stable")
+        return order, [(rows, self._joint_index(slabs, np.argsort(order)))
+                       for rows, slabs in self._row_blocks()]
+
+    def _apply_joint(self, h: np.ndarray, y: np.ndarray | None, blocks: list) -> np.ndarray:
+        """sum_b F_{a,b} for the kernels F = K_Y (K when ``y`` is None) of
+        tables h, shape (m, offsets^d, s), one per row of the result (m, s):
+        h[i, n, b] holds the joint table of b's tuple at offsets n, the sites
+        b sorted by tuple as in ``_site_blocks``, whose row ``blocks`` it
+        gathers.  D2_j h along offset axis j is gathered and reduced as
+        sum_j (c_a^j sum_b g_j - sum_b c_b^j g_j) - y_a sum_b g_A, for as
+        many rows of h at once as keep a gather near 2^18 entries."""
         s = self.grid.site_count
-        targets, lo = rows.shape[:2]
+        m = h.shape[0]
+        size = (blocks[0][0].stop - blocks[0][0].start) * s  # index entries of a block
+        step = max(1, 2**18 // size)
+        out = np.zeros((m, s))
+        diff = np.empty((min(step, m),) + h.shape[1:])
+        scratch = np.empty(min(step, m) * size)
+
+        def gather(values, index):  # into the scratch buffer
+            shape = (values.shape[0],) + index[0][0].shape
+            return _gather(values.reshape(shape[0], -1), index,
+                           scratch[:math.prod(shape)].reshape(shape))
+
+        for lo in range(0, m, step):
+            part, rows = h[lo:lo + step], out[lo:lo + step]
+            d2 = diff[:len(part)]
+            for j, c in enumerate(self._cflat):
+                self._offset_second_difference(part, 1 + j, d2)
+                for sites, index in blocks:
+                    g = gather(d2, index)
+                    rows[:, sites] += c[sites] * g.sum(axis=-1) - g @ c
+            if y is not None:
+                for sites, index in blocks:
+                    rows[:, sites] -= y[sites] * gather(part, index).sum(axis=-1)
+        return out
+
+    def _history(self, f: np.ndarray, rho: np.ndarray, y: np.ndarray | None,
+                 order: np.ndarray, blocks: list, by_tuple: np.ndarray) -> np.ndarray:
+        """W_p< rho_<, (targets s, k), from the fold weights f, (lo,
+        targets, P), of the targets' plans at the lo nodes below their
+        panel, with neither W_p< nor their folded rows formed.  z = f^T
+        rho_< is one product, with the sites sorted by tuple (``order``);
+        then for each coefficient tuple u, one product of z at the sites of
+        u with ``by_tuple[u]``, the tau table's rows of u laid out (tau,
+        offsets^d), gives H = sum_c rows_c rho_c, which ``_apply_joint``
+        reduces."""
+        s = self.grid.site_count
+        lo, targets, size = f.shape
         k = rho.shape[1]
-        by_tuple = np.ascontiguousarray(
-            rows.reshape(targets, lo, -1, self._joint_shape[-1]).transpose(3, 0, 2, 1))
-        rho = rho.reshape(lo, s, k)[:, order]
-        h = np.empty((targets, k, by_tuple.shape[2], s))
+        rho = rho.reshape(lo, s, k)[:, order].reshape(lo, -1)
+        z = (rho.T @ f.reshape(lo, -1)).reshape(-1, size)  # rows (b, column, target)
+        width = k * targets
+        h = np.empty((s, width, by_tuple.shape[-1]))
         first = 0
         for u, last in enumerate(np.cumsum(np.bincount(self._tuples[1]))):
-            part = by_tuple[u].reshape(-1, lo) @ rho[:, first:last].reshape(lo, -1)
-            h[..., first:last] = part.reshape(targets, -1, last - first, k).transpose(0, 3, 1, 2)
+            np.matmul(z[first * width:last * width], by_tuple[u, :size],
+                      out=h[first:last].reshape(-1, h.shape[-1]))
             first = last
-        h = h.reshape((targets * k,) + self._joint_shape[:-1] + (s,))
-        d2 = [self._offset_second_difference(h, 1 + j, np.empty_like(h)).reshape(targets * k, -1)
-              for j in range(self.grid.dim)]
-        h = h.reshape(targets * k, -1)
-        out = np.zeros((targets * k, s))
-        for sites, index in blocks:
-            for c, f in zip(self._cflat, d2):
-                g = _gather(f, index)
-                out[:, sites] += c[sites] * g.sum(axis=-1) - g @ c
-            if y is not None:
-                out[:, sites] -= y[sites] * _gather(h, index).sum(axis=-1)
-        return out.reshape(targets, k, s).transpose(0, 2, 1).reshape(-1, k)
+        h = np.ascontiguousarray(h.transpose(1, 2, 0))
+        out = self._apply_joint(h.reshape((width,) + self._joint_shape[:-1] + (s,)), y, blocks)
+        return out.reshape(k, targets, s).transpose(1, 2, 0).reshape(-1, k)
+
+    def _apply_kernels(self, times: np.ndarray, u: np.ndarray,
+                       y: np.ndarray | None) -> np.ndarray:
+        """K_Y(t) u at each of the ``times``, shape (times, s), from the
+        exact joint tables (``_joint_rows``) times u through
+        ``_apply_joint``, with no kernel matrix formed."""
+        s = self.grid.site_count
+        order, blocks = self._site_blocks()
+        rows = self._joint_rows(times).reshape(len(times), -1, self._joint_shape[-1])
+        h = np.take(rows, self._tuples[1][order], axis=-1)
+        h *= u[order]
+        return self._apply_joint(h.reshape((len(times),) + self._joint_shape[:-1] + (s,)),
+                                 y, blocks)
 
     def _march_panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
                       y: np.ndarray | None, table: tuple[np.ndarray, np.ndarray],
@@ -807,7 +886,8 @@ class ParametrixSolver:
         V is block lower triangular in the panels of the rule.  Forward,
         panel p is one dense solve of all k columns, (I - dx^d W_pp) rho_p =
         b_p + dx^d W_p< rho_<, W_pp alone contracted (``_own_panels``) and
-        W_p< rho_< taken from the folded rows (``_history``).  The adjoint
+        W_p< rho_< applied from the panel's fold weights through the table,
+        laid out tuple-major once a call (``_history``).  The adjoint
         takes each panel's whole W from ``_panels``, last to first, in one
         buffer sized for the last (8 N s^2 entries), solves (I - dx^d
         W_pp)^T rho_p = b_p and adds dx^d rho_p^T W_p< to rho^T, (k, nodes
@@ -823,9 +903,9 @@ class ParametrixSolver:
                       self._panels(nodes, weights, bp, y, table, buffer, reverse=True))
         else:
             panels = self._own_panels(nodes, weights, bp, y, table)
-            order = np.argsort(self._tuples[1], kind="stable")
-            blocks = [(sites, self._joint_index(slabs, np.argsort(order)))
-                      for sites, slabs in self._row_blocks()]
+            order, blocks = self._site_blocks()
+            by_tuple = np.ascontiguousarray(  # the table's rows (tuple, tau, offsets^d)
+                table[1].reshape(table[1].shape[0], -1, self._joint_shape[-1]).transpose(2, 0, 1))
         residual = 0.0
         for lo, hi, own, w in panels:
             own *= -vol
@@ -834,7 +914,7 @@ class ParametrixSolver:
             if adjoint:
                 own = own.T
             elif lo:
-                b += vol * self._history(w[:, :lo], rho[:lo * s], y, order, blocks)
+                b += vol * self._history(w[:lo], rho[:lo * s], y, order, blocks, by_tuple)
             x = np.linalg.solve(own, b)
             scale = np.maximum(np.abs(b).max(axis=0), np.finfo(float).tiny)
             residual = max(residual, float((np.abs(own @ x - b).max(axis=0) / scale).max()))
@@ -863,21 +943,22 @@ class ParametrixSolver:
         contracted into dx^d (A(h) u(t0) + W_h rho) (``_end_rows``).  rho
         solves (I - V) rho = f + dx^d K_Y u(t0) panel by panel
         (``_march_panels``; H. Brunner, *Collocation Methods for Volterra
-        Integral and Related Functional Equations*, 2004, ch. 2).  One
-        piece marches that single column forward, gathering only each
-        panel's own block of W.  The march is linear in u and f,
-        so more pieces are u <- P u + G f_i, f_i the source at the node
-        times of piece i: G = dx^d W_h (I - V)^-1 comes from one adjoint
-        march of the s columns of W_h^T, and the one-piece propagator
-        P = dx^d (A(h) + G K_Y) = Gamma_Y(h) dx^d from G.  Each piece is
-        then one product with P and one with G, and no panel is built or
-        solved twice.  Every plan of the march is folded onto one tau table
-        on (0, h), a local of the call (``_fold``); K_Y u(t0) and K_Y in P
-        take the exact kernels at the nodes.  ``potential`` None means Y = 0.
-        ``source(times)`` gives f at a piece's node times (offset by
-        ``start``) as a (nodes, s) array, None meaning f = 0.  Returns u at
-        every ``every``-th piece end, shape (pieces // every, s), and the
-        largest relative residual of the panel solves.
+        Integral and Related Functional Equations*, 2004, ch. 2).  One piece
+        marches that single column forward, gathering only each panel's own
+        block of W.  The march is linear in u and f, so more pieces are u <- P
+        u + G f_i, f_i the source at the node times of piece i: G = dx^d W_h
+        (I - V)^-1 comes from one adjoint march of the s columns of W_h^T, and
+        the one-piece propagator P = dx^d (A(h) + G K_Y) = Gamma_Y(h) dx^d
+        from G.  Each piece is then one product with P and one with G, and no
+        panel is built or solved twice.  Every plan of the march is folded
+        onto one tau table on (0, h), a local of the call (``_fold_plans``);
+        K_Y u(t0) of one piece is applied from the exact joint tables at the
+        nodes (``_apply_kernels``), and K_Y in P is their kernel stack.
+        ``potential`` None means Y = 0.  ``source(times)`` gives f at a
+        piece's node times (offset by ``start``) as a (nodes, s) array, None
+        meaning f = 0.  Returns u at every ``every``-th piece end, shape
+        (pieces // every, s), and the largest relative residual of the panel
+        solves.
         """
         if not (pieces >= 1 and every >= 1 and pieces % every == 0):
             raise ValueError(f"need pieces >= 1 and every dividing it, got pieces={pieces}, "
@@ -889,7 +970,7 @@ class ParametrixSolver:
         u = np.asarray(u0, dtype=float).reshape(-1)
         table = self._tau_table(h)
         if pieces == 1:
-            rho = vol * (self._kernel_stack(nodes, correction=True, potential=y) @ u)
+            rho = vol * self._apply_kernels(nodes, u, y)
             if source is not None:
                 rho += source(start + nodes)
             rho = rho.reshape(-1, 1)
@@ -976,15 +1057,26 @@ def _fit_growth(norms: Sequence[float], horizon: float) -> tuple[float, float]:
     return math.exp(log_c), c3
 
 
-def _series_tail(c: float, c3: float, horizon: float, m_max: int) -> float:
-    """Tail sum_{m > m_max} C C3^m T^{(m-1)/2} / Gamma(m/2)."""
+def _series_tails(c: float, c3: float, horizon: float, first: int) -> Callable[[int], float]:
+    """tail(m_max) = sum_{m > m_max} C C3^m T^{(m-1)/2} / Gamma(m/2) for
+    m_max >= first, over at most 399 terms and stopped at the first term
+    below e^-700.  Each term is evaluated once, when a tail first reaches
+    it, and each tail is summed from them in the order of m."""
     if c == 0.0 or c3 == 0.0:
-        return 0.0
+        return lambda m_max: 0.0
     log_c, log_c3, log_t = math.log(c), math.log(c3), math.log(horizon)
-    tail = 0.0
-    for m in range(m_max + 1, m_max + 400):
-        log_term = log_c + m * log_c3 + 0.5 * (m - 1) * log_t - math.lgamma(m / 2.0)
-        if log_term < -700:
-            break
-        tail += math.exp(log_term)
+    terms: list[float | None] = []  # the term of m = first + 1 + i, None below e^-700
+
+    def tail(m_max: int) -> float:
+        total = 0.0
+        for i in range(m_max - first, m_max - first + 399):
+            while len(terms) <= i:
+                m = first + 1 + len(terms)
+                log_term = log_c + m * log_c3 + 0.5 * (m - 1) * log_t - math.lgamma(m / 2.0)
+                terms.append(None if log_term < -700 else math.exp(log_term))
+            if terms[i] is None:
+                break
+            total += terms[i]
+        return total
+
     return tail

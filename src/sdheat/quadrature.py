@@ -79,16 +79,17 @@ class TimeQuadrature:
         return np.concatenate(s_list), np.concatenate(w_list), bp
 
 
-def _lagrange_weights(nodes: np.ndarray, points: float | np.ndarray) -> np.ndarray:
-    """Lagrange weights of ``nodes`` at a point, or one row per point of an
-    array: weight m is the product over k of the factors (x - x_k) / (x_m
-    - x_k), the one at k = m set to 1, taken in the order k = 0, 1, ..."""
+def _lagrange_weights(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Lagrange weights of ``nodes`` (..., m) at ``points`` (..., p), one
+    row per point, shape (..., p, m), the leading axes broadcast: weight m
+    is the product over k of the factors (x - x_k) / (x_m - x_k), the one
+    at k = m set to 1, taken in the order k = 0, 1, ..."""
     x = np.asarray(points, dtype=float)
-    spans = nodes[:, None] - nodes
-    np.fill_diagonal(spans, 1.0)
-    factors = (x[..., None, None] - nodes) / spans  # (..., m, k)
-    np.einsum("...mm->...m", factors)[...] = 1.0
+    spans = nodes[..., :, None] - nodes[..., None, :]
+    np.einsum("...mm->...m", spans)[...] = 1.0
+    factors = (x[..., :, None, None] - nodes[..., None, None, :]) / spans[..., None, :, :]
+    np.einsum("...mm->...m", factors)[...] = 1.0  # (..., p, m, k)
     w = factors[..., 0].copy()
-    for k in range(1, nodes.size):
+    for k in range(1, nodes.shape[-1]):
         w *= factors[..., k]
     return w
