@@ -46,7 +46,7 @@ holds A alone, and no kernel matrix is built for a plan.  One generator,
 correction kernel K_Y = K - diag(Y) A of a potential Y (K without one)
 into one W per panel.  The ladder keeps every panel's W and runs each
 order transposed, one product per panel, K^(m)(x_i)^T = dx^d K^(m-1)^T
-W_i^T, the nodes side by side in one of two order buffers that swap roles.
+W_i^T, the nodes side by side in one order buffer, the panels last to first.
 A Cauchy solve (``march``) solves the Volterra equation panel by panel:
 forward, one pass folds the plans of a panel's 8 targets, only its own
 node block of W is gathered, and the rest of the plans act on the solution
@@ -55,13 +55,12 @@ table's rows (no folded rows of the nodes below the panel are formed); its
 adjoint takes each panel's whole W in turn, in one reused buffer.  The end
 of a ladder build contracts the horizon's plan with A and applies W to
 Phi, Gamma(horizon) = A + dx^d W @ Phi, A(horizon) being the row of one
-more node of unit weight.  A kernel matrix (K^(1), the propagator's K_Y,
-``kernel_matrix``, ``correction_matrix``) is the plan of unit weight at an
-exact time, whose rows are the joint tables themselves (``_joint_rows``);
-a one-piece march applies K_Y to its initial data from those rows, with no
-s x s array.  The per-order sup norms decay like C C3^m t^{(m-1)/2} /
-Gamma(m/2); the truncation order is chosen by fitting C and C3 to the
-measured norms and summing the analytic tail.  A built ladder is one
+more node of unit weight.  K^(1) and K_Y at the nodes are unit rows folded
+off the table too (``_unit_rows``); exact joint tables (``_joint_rows``)
+serve only the table, ``kernel_matrix`` and ``correction_matrix``.  The
+per-order sup norms decay like C C3^m t^{(m-1)/2} / Gamma(m/2); the
+truncation order is chosen by fitting C and C3 to the measured norms and
+summing the analytic tail.  A built ladder is one
 ``PhiSeries``: Gamma(horizon), the rule behind it, and the truncation
 record, cached per horizon; Phi itself is dropped.
 """
@@ -244,6 +243,15 @@ def _fold(edges: np.ndarray, tau: np.ndarray,
                        minlength=slots * size).reshape(slots, size)
 
 
+def _unit_rows(table: tuple[np.ndarray, np.ndarray], times: np.ndarray) -> np.ndarray:
+    """A's joint tables at ``times`` in (0, horizon], one row per time:
+    entries of unit weight folded onto a build's tau ``table`` (``_fold``)."""
+    edges, rows = table
+    unit = np.arange(times.size)
+    f = _fold(edges, times, (unit, unit, np.ones(times.size)), times.size)
+    return f @ rows[:f.shape[1]]
+
+
 def k1(alpha: Sequence[int], beta: Sequence[int], t: float, coeffs: Coefficients) -> float:
     """Correction kernel K_{alpha,beta}(t): coefficient increments times
     the directional second differences of the frozen kernel.
@@ -282,28 +290,27 @@ class ParametrixSolver:
     onto the build's tau table by the plan pass over a list of targets
     (``_fold_plans``: a panel's 8 in the forward march, one at a time in
     ``_panels``) and gathered into their W (``_contract_plan``); ``_panels``
-    gathers the contracted targets of one panel into one matrix W, and a
-    kernel matrix is the plan of unit weight at its time
-    (``_kernel_stack``).  Construction keeps, per direction, the distinct
-    coefficient values and each site's index among them, and each site's
-    index among the distinct tuples of those indices: O(s) entries, no index
-    table and no s x s array.  Index tables are built per block of rows and
-    dropped with it; a forward march keeps those of its own blocks and of
-    its history gathers, 2^d s^2 entries each at most.  A build's tau table, 20 rows a tau panel of
-    (period // 2 + 1)^d U entries for U distinct tuples (0.9 MB at 65 sites,
-    19 tuples and nine panels), is a local of the build.  A ladder build
-    drops it once its panels are contracted and keeps their W while it runs
-    its orders (about N^2 s^2 / 2 entries for N nodes and s sites), and
-    besides them two order buffers and Phi, (N + 1) s^2 entries each; the
-    panels and the order buffers are dropped before the end step.  A built
-    ladder keeps only Gamma(horizon), s^2 entries per horizon, and every
-    Gamma entry point reads it.  A forward march holds its table and a
-    tuple-major copy of it (0.9 MB each at 65 sites, 19 tuples and nine
-    panels), one panel's fold weights (8 n P entries for the n nodes and P
-    table points it reads, 0.55 MB at 48 nodes) and its own block, 64 s^2
-    entries (2.2 MB), but no folded rows.  The adjoint march holds the whole
-    W of one panel at a time, in one buffer sized for the last panel: 8 N
-    s^2 entries, 13 MB there.
+    gathers the contracted targets of one panel into one matrix W, and the
+    kernels at the nodes are unit rows of the table (``_unit_rows``).
+    Construction keeps, per direction, the distinct coefficient values and
+    each site's index among them, and each site's index among the distinct
+    tuples of those indices: O(s) entries, no index table and no s x s
+    array.  Index tables, 2^d s^2 entries at most, are built once a panel
+    sweep (and for a forward march's history gathers).  A build's tau
+    table, 20 rows a tau panel of (period // 2 + 1)^d U entries for U
+    distinct tuples (0.9 MB at 65 sites, 19 tuples and nine panels), is a
+    local of the build.  A ladder build drops it once its panels are
+    contracted and keeps their W while it runs its orders (about N^2 s^2 / 2
+    entries for N nodes and s sites), and besides them one order buffer and
+    Phi, (N + 1) s^2 entries each, and a one-panel scratch of 9 s^2, all
+    dropped before the end step.  A built ladder keeps only Gamma(horizon),
+    s^2 entries per horizon, and every Gamma entry point reads it.  A
+    forward march holds its table and a tuple-major copy of it (0.9 MB each
+    at 65 sites, 19 tuples and nine panels), one panel's fold weights (8 n P
+    entries for the n nodes and P table points it reads, 0.55 MB at 48
+    nodes) and its own block, 64 s^2 entries (2.2 MB), but no folded rows.
+    The adjoint march holds the whole W of one panel at a time, in one
+    buffer sized for the last panel: 8 N s^2 entries, 13 MB there.
 
     Kernels are folded on a torus, the mirror image subtracted on
     zero-extension grids (``_folded_offsets``), so Gamma is the fundamental
@@ -477,27 +484,13 @@ class ParametrixSolver:
             self._joint_rows(panel, rows[k * _TABLE_POINTS:(k + 1) * _TABLE_POINTS])
         return edges, rows
 
-    def _kernel_stack(self, times: Sequence[float], correction: bool = False,
-                      potential: np.ndarray | None = None) -> np.ndarray:
-        """Frozen kernels A(t), or with ``correction`` the correction kernels
-        K(t) (K_Y with a flat ``potential``), stacked as (len(times), s, s)
-        in the given order (not cached): the plan of unit weight at each
-        time, whose contracted rows are the exact joint tables
-        (``_joint_rows``), laid out node by node."""
-        s = self.grid.site_count
-        times = np.asarray(times, dtype=float).reshape(-1)
-        if correction and times.size and times.min() <= 0:
-            raise ValueError(f"time must be positive, got {times.min()}")
-        w = self._contract_plan(self._joint_rows(times), correction, potential)
-        return np.ascontiguousarray(w.reshape(s, -1, s).transpose(1, 0, 2))
-
     def _contract_plan(self, contracted: np.ndarray, correction: bool = True,
                        potential: np.ndarray | None = None, out: np.ndarray | None = None,
                        tables: list | None = None) -> np.ndarray:
         """W = sum_r C[r, c] F(tau_r) of a plan (``_plans``) from its
         contracted rows sum_r C[r, c] A(tau_r), one per column c of C in A's
         joint-table layout (``_fold`` of the build's tau table, or
-        ``_joint_rows`` for unit weights), shape (s, n s) over the n rows,
+        ``_joint_rows`` for a kernel matrix), shape (s, n s) over the n rows,
         so that W @ G, the node values stacked as rows, is the plan's
         integral.  F is K, K_Y = K - diag(Y) A with a flat ``potential``, or
         A without ``correction``; ``out`` is an optional contiguous buffer
@@ -552,11 +545,13 @@ class ParametrixSolver:
 
     def kernel_matrix(self, t: float) -> np.ndarray:
         """Frozen-kernel matrix A_{a,b}(t) (dense, flat layout)."""
-        return self._kernel_stack([t])[0]
+        return self._contract_plan(self._joint_rows([t]), correction=False)
 
     def correction_matrix(self, t: float) -> np.ndarray:
         """Correction kernel matrix K(t); requires t > 0."""
-        return self._kernel_stack([t], correction=True)[0]
+        if not t > 0:
+            raise ValueError(f"time must be positive, got {t}")
+        return self._contract_plan(self._joint_rows([t]))
 
     # -- the K^(m) ladder ------------------------------------------------------
 
@@ -665,16 +660,17 @@ class ParametrixSolver:
         their plans folded onto the build's tau ``table`` (``_fold_plans``)
         and contracted with K_Y (K when ``y`` is None) by ``_contract_plan``,
         one target at a time, so one target's fold weights are held at a
-        time.  With a ``buffer`` (the adjoint march's) every W is a view of
-        its start, overwritten by the next panel.
-        Without one (the ladder's), the W follow each other in one array
-        sized for every panel, so keeping them all costs one allocation."""
+        time; the index tables are built once a call.  With a ``buffer``
+        (the adjoint march's) every W is a view of its start, overwritten by
+        the next panel.  Without one (the ladder's), the W follow each other
+        in one array sized for every panel: one allocation keeps them all."""
         s = self.grid.site_count
         kept = buffer is None
         if kept:  # the 8 targets of panel p read 8 (p + 1) nodes; extra ones all N
             buffer = np.empty((nodes.size * (nodes.size + PANEL_POINTS) // 2
                                + len(extra) * nodes.size) * s * s)
         edges, rows = table
+        tables = [self._joint_index(slabs) for _, slabs in self._row_blocks()]
         start = 0
         firsts = range(0, nodes.size, PANEL_POINTS)
         for lo in reversed(firsts) if reverse else firsts:
@@ -688,7 +684,8 @@ class ParametrixSolver:
             for j in range(targets.size):
                 f = self._fold_plans(targets[j:j + 1], nodes, weights, bp, edges)[:, 0]
                 f = f @ rows[:f.shape[1]]
-                self._contract_plan(f, potential=y, out=w[j * block:(j + 1) * block])
+                self._contract_plan(f, potential=y, out=w[j * block:(j + 1) * block],
+                                    tables=tables)
             yield lo, lo + targets.size, w.reshape(-1, n * s)
 
     def _build_ladder(self, horizon: float) -> tuple[PhiSeries, np.ndarray]:
@@ -707,25 +704,27 @@ class ParametrixSolver:
             return PhiSeries(self.grid, horizon, nodes, weights, bp, gamma, 1, self.tol,
                              (0.0,), 0.0, 0.0, 0.0), np.zeros((nodes.size, s, s))
 
-        # the build's tau table serves the panels and the end step's plan;
-        # it is dropped before K^(1) and the orders
+        # the build's tau table serves the panels, the end step's plan and
+        # K^(1) at the nodes and the horizon; it is dropped before the orders
         table = self._tau_table(horizon)
         panels = list(self._panels(nodes, weights, bp, None, table, extra=[horizon]))
         end = self._end_rows(horizon, nodes, weights, bp, table)
+        k1 = _unit_rows(table, np.append(nodes, horizon))
         del table
 
         # the orders are kept transposed, [b, c s + a] = K^(m)(x_c)[a, b], in
-        # two buffers that swap roles: K^(m) at the first n_i nodes is then
-        # dx^d K^(m-1)^T W_i^T, whose wide shape multiplies faster than W_i
-        # K^(m-1); the horizon joins the targets of the last panel
-        k1 = self._kernel_stack(np.append(nodes, horizon), correction=True)
-        prev = np.ascontiguousarray(k1.transpose(2, 0, 1)).reshape(s, -1)
+        # one buffer: K^(m) at the first n_i nodes is dx^d K^(m-1)^T W_i^T,
+        # whose wide shape multiplies faster than W_i K^(m-1); the panels go
+        # last to first, each product through a one-panel scratch into its own
+        # nodes, which earlier panels do not read; the horizon joins the last
+        k1 = self._contract_plan(k1)
+        orders = np.ascontiguousarray(k1.reshape(s, -1, s).transpose(2, 1, 0)).reshape(s, -1)
         del k1
 
-        cur = np.empty_like(prev)
-        phi = prev[:, :-s].copy()
+        scratch = np.empty((PANEL_POINTS + 1) * s * s)
+        phi = orders[:, :-s].copy()
         m_done = 1
-        norms = [float(np.abs(prev[:, -s:]).max())]
+        norms = [float(np.abs(orders[:, -s:]).max())]
         while True:
             if m_done == 1:
                 target = min(3, _M_CAP)
@@ -743,18 +742,18 @@ class ParametrixSolver:
                 if target <= m_done:
                     break
             for _ in range(m_done + 1, target + 1):
-                for lo, hi, w in panels:
-                    np.matmul(prev[:, :w.shape[1]], w.T, out=cur[:, lo * s:hi * s])
-                cur *= vol
-                phi += cur[:, :-s]
-                norms.append(float(np.abs(cur[:, -s:]).max()))
-                prev, cur = cur, prev
+                for lo, hi, w in reversed(panels):
+                    part = scratch[:s * w.shape[0]].reshape(s, -1)
+                    np.matmul(orders[:, :w.shape[1]], w.T, out=part)
+                    np.multiply(part, vol, out=orders[:, lo * s:hi * s])
+                phi += orders[:, :-s]
+                norms.append(float(np.abs(orders[:, -s:]).max()))
             m_done = target
 
         # Gamma(horizon) = A + dx^d W @ Phi, its plan reading every node; the
-        # panels (w is a view of their buffer) and the order buffers go first,
-        # so the end step's kernels do not add to the peak
-        del panels, w, prev, cur
+        # panels (w is a view of their buffer) and the orders go first, so the
+        # end step's kernels do not add to the peak
+        del panels, w, orders, scratch
         w = self._contract_plan(end, correction=False)
         gamma = w[:, :-s] @ phi.T
         gamma *= vol
@@ -861,18 +860,16 @@ class ParametrixSolver:
         out = self._apply_joint(h.reshape((width,) + self._joint_shape[:-1] + (s,)), y, blocks)
         return out.reshape(k, targets, s).transpose(1, 2, 0).reshape(-1, k)
 
-    def _apply_kernels(self, times: np.ndarray, u: np.ndarray,
+    def _apply_kernels(self, rows: np.ndarray, u: np.ndarray,
                        y: np.ndarray | None) -> np.ndarray:
-        """K_Y(t) u at each of the ``times``, shape (times, s), from the
-        exact joint tables (``_joint_rows``) times u through
-        ``_apply_joint``, with no kernel matrix formed."""
+        """K_Y(t) u at the time t of each of A's joint ``rows``, shape (times,
+        s), through ``_apply_joint``, with no kernel matrix formed."""
         s = self.grid.site_count
+        m = rows.shape[0]
         order, blocks = self._site_blocks()
-        rows = self._joint_rows(times).reshape(len(times), -1, self._joint_shape[-1])
-        h = np.take(rows, self._tuples[1][order], axis=-1)
+        h = np.take(rows.reshape(m, -1, self._joint_shape[-1]), self._tuples[1][order], axis=-1)
         h *= u[order]
-        return self._apply_joint(h.reshape((len(times),) + self._joint_shape[:-1] + (s,)),
-                                 y, blocks)
+        return self._apply_joint(h.reshape((m,) + self._joint_shape[:-1] + (s,)), y, blocks)
 
     def _march_panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
                       y: np.ndarray | None, table: tuple[np.ndarray, np.ndarray],
@@ -951,9 +948,9 @@ class ParametrixSolver:
         the one-piece propagator P = dx^d (A(h) + G K_Y) = Gamma_Y(h) dx^d
         from G.  Each piece is then one product with P and one with G, and no
         panel is built or solved twice.  Every plan of the march is folded
-        onto one tau table on (0, h), a local of the call (``_fold_plans``);
-        K_Y u(t0) of one piece is applied from the exact joint tables at the
-        nodes (``_apply_kernels``), and K_Y in P is their kernel stack.
+        onto one tau table on (0, h), a local of the call (``_fold_plans``),
+        and so are A's rows at the nodes (``_unit_rows``): one piece applies
+        K_Y u(t0) from them (``_apply_kernels``), more stack K_Y for P.
         ``potential`` None means Y = 0.  ``source(times)`` gives f at a
         piece's node times (offset by ``start``) as a (nodes, s) array, None
         meaning f = 0.  Returns u at every ``every``-th piece end, shape
@@ -969,8 +966,9 @@ class ParametrixSolver:
         nodes, weights, bp = self.quad.points_with_panels(h, layer=self._layer_scale())
         u = np.asarray(u0, dtype=float).reshape(-1)
         table = self._tau_table(h)
+        at_nodes = _unit_rows(table, nodes)  # A's rows, for K_Y u(t0) or K_Y in P
         if pieces == 1:
-            rho = vol * self._apply_kernels(nodes, u, y)
+            rho = vol * self._apply_kernels(at_nodes, u, y)
             if source is not None:
                 rho += source(start + nodes)
             rho = rho.reshape(-1, 1)
@@ -982,8 +980,9 @@ class ParametrixSolver:
         g = w[:, :-s]
         residual = self._march_panels(nodes, weights, bp, y, table, g.T, adjoint=True)
         del table
-        g *= vol
-        prop = g @ self._kernel_stack(nodes, correction=True, potential=y).reshape(-1, s)
+        k_y = self._contract_plan(at_nodes, potential=y)
+        g *= vol  # K_Y stacked node by node, [c s + a, b] = K_Y(x_c)[a, b]
+        prop = g @ np.ascontiguousarray(k_y.reshape(s, -1, s).transpose(1, 0, 2)).reshape(-1, s)
         prop += w[:, -s:]
         prop *= vol
         out = np.empty((pieces // every, s))

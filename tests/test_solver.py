@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sdheat import parametrix
 from sdheat.lattice import Field, GridSpec
 from sdheat.oracle import evolve_with_potential, gamma_oracle
 from sdheat.parametrix import Coefficients, ParametrixSolver
@@ -120,29 +121,37 @@ class TestSolveWithPotential:
 
     def test_equal_panels_share_operators(self, monkeypatch):
         # t max Y = 2.5 gives three equal pieces and 0.5 gives one; the
-        # pieces are identical, so they share one build: one kernel stack,
-        # for the propagator, where the single piece stacks none
+        # pieces are identical, so they share one build: one tau table a
+        # solve, and one contraction of the kernels at the nodes, folded off
+        # it, for the propagator, where the single piece contracts none
         g, coeffs = small_problem()
-        stacks = []
-        real_stack = ParametrixSolver._kernel_stack
+        tables, unit, contracted = [], [], []
+        real_table = ParametrixSolver._tau_table
+        monkeypatch.setattr(ParametrixSolver, "_tau_table",
+                            lambda self, h: tables.append(h) or real_table(self, h))
+        real_unit = parametrix._unit_rows
+        monkeypatch.setattr(parametrix, "_unit_rows",
+                            lambda table, ts: unit.append(real_unit(table, ts)) or unit[-1])
+        real_contract = ParametrixSolver._contract_plan
 
-        def counted(self, *args, **kwargs):
-            stacks.append(1)
-            return real_stack(self, *args, **kwargs)
+        def contract(self, rows, *args, **kwargs):
+            contracted.extend(1 for got in unit if got is rows)
+            return real_contract(self, rows, *args, **kwargs)
 
-        monkeypatch.setattr(ParametrixSolver, "_kernel_stack", counted)
+        monkeypatch.setattr(ParametrixSolver, "_contract_plan", contract)
         counts = {}
         for lam, pieces in ((25.0, 3), (5.0, 1)):
             prob = CauchyProblem(coeffs, Field.constant(g, 1.0),
                                  potential=Field.constant(g, lam), horizon=0.1)
             rep = SolveReport()
-            stacks.clear()
+            for seen in (tables, unit, contracted):
+                seen.clear()
             solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=16), tol=1e-6)
             u = solve_with_potential(prob, 0.1, solver=solver, report=rep)
             assert rep.panels == pieces
             assert np.all(np.isfinite(u.values))
-            counts[lam] = len(stacks)
-        assert counts == {25.0: 1, 5.0: 0}
+            counts[lam] = (len(tables), len(contracted))
+        assert counts == {25.0: (1, 1), 5.0: (1, 0)}
 
     def test_long_panel_on_rough_data(self):
         # one piece of 16 lattice time scales dx^2 / (4 c): the graded rule
