@@ -29,40 +29,35 @@ Numerically, one graded Gauss rule on (0, horizon) serves every time
 integral.  Panels well below the target time keep their Gauss weights; the
 last few boundary-layer widths below it are integrated in tau = t - s at
 fresh Gauss points, where the kernel is exact and the smooth recursive
-factor is interpolated inside its panel.  So the plan of a target is a
-weight matrix C (a row per kernel time, a column per node), which one
-vectorised pass over a list of targets (``_plans``) writes as flat
-(target, tau, node, weight) entries.  A build (a ladder or a march)
-tabulates A's joint tables once, at 20 Gauss points on each panel of the
-tau edges 0, lam/4, lam/2, lam, 2 lam, ..., horizon (``_tau_table``), and
-folds the entries onto them by barycentric interpolation in tau, one
-Lagrange evaluation and one scatter (``_fold``), into each target's fold
-weights F = C^T L, within about 1e-15 of sup |K|; F @ rows are the plan's
-contracted rows.  The contraction, D2_j and the gather are linear, so
-``_contract_plan`` takes D2_j of the contracted rows along offset axis j
-and gathers each node block of W = sum_r C[r, c] F(tau_r) once: the table
-holds A alone, and no kernel matrix is built for a plan.  One generator,
-``_panels``, contracts the targets of each panel of the rule with the
-correction kernel K_Y = K - diag(Y) A of a potential Y (K without one)
-into one W per panel.  The ladder keeps every panel's W and runs each
-order transposed, one product per panel, K^(m)(x_i)^T = dx^d K^(m-1)^T
-W_i^T, the nodes side by side in one order buffer, the panels last to first.
-A Cauchy solve (``march``) solves the Volterra equation panel by panel:
-forward, one pass folds the plans of a panel's 8 targets, only its own
-node block of W is gathered, and the rest of the plans act on the solution
-through the table, F^T rho then one product per coefficient tuple with the
-table's rows (no folded rows of the nodes below the panel are formed); its
-adjoint takes each panel's whole W in turn, in one reused buffer.  The end
-of a ladder build contracts the horizon's plan with A and applies W to
-Phi, Gamma(horizon) = A + dx^d W @ Phi, A(horizon) being the row of one
-more node of unit weight.  K^(1) and K_Y at the nodes are unit rows folded
-off the table too (``_unit_rows``); exact joint tables (``_joint_rows``)
-serve only the table, ``kernel_matrix`` and ``correction_matrix``.  The
+factor is interpolated inside its panel.  The initial value is node 0 of
+every plan: the plan of a target t, F(t) G_0 + int_0^t F(t-s) G(s) ds, is
+a weight matrix C (a row per kernel time, a column per node, node 0 of
+unit weight at tau = t), which one vectorised pass over a list of targets
+(``_plans``) writes as flat (target, tau, node, weight) entries.  A build
+(a ladder or a march) tabulates A's joint tables once, at 20 Gauss points
+on each panel of the tau edges 0, lam/4, lam/2, lam, 2 lam, ..., horizon
+(``_tau_table``), and folds the entries onto them by barycentric
+interpolation in tau, one Lagrange evaluation and one scatter (``_fold``),
+into fold weights F = C^T L, within about 1e-15 of sup |K|.  D2_j, the
+contraction and the gather are linear, so ``_contract_plan`` gathers each
+node block of W = sum_r C[r, c] F(tau_r) from the contracted rows F @
+rows, and no kernel matrix is built for a plan.  ``_panels`` contracts
+the targets of each panel of the rule with K_Y = K - diag(Y) A of a
+potential Y (K without one) into one W, block 0 K_Y at the targets.
+
+The ladder seeds K^(1) from the panels' block 0 and runs each order
+transposed, one product per panel over the nodes, K^(m)(x_i)^T = dx^d
+K^(m-1)^T W_i^T.  ``march`` solves the Volterra equation for rho_ext =
+[u(t0); rho] panel by panel, forward (node 0 and the nodes below a panel
+act through the table, ``_history``) or adjoint (each panel's whole W in
+one reused buffer).  Either ends with the horizon's plan contracted with
+A, dx^d [A(h) | W_h] applied to [I / dx^d; Phi] or to rho_ext.  The
 per-order sup norms decay like C C3^m t^{(m-1)/2} / Gamma(m/2); the
 truncation order is chosen by fitting C and C3 to the measured norms and
-summing the analytic tail.  A built ladder is one
-``PhiSeries``: Gamma(horizon), the rule behind it, and the truncation
-record, cached per horizon; Phi itself is dropped.
+summing the analytic tail.  A built ladder is one ``PhiSeries``:
+Gamma(horizon), its rule and the truncation record, cached per horizon;
+Phi itself is dropped.  Exact joint tables (``_joint_rows``) serve only
+the table, ``kernel_matrix`` and ``correction_matrix``.
 """
 
 from __future__ import annotations
@@ -243,15 +238,6 @@ def _fold(edges: np.ndarray, tau: np.ndarray,
                        minlength=slots * size).reshape(slots, size)
 
 
-def _unit_rows(table: tuple[np.ndarray, np.ndarray], times: np.ndarray) -> np.ndarray:
-    """A's joint tables at ``times`` in (0, horizon], one row per time:
-    entries of unit weight folded onto a build's tau ``table`` (``_fold``)."""
-    edges, rows = table
-    unit = np.arange(times.size)
-    f = _fold(edges, times, (unit, unit, np.ones(times.size)), times.size)
-    return f @ rows[:f.shape[1]]
-
-
 def k1(alpha: Sequence[int], beta: Sequence[int], t: float, coeffs: Coefficients) -> float:
     """Correction kernel K_{alpha,beta}(t): coefficient increments times
     the directional second differences of the frozen kernel.
@@ -286,31 +272,31 @@ class ParametrixSolver:
     Cauchy problems.  ``tol`` is the ladder's series tolerance; the march
     does not read it.
 
-    The targets of the time rule or Gamma assembly have their plans folded
-    onto the build's tau table by the plan pass over a list of targets
-    (``_fold_plans``: a panel's 8 in the forward march, one at a time in
-    ``_panels``) and gathered into their W (``_contract_plan``); ``_panels``
-    gathers the contracted targets of one panel into one matrix W, and the
-    kernels at the nodes are unit rows of the table (``_unit_rows``).
-    Construction keeps, per direction, the distinct coefficient values and
-    each site's index among them, and each site's index among the distinct
-    tuples of those indices: O(s) entries, no index table and no s x s
-    array.  Index tables, 2^d s^2 entries at most, are built once a panel
-    sweep (and for a forward march's history gathers).  A build's tau
-    table, 20 rows a tau panel of (period // 2 + 1)^d U entries for U
-    distinct tuples (0.9 MB at 65 sites, 19 tuples and nine panels), is a
-    local of the build.  A ladder build drops it once its panels are
-    contracted and keeps their W while it runs its orders (about N^2 s^2 / 2
-    entries for N nodes and s sites), and besides them one order buffer and
-    Phi, (N + 1) s^2 entries each, and a one-panel scratch of 9 s^2, all
-    dropped before the end step.  A built ladder keeps only Gamma(horizon),
-    s^2 entries per horizon, and every Gamma entry point reads it.  A
-    forward march holds its table and a tuple-major copy of it (0.9 MB each
-    at 65 sites, 19 tuples and nine panels), one panel's fold weights (8 n P
-    entries for the n nodes and P table points it reads, 0.55 MB at 48
-    nodes) and its own block, 64 s^2 entries (2.2 MB), but no folded rows.
-    The adjoint march holds the whole W of one panel at a time, in one
-    buffer sized for the last panel: 8 N s^2 entries, 13 MB there.
+    The targets of the time rule or Gamma assembly have their plans, the
+    initial value as node 0, folded onto the build's tau table by the plan
+    pass over a list of targets (``_fold_plans``: a panel's 8 in the forward
+    march, one at a time in ``_panels``) and gathered into their W
+    (``_contract_plan``); ``_panels`` gathers the contracted targets of one
+    panel into one matrix W.  Construction keeps, per direction, the
+    distinct coefficient values and each site's index among them, and each
+    site's index among the distinct tuples of those indices: O(s) entries,
+    no index table and no s x s array.  Index tables, 2^d s^2 entries at
+    most, are built once a panel sweep (and for a forward march's history
+    gathers).  A build's tau table, 20 rows a tau panel of (period // 2 +
+    1)^d U entries for U distinct tuples (0.9 MB at 65 sites, 19 tuples and
+    nine panels), is a local of the build.  A ladder build drops it once
+    its panels are contracted and keeps their W, node 0's block among them,
+    while it runs its orders (about N^2 s^2 / 2 entries for N nodes and s
+    sites), and besides them one order buffer and Phi, (N + 1) s^2 entries
+    each, and a one-panel scratch of 9 s^2, all dropped before the end
+    step.  A built ladder keeps only Gamma(horizon), s^2 entries per
+    horizon, and every Gamma entry point reads it.  A forward march holds
+    its table and a tuple-major copy of it (0.9 MB each at 65 sites, 19
+    tuples and nine panels), one panel's fold weights (8 n P entries for the
+    n nodes and P table points it reads, 0.55 MB at 48 nodes) and its own
+    block, 64 s^2 entries (2.2 MB), but no folded rows.  The adjoint march
+    holds the whole W of one panel at a time, in one buffer sized for the
+    last panel: 8 (N + 1) s^2 entries, 13 MB there.
 
     Kernels are folded on a torus, the mirror image subtracted on
     zero-extension grids (``_folded_offsets``), so Gamma is the fundamental
@@ -570,13 +556,14 @@ class ParametrixSolver:
 
     def _plans(self, targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
                bp: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...], int]:
-        """Integration plans of int_0^t F(t-s) G(s) ds for every target t
-        in (0, horizon] at once, on the rule ``nodes``, ``weights``,
+        """Integration plans of F(t) G_0 + int_0^t F(t-s) G(s) ds for every
+        target t in (0, horizon] at once, on the rule ``nodes``, ``weights``,
         breakpoints ``bp``, as flat entries for ``_fold``: kernel times tau,
-        and entries (which, slot, weight) with slot = c T + i for node c
-        and target i of T, so int_0^t F(t-s) G(s) ds = sum over the entries
-        of target i of weight F(tau[which]) G_c.  Also returns n, the nodes
-        up to the last one a plan reads.
+        and entries (which, slot, weight), slot i for target i of T at node
+        0 (the initial value G_0, unit weight at tau = t) and slot (c + 1) T
+        + i at node c, so the plan of target i is the sum over its entries
+        of weight F(tau[which]) G at the slot's node.  Also returns n, the
+        nodes of the rule up to the last one a plan reads.
 
         Panels far enough below t contribute through their Gauss nodes, at
         kernel times t - s_q with the Gauss weights.  The remainder (within
@@ -619,35 +606,25 @@ class ParametrixSolver:
         q = np.arange(full.max())
         target_q, q = np.nonzero(q < full[:, None])
         n = PANEL_POINTS * (int(panel.max()) + 1)
-        tau = np.concatenate([t[target_q] - nodes[q], tau_pts.reshape(-1)])
-        which = np.concatenate([np.arange(q.size),
-                                q.size + np.repeat(np.arange(tau_pts.size), PANEL_POINTS)])
-        piece_slots = (piece_nodes * t.size + target[:, None])[:, None, :]
-        slot = np.concatenate([q * t.size + target_q,
+        tau = np.concatenate([t, t[target_q] - nodes[q], tau_pts.reshape(-1)])
+        first = t.size + q.size  # the unit entries, then the full-panel ones
+        which = np.concatenate([np.arange(first),
+                                first + np.repeat(np.arange(tau_pts.size), PANEL_POINTS)])
+        piece_slots = ((piece_nodes + 1) * t.size + target[:, None])[:, None, :]
+        slot = np.concatenate([np.arange(t.size), (q + 1) * t.size + target_q,
                                np.broadcast_to(piece_slots, lagrange.shape).reshape(-1)])
-        return tau, (which, slot, np.concatenate([weights[q], lagrange.reshape(-1)])), n
+        weight = np.concatenate([np.ones(t.size), weights[q], lagrange.reshape(-1)])
+        return tau, (which, slot, weight), n
 
     def _fold_plans(self, targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
                     bp: np.ndarray, edges: np.ndarray) -> np.ndarray:
         """The plans of ``targets`` (``_plans``) folded onto a tau table with
-        panel ``edges`` (``_fold``): F, shape (n, targets, P), so that F[:,
-        i] @ rows[:P] are the contracted rows of target i at its n nodes."""
+        panel ``edges`` (``_fold``): F, shape (n + 1, targets, P), so that
+        F[:, i] @ rows[:P] are the contracted rows of target i at node 0 (A
+        at the target itself) and its n nodes."""
         tau, entries, n = self._plans(targets, nodes, weights, bp)
         size = np.size(targets)
-        return _fold(edges, tau, entries, n * size).reshape(n, size, -1)
-
-    def _end_rows(self, t: float, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
-                  table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """The plan of t folded onto the build's tau ``table``, and A(t) as
-        the row of one more node of unit weight at t alone: contracted with
-        the frozen kernels, W = [W_t, A(t)] over the n nodes the plan reads
-        and that node, for the last step of a Gamma assembly and of a march
-        piece, dx^d (A(t) u + W_t @ rho)."""
-        edges, rows = table
-        tau, (which, slot, weight), n = self._plans(np.array([t]), nodes, weights, bp)
-        unit = (np.append(which, tau.size), np.append(slot, n), np.append(weight, 1.0))
-        f = _fold(edges, np.append(tau, t), unit, n + 1)
-        return f @ rows[:f.shape[1]]
+        return _fold(edges, tau, entries, (n + 1) * size).reshape(n + 1, size, -1)
 
     def _panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
                 y: np.ndarray | None, table: tuple[np.ndarray, np.ndarray],
@@ -655,20 +632,21 @@ class ParametrixSolver:
                 reverse: bool = False) -> Iterator[tuple[int, int, np.ndarray]]:
         """Yield (lo, hi, W) for each panel of the rule, the last panel first
         with ``reverse``.  The targets lo..hi-1 are the panel's nodes, joined
-        on the last panel by the ``extra`` times; all of them read the n = lo
-        + 8 nodes up to the panel's end.  W, shape ((hi - lo) s, n s), is
-        their plans folded onto the build's tau ``table`` (``_fold_plans``)
-        and contracted with K_Y (K when ``y`` is None) by ``_contract_plan``,
-        one target at a time, so one target's fold weights are held at a
-        time; the index tables are built once a call.  With a ``buffer``
+        on the last panel by the ``extra`` times; all of them read node 0 and
+        the n = lo + 8 nodes up to the panel's end.  W, shape ((hi - lo) s,
+        (n + 1) s), is their plans folded onto the build's tau ``table``
+        (``_fold_plans``) and contracted with K_Y (K when ``y`` is None) by
+        ``_contract_plan``, one target at a time, so one target's fold
+        weights are held at a time; its block 0 is K_Y at the targets.  The
+        index tables are built once a call.  With a ``buffer``
         (the adjoint march's) every W is a view of its start, overwritten by
         the next panel.  Without one (the ladder's), the W follow each other
         in one array sized for every panel: one allocation keeps them all."""
         s = self.grid.site_count
         kept = buffer is None
-        if kept:  # the 8 targets of panel p read 8 (p + 1) nodes; extra ones all N
-            buffer = np.empty((nodes.size * (nodes.size + PANEL_POINTS) // 2
-                               + len(extra) * nodes.size) * s * s)
+        if kept:  # the 8 targets of panel p read 8 (p + 1) + 1 nodes; extra ones all N + 1
+            buffer = np.empty((nodes.size * (nodes.size + PANEL_POINTS + 2) // 2
+                               + len(extra) * (nodes.size + 1)) * s * s)
         edges, rows = table
         tables = [self._joint_index(slabs) for _, slabs in self._row_blocks()]
         start = 0
@@ -676,7 +654,7 @@ class ParametrixSolver:
         for lo in reversed(firsts) if reverse else firsts:
             n = lo + PANEL_POINTS
             targets = np.append(nodes[lo:n], extra if n == nodes.size else [])
-            block = n * s * s
+            block = (n + 1) * s * s
             size = targets.size * block
             w = buffer[start:start + size]
             if kept:
@@ -686,7 +664,7 @@ class ParametrixSolver:
                 f = f @ rows[:f.shape[1]]
                 self._contract_plan(f, potential=y, out=w[j * block:(j + 1) * block],
                                     tables=tables)
-            yield lo, lo + targets.size, w.reshape(-1, n * s)
+            yield lo, lo + targets.size, w.reshape(-1, (n + 1) * s)
 
     def _build_ladder(self, horizon: float) -> tuple[PhiSeries, np.ndarray]:
         """The record ``ladder`` caches, and Phi on the nodes of its rule,
@@ -704,22 +682,22 @@ class ParametrixSolver:
             return PhiSeries(self.grid, horizon, nodes, weights, bp, gamma, 1, self.tol,
                              (0.0,), 0.0, 0.0, 0.0), np.zeros((nodes.size, s, s))
 
-        # the build's tau table serves the panels, the end step's plan and
-        # K^(1) at the nodes and the horizon; it is dropped before the orders
+        # the build's tau table serves the panels and the end step's plan;
+        # it is dropped before the orders
         table = self._tau_table(horizon)
         panels = list(self._panels(nodes, weights, bp, None, table, extra=[horizon]))
-        end = self._end_rows(horizon, nodes, weights, bp, table)
-        k1 = _unit_rows(table, np.append(nodes, horizon))
+        end = self._fold_plans(np.array([horizon]), nodes, weights, bp, table[0])[:, 0]
+        end = end @ table[1][:end.shape[1]]
         del table
 
-        # the orders are kept transposed, [b, c s + a] = K^(m)(x_c)[a, b], in
-        # one buffer: K^(m) at the first n_i nodes is dx^d K^(m-1)^T W_i^T,
-        # whose wide shape multiplies faster than W_i K^(m-1); the panels go
-        # last to first, each product through a one-panel scratch into its own
-        # nodes, which earlier panels do not read; the horizon joins the last
-        k1 = self._contract_plan(k1)
-        orders = np.ascontiguousarray(k1.reshape(s, -1, s).transpose(2, 1, 0)).reshape(s, -1)
-        del k1
+        # the orders are kept transposed in one buffer, [b, c s + a] =
+        # K^(m)(x_c)[a, b], K^(1) from each panel's block 0; K^(m) at the
+        # first n_i nodes is dx^d K^(m-1)^T W_i^T over the nodes, the wide
+        # shape; the panels go last to first, each product through a one-panel
+        # scratch into its own nodes, which earlier panels do not read
+        orders = np.empty((s, (nodes.size + 1) * s))
+        for lo, hi, w in panels:
+            orders[:, lo * s:hi * s] = w[:, :s].T
 
         scratch = np.empty((PANEL_POINTS + 1) * s * s)
         phi = orders[:, :-s].copy()
@@ -744,20 +722,21 @@ class ParametrixSolver:
             for _ in range(m_done + 1, target + 1):
                 for lo, hi, w in reversed(panels):
                     part = scratch[:s * w.shape[0]].reshape(s, -1)
-                    np.matmul(orders[:, :w.shape[1]], w.T, out=part)
+                    np.matmul(orders[:, :w.shape[1] - s], w[:, s:].T, out=part)
                     np.multiply(part, vol, out=orders[:, lo * s:hi * s])
                 phi += orders[:, :-s]
                 norms.append(float(np.abs(orders[:, -s:]).max()))
             m_done = target
 
-        # Gamma(horizon) = A + dx^d W @ Phi, its plan reading every node; the
-        # panels (w is a view of their buffer) and the orders go first, so the
-        # end step's kernels do not add to the peak
+        # Gamma(horizon) = dx^d W [I / dx^d; Phi] for the horizon's plan with
+        # A, W = [A(horizon) | W_horizon]; the panels (w is a view of their
+        # buffer) and the orders go first, so the end step's kernels do not
+        # add to the peak
         del panels, w, orders, scratch
         w = self._contract_plan(end, correction=False)
-        gamma = w[:, :-s] @ phi.T
+        gamma = w[:, s:] @ phi.T
         gamma *= vol
-        gamma += w[:, -s:]
+        gamma += w[:, :s]
         gamma.setflags(write=False)
         c_fit, c3_fit = _fit_growth(norms, horizon)
         tail = _series_tails(c_fit, c3_fit, horizon, m_done)(m_done)
@@ -775,7 +754,7 @@ class ParametrixSolver:
                     y: np.ndarray | None, table: tuple[np.ndarray, np.ndarray]
                     ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         """Yield (lo, hi, W_pp, F) for each panel of the rule, first to
-        last: F, (lo + 8, 8, P), the fold weights of its 8 targets' plans on
+        last: F, (lo + 9, 8, P), the fold weights of its 8 targets' plans on
         the build's tau ``table`` (``_fold_plans``), and W_pp, (8 s, 8 s),
         their rows at the panel's own nodes contracted with K_Y as in
         ``_panels``, in one buffer for every panel."""
@@ -785,7 +764,7 @@ class ParametrixSolver:
         tables = [self._joint_index(slabs) for _, slabs in self._row_blocks()]
         for lo in range(0, nodes.size, PANEL_POINTS):
             f = self._fold_plans(nodes[lo:lo + PANEL_POINTS], nodes, weights, bp, edges)
-            own_f = np.ascontiguousarray(f[lo:].transpose(1, 0, 2))  # (targets, nodes, P)
+            own_f = np.ascontiguousarray(f[lo + 1:].transpose(1, 0, 2))  # (targets, nodes, P)
             own_rows = own_f.reshape(-1, f.shape[2]) @ rows[:f.shape[2]]
             for j in range(PANEL_POINTS):
                 self._contract_plan(own_rows[j * PANEL_POINTS:(j + 1) * PANEL_POINTS],
@@ -836,19 +815,19 @@ class ParametrixSolver:
 
     def _history(self, f: np.ndarray, rho: np.ndarray, y: np.ndarray | None,
                  order: np.ndarray, blocks: list, by_tuple: np.ndarray) -> np.ndarray:
-        """W_p< rho_<, (targets s, k), from the fold weights f, (lo,
-        targets, P), of the targets' plans at the lo nodes below their
-        panel, with neither W_p< nor their folded rows formed.  z = f^T
+        """W_p< rho_<, (targets s, k), from the fold weights f, (lo + 1,
+        targets, P), of the targets' plans at node 0 and the lo nodes below
+        their panel, with neither W_p< nor their folded rows formed.  z = f^T
         rho_< is one product, with the sites sorted by tuple (``order``);
         then for each coefficient tuple u, one product of z at the sites of
         u with ``by_tuple[u]``, the tau table's rows of u laid out (tau,
         offsets^d), gives H = sum_c rows_c rho_c, which ``_apply_joint``
         reduces."""
         s = self.grid.site_count
-        lo, targets, size = f.shape
+        below, targets, size = f.shape
         k = rho.shape[1]
-        rho = rho.reshape(lo, s, k)[:, order].reshape(lo, -1)
-        z = (rho.T @ f.reshape(lo, -1)).reshape(-1, size)  # rows (b, column, target)
+        rho = rho.reshape(below, s, k)[:, order].reshape(below, -1)
+        z = (rho.T @ f.reshape(below, -1)).reshape(-1, size)  # rows (b, column, target)
         width = k * targets
         h = np.empty((s, width, by_tuple.shape[-1]))
         first = 0
@@ -860,43 +839,36 @@ class ParametrixSolver:
         out = self._apply_joint(h.reshape((width,) + self._joint_shape[:-1] + (s,)), y, blocks)
         return out.reshape(k, targets, s).transpose(1, 2, 0).reshape(-1, k)
 
-    def _apply_kernels(self, rows: np.ndarray, u: np.ndarray,
-                       y: np.ndarray | None) -> np.ndarray:
-        """K_Y(t) u at the time t of each of A's joint ``rows``, shape (times,
-        s), through ``_apply_joint``, with no kernel matrix formed."""
-        s = self.grid.site_count
-        m = rows.shape[0]
-        order, blocks = self._site_blocks()
-        h = np.take(rows.reshape(m, -1, self._joint_shape[-1]), self._tuples[1][order], axis=-1)
-        h *= u[order]
-        return self._apply_joint(h.reshape((m,) + self._joint_shape[:-1] + (s,)), y, blocks)
-
     def _march_panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
                       y: np.ndarray | None, table: tuple[np.ndarray, np.ndarray],
                       rho: np.ndarray, adjoint: bool = False) -> float:
-        """Solve (I - V) rho = b for k right-hand sides at once, in place:
-        ``rho``, shape (nodes s, k), holds b on entry and rho on exit.  V rho
-        = dx^d int_0^x K_Y(x - s) rho(s) ds at the nodes of the rule, K_Y as
-        in ``_panels``, ``table`` the build's tau table; with ``adjoint`` the
-        system is (I - V)^T rho = b instead.
+        """Solve M rho = b for k right-hand sides at once, in place:
+        ``rho``, shape ((nodes + 1) s, k), holds b on entry and rho on exit,
+        block 0 the initial value, which is read and never solved for.  M
+        rho keeps block 0 and is (I - V) rho - dx^d K_Y rho_0 at the nodes,
+        V rho = dx^d int_0^x K_Y(x - s) rho(s) ds, K_Y as in ``_panels``,
+        ``table`` the build's tau table; with ``adjoint`` the system is M^T
+        rho = b instead.
 
-        V is block lower triangular in the panels of the rule.  Forward,
+        M is block lower triangular in the panels of the rule.  Forward,
         panel p is one dense solve of all k columns, (I - dx^d W_pp) rho_p =
         b_p + dx^d W_p< rho_<, W_pp alone contracted (``_own_panels``) and
-        W_p< rho_< applied from the panel's fold weights through the table,
-        laid out tuple-major once a call (``_history``).  The adjoint
-        takes each panel's whole W from ``_panels``, last to first, in one
-        buffer sized for the last (8 N s^2 entries), solves (I - dx^d
-        W_pp)^T rho_p = b_p and adds dx^d rho_p^T W_p< to rho^T, (k, nodes
-        s), one panel's rows at a time, the wide shape, contiguous when rho
-        is the transpose of a C-ordered array.  Returns the largest relative
-        residual of the panel solves, column by column.
+        W_p< rho_<, node 0 among rho_<, applied from the panel's fold
+        weights through the table, laid out tuple-major once a call
+        (``_history``).  The adjoint takes each panel's whole W from
+        ``_panels``, last to first, in one buffer sized for the last (8 (N +
+        1) s^2 entries), solves (I - dx^d W_pp)^T rho_p = b_p and adds dx^d
+        rho_p^T W_p< to the (lo + 1) s columns of rho^T below the panel,
+        block 0 last reached by panel 0, one panel's rows at a time, the wide
+        shape, contiguous when rho is the transpose of a C-ordered array.
+        Returns the largest relative residual of the panel solves, column by
+        column.
         """
         vol = self.grid.cell_volume
         s = self.grid.site_count
         if adjoint:
-            buffer = np.empty(PANEL_POINTS * s * nodes.size * s)
-            panels = ((lo, hi, w[:, lo * s:], w) for lo, hi, w in
+            buffer = np.empty(PANEL_POINTS * s * (nodes.size + 1) * s)
+            panels = ((lo, hi, w[:, (lo + 1) * s:], w) for lo, hi, w in
                       self._panels(nodes, weights, bp, y, table, buffer, reverse=True))
         else:
             panels = self._own_panels(nodes, weights, bp, y, table)
@@ -907,19 +879,20 @@ class ParametrixSolver:
         for lo, hi, own, w in panels:
             own *= -vol
             np.einsum("ii->i", own)[:] += 1.0
-            b = rho[lo * s:hi * s]
+            below = (lo + 1) * s  # node 0 and the nodes below the panel
+            b = rho[below:(hi + 1) * s]
             if adjoint:
                 own = own.T
-            elif lo:
-                b += vol * self._history(w[:lo], rho[:lo * s], y, order, blocks, by_tuple)
+            else:
+                b += vol * self._history(w[:lo + 1], rho[:below], y, order, blocks, by_tuple)
             x = np.linalg.solve(own, b)
             scale = np.maximum(np.abs(b).max(axis=0), np.finfo(float).tiny)
             residual = max(residual, float((np.abs(own @ x - b).max(axis=0) / scale).max()))
             b[...] = x
             if adjoint:  # rho^T[:, rows] += dx^d x^T W_p<[:, rows], the wide shape
                 x *= vol
-                for q in range(0, lo * s, PANEL_POINTS * s):
-                    rows = slice(q, q + PANEL_POINTS * s)
+                for q in range(0, below, PANEL_POINTS * s):
+                    rows = slice(q, min(q + PANEL_POINTS * s, below))
                     rho.T[:, rows] += x.T @ w[:, rows]
         return residual
 
@@ -936,22 +909,22 @@ class ParametrixSolver:
             u(t0 + x) = dx^d A(x) u(t0) + dx^d int_0^x A(x - s) rho(s) ds,
             rho = f + dx^d K_Y u(t0) + dx^d K_Y * rho,
 
-        rho taken at the nodes of the rule on (0, h) and the piece's end
-        contracted into dx^d (A(h) u(t0) + W_h rho) (``_end_rows``).  rho
-        solves (I - V) rho = f + dx^d K_Y u(t0) panel by panel
-        (``_march_panels``; H. Brunner, *Collocation Methods for Volterra
-        Integral and Related Functional Equations*, 2004, ch. 2).  One piece
+        rho taken at the nodes of the rule on (0, h).  The initial value is
+        node 0 of every plan: rho_ext = [u(t0); rho], shape ((N + 1) s, k),
+        solves M rho_ext = [u(t0); f] panel by panel (``_march_panels``; H.
+        Brunner, *Collocation Methods for Volterra Integral and Related
+        Functional Equations*, 2004, ch. 2), and the piece ends at dx^d [A(h)
+        | W_h] rho_ext, the plan of h itself contracted with A.  One piece
         marches that single column forward, gathering only each panel's own
-        block of W.  The march is linear in u and f, so more pieces are u <- P
-        u + G f_i, f_i the source at the node times of piece i: G = dx^d W_h
-        (I - V)^-1 comes from one adjoint march of the s columns of W_h^T, and
-        the one-piece propagator P = dx^d (A(h) + G K_Y) = Gamma_Y(h) dx^d
-        from G.  Each piece is then one product with P and one with G, and no
-        panel is built or solved twice.  Every plan of the march is folded
-        onto one tau table on (0, h), a local of the call (``_fold_plans``),
-        and so are A's rows at the nodes (``_unit_rows``): one piece applies
-        K_Y u(t0) from them (``_apply_kernels``), more stack K_Y for P.
-        ``potential`` None means Y = 0.  ``source(times)`` gives f at a
+        block of W.  The march is linear in u and f, so more pieces are u <-
+        P u + G f_i, f_i the source at the node times of piece i: one
+        adjoint march of the s columns of [A(h) | W_h]^T gives [P | G] /
+        dx^d = [A(h) | W_h] M^-1, block 0 the one-piece propagator P =
+        Gamma_Y(h) dx^d.  Each piece is then one product with P and one with
+        G, and no panel is built or solved twice.  Every plan of the march
+        is folded onto one tau table on (0, h), a local of the call.
+        ``u0`` and ``potential`` need s finite entries (ValueError
+        otherwise); ``potential`` None means Y = 0.  ``source(times)`` gives f at a
         piece's node times (offset by ``start``) as a (nodes, s) array, None
         meaning f = 0.  Returns u at every ``every``-th piece end, shape
         (pieces // every, s), and the largest relative residual of the panel
@@ -962,29 +935,30 @@ class ParametrixSolver:
                              f"every={every}")
         vol = self.grid.cell_volume
         s = self.grid.site_count
-        y = None if potential is None else np.asarray(potential, dtype=float).reshape(-1)
-        nodes, weights, bp = self.quad.points_with_panels(h, layer=self._layer_scale())
         u = np.asarray(u0, dtype=float).reshape(-1)
+        y = None if potential is None else np.asarray(potential, dtype=float).reshape(-1)
+        for name, v in (("u0", u), ("potential", y)):
+            if v is not None and not (v.size == s and np.isfinite(v).all()):
+                raise ValueError(f"{name} must have {s} finite entries, one per site; got "
+                                 f"{v.size}, {v.size - np.isfinite(v).sum()} of them not finite")
+        nodes, weights, bp = self.quad.points_with_panels(h, layer=self._layer_scale())
         table = self._tau_table(h)
-        at_nodes = _unit_rows(table, nodes)  # A's rows, for K_Y u(t0) or K_Y in P
-        if pieces == 1:
-            rho = vol * self._apply_kernels(at_nodes, u, y)
+        if pieces == 1:  # rho_ext = [u(t0); f at the nodes], solved in place
+            rho = np.zeros(((nodes.size + 1) * s, 1))
+            rho[:s, 0] = u
             if source is not None:
-                rho += source(start + nodes)
-            rho = rho.reshape(-1, 1)
+                rho[s:, 0] = source(start + nodes).reshape(-1)
             residual = self._march_panels(nodes, weights, bp, y, table, rho)
-            w = self._contract_plan(self._end_rows(h, nodes, weights, bp, table), correction=False)
-            return (vol * (w[:, -s:] @ u + w[:, :-s] @ rho.reshape(-1)))[None], residual
+        end = self._fold_plans(np.array([h]), nodes, weights, bp, table[0])[:, 0]
+        w = self._contract_plan(end @ table[1][:end.shape[1]], correction=False)
+        if pieces == 1:  # u(t0 + h) = dx^d [A(h) | W_h] rho_ext
+            return (vol * (w @ rho[:, 0]))[None], residual
 
-        w = self._contract_plan(self._end_rows(h, nodes, weights, bp, table), correction=False)
-        g = w[:, :-s]
-        residual = self._march_panels(nodes, weights, bp, y, table, g.T, adjoint=True)
+        # [P | G] / dx^d = [A(h) | W_h] M^-1, M the march's system on rho_ext
+        residual = self._march_panels(nodes, weights, bp, y, table, w.T, adjoint=True)
         del table
-        k_y = self._contract_plan(at_nodes, potential=y)
-        g *= vol  # K_Y stacked node by node, [c s + a, b] = K_Y(x_c)[a, b]
-        prop = g @ np.ascontiguousarray(k_y.reshape(s, -1, s).transpose(1, 0, 2)).reshape(-1, s)
-        prop += w[:, -s:]
-        prop *= vol
+        w *= vol
+        prop, g = w[:, :s], w[:, s:]
         out = np.empty((pieces // every, s))
         for i in range(pieces):
             u = prop @ u

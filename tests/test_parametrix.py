@@ -12,7 +12,7 @@ from sdheat import bessel, bounds, oracle, parametrix
 from sdheat.heat_const import ConstCoeffs, kernel_1d, kernel_nd, recommended_radius
 from sdheat.lattice import Field, GridSpec, forward_diff, laplacian_array
 from sdheat.parametrix import (_TABLE_POINTS, Coefficients, ParametrixSolver, _fit_growth, _fold,
-                               _series_tails, _table_points, _unit_rows, k1)
+                               _series_tails, _table_points, k1)
 from sdheat.quadrature import PANEL_POINTS, TimeQuadrature, _lagrange_weights, gauss_legendre
 
 
@@ -22,6 +22,15 @@ def _shifted_sines(grid: GridSpec) -> Coefficients:
     length = grid.npts * grid.dx
     return Coefficients(grid, np.stack(
         [1.0 + 0.4 * np.sin(2.0 * np.pi * axes[j] / length + j) for j in range(grid.dim)]))
+
+
+def _unit_rows(table: tuple[np.ndarray, np.ndarray], times: np.ndarray) -> np.ndarray:
+    """A's joint tables at ``times`` in (0, horizon], one row per time:
+    entries of unit weight folded onto a build's tau ``table`` (``_fold``)."""
+    edges, rows = table
+    unit = np.arange(times.size)
+    f = _fold(edges, times, (unit, unit, np.ones(times.size)), times.size)
+    return f @ rows[:f.shape[1]]
 
 
 def _stack(solver: ParametrixSolver, rows: np.ndarray, correction: bool = False,
@@ -321,17 +330,19 @@ class TestContraction:
     def test_plan_exact_on_polynomials(self, small_var_coeffs):
         # int_0^t (t-s)^i s^k ds = t^(i+k+1) i! k! / (i+k+1)!: the rule is
         # exact for both factors below degree 8 (eight points a panel), and
-        # the fold interpolates tau^i exactly at 20 points a table panel
+        # the fold interpolates tau^i exactly at 20 points a table panel;
+        # node 0, the initial value's, reads tau^i at t itself
         solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=24), tol=1e-6)
         nodes, weights, bp, targets = self._rule(solver)
         edges = solver._tau_table(self.HORIZON)[0]
         f = solver._fold_plans(targets, nodes, weights, bp, edges)
         tau = _table_points(edges).reshape(-1)[:f.shape[2]]
-        s = nodes[:f.shape[0]]
+        s = nodes[:f.shape[0] - 1]
         for j, t in enumerate(targets):
             for i in range(8):
+                assert f[0, j] @ tau**i == pytest.approx(t**i, rel=1e-12)
                 for k in range(8):
-                    got = s**k @ f[:, j] @ tau**i
+                    got = s**k @ f[1:, j] @ tau**i
                     want = t ** (i + k + 1) * math.factorial(i) * math.factorial(k) \
                         / math.factorial(i + k + 1)
                     assert got == pytest.approx(want, rel=1e-12)
@@ -343,8 +354,9 @@ class TestContraction:
     def test_pass_matches_per_target_folds(self, dim, periodic, ratio, nodes, seed):
         # one pass over every node of the rule and the horizon gives each
         # target's fold weights C^T L as its plan built and folded alone,
-        # zero beyond the nodes and table panels that plan reads; h / lam
-        # = 2 and 3 take the power-law rule, 48 and 192 the graded one
+        # zero beyond the nodes and table panels that plan reads, and at
+        # node 0 the fold of a unit entry at the target; h / lam = 2 and 3
+        # take the power-law rule, 48 and 192 the graded one
         grid = GridSpec(dx=0.25, dim=dim, radius=5 if dim == 1 else 2,
                         boundary="periodic-wrap" if periodic else "zero-extension")
         vals = np.random.default_rng(seed).uniform(0.5, 2.0, (dim,) + grid.shape)
@@ -354,10 +366,12 @@ class TestContraction:
         edges = solver._tau_table(h)[0]
         targets = np.append(rule[0], h)
         f = solver._fold_plans(targets, *rule, edges)
-        assert f.shape[:2] == (rule[0].size, targets.size)
+        assert f.shape[:2] == (rule[0].size + 1, targets.size)
         for j, t in enumerate(targets):
+            unit = _reference_fold(edges, [float(t)], np.ones((1, 1)))[0]
+            assert np.array_equal(f[0, j, :unit.size], unit) and not f[0, j, unit.size:].any()
             want = _reference_fold(edges, *_reference_plan(solver, float(t), *rule))
-            got = f[:, j]
+            got = f[1:, j]
             assert not got[want.shape[0]:].any() and not got[:, want.shape[1]:].any()
             got = got[:want.shape[0], :want.shape[1]]
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -366,11 +380,12 @@ class TestContraction:
     @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), three_valued=st.booleans(),
            kernel=st.sampled_from(["K", "K_Y", "A"]), seed=st.integers(0, 2**32 - 1))
     def test_matches_direct_plan_evaluation(self, dim, periodic, three_valued, kernel, seed):
-        # W @ g = sum_{r,c} C[r, c] F(tau_r) g_c, W from the plan pass over
-        # the targets folded on the build's tau table, and the sum over the
-        # per-target plan, term by term over the exact kernel matrices of
-        # the joint tables, for K, K_Y and A on fields with every value
-        # distinct or drawn from three values
+        # W @ g = F(t) g_0 + sum_{r,c} C[r, c] F(tau_r) g_c, W from the plan
+        # pass over the targets folded on the build's tau table, node 0 the
+        # initial value g_0, and the sum over the per-target plan, term by
+        # term over the exact kernel matrices of the joint tables, for K, K_Y
+        # and A on fields with every value distinct or drawn from three
+        # values
         grid = GridSpec(dx=0.25, dim=dim, radius=5 if dim == 1 else 2,
                         boundary="periodic-wrap" if periodic else "zero-extension")
         rng = np.random.default_rng(seed)
@@ -382,17 +397,18 @@ class TestContraction:
         nodes, weights, bp, targets = self._rule(solver)
         edges, rows = solver._tau_table(self.HORIZON)
         f = solver._fold_plans(targets, nodes, weights, bp, edges)
-        g_mat = rng.standard_normal((nodes.size, s, s))
-        g_vec = rng.standard_normal((nodes.size, s))
+        g_mat = rng.standard_normal((nodes.size + 1, s, s))
+        g_vec = rng.standard_normal((nodes.size + 1, s))
         n = f.shape[0]
         for j, t in enumerate(targets):
             w = solver._contract_plan(f[:, j] @ rows[:f.shape[2]], kernel != "A", y)
             times, c = _reference_plan(solver, float(t), nodes, weights, bp)
-            kernels = _stack(solver, solver._joint_rows(times), kernel != "A", y)
+            kernels = _stack(solver, solver._joint_rows([t] + times), kernel != "A", y)
             for g in (g_mat, g_vec):
                 got = w @ g[:n].reshape((n * s,) + g.shape[2:])
-                ref = sum(c[r, q] * (kern @ g[q]) for r, kern in enumerate(kernels)
-                          for q in range(c.shape[1]))
+                ref = kernels[0] @ g[0] + sum(
+                    c[r, q] * (kern @ g[q + 1]) for r, kern in enumerate(kernels[1:])
+                    for q in range(c.shape[1]))
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @settings(max_examples=8, deadline=None, derandomize=True)
@@ -435,12 +451,33 @@ class TestContraction:
         assert np.array_equal(got[hit], rows[hit])
         assert np.abs(got - rows).max() <= 1e-14 * np.abs(rows).max()
 
+    def test_node_zero_is_the_kernel_at_the_target(self, small_var_coeffs):
+        # node 0 of each plan is a unit entry at the target itself: A's
+        # joint table at the target, within 1e-15 of sup |A|, for targets at
+        # Gauss points of the tau table (the fold's exact hit, which returns
+        # that point's row itself), at a node of the rule and at the horizon
+        solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=24))
+        horizon = 0.3
+        rule = solver.quad.points_with_panels(horizon, layer=solver._layer_scale())
+        edges, rows = solver._tau_table(horizon)
+        points = _table_points(edges)
+        x, _ = gauss_legendre(_TABLE_POINTS)
+        k = np.arange(points.shape[0])[:, None]
+        hit = np.flatnonzero((points - edges[k]) / (0.5 * np.diff(edges)[k]) - 1.0 == x)
+        assert hit.size >= points.shape[0]
+        targets = np.append(points.reshape(-1)[hit], [rule[0][5], horizon])
+        f = solver._fold_plans(targets, *rule, edges)
+        got = f[0] @ rows[:f.shape[2]]
+        want = solver._joint_rows(targets)
+        assert np.array_equal(got[:hit.size], rows[hit])
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
     def test_ladder_builds_each_kernel_once(self, small_var_coeffs, monkeypatch):
         # every kernel row of the build is folded from its tau table, which
         # takes one Bessel batch a tau panel: each weighted plan, the end
-        # step's among them, and K^(1) at the nodes and the horizon, as
-        # entries of unit weight; no plan and no kernel matrix runs a batch
-        # of its own
+        # step's among them, and with each its node 0, an entry of unit
+        # weight at the target itself, whose K is K^(1) there; no plan and no
+        # kernel matrix runs a batch of its own
         solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=24), tol=1e-8)
         horizon = 0.2
         tables, joint, planned, folded, batches = [], [], [], [], []
@@ -466,15 +503,15 @@ class TestContraction:
         plans = [_reference_plan(solver, float(x), lad.times, lad.weights, lad.breakpoints)[0]
                  for x in targets]
         assert tables == [horizon]
-        # each target's plan, the horizon's last; then the end step
-        # Gamma(horizon) = A + dx^d W @ Phi: the horizon's plan and
-        # A(horizon), a node of unit weight at the horizon alone; then K^(1),
-        # a node of unit weight at each target
+        # each target's plan and node 0 at the target, the horizon's last;
+        # then the end step Gamma(horizon) = dx^d W [I / dx^d; Phi], the
+        # horizon's plan again, its node 0 A(horizon); K^(1) folds nothing
+        # of its own
         assert planned == list(targets) + [horizon]
-        assert len(folded) == len(plans) + 2
-        for got, want in zip(folded, plans + [plans[-1] + [horizon], list(targets)]):
-            assert np.array_equal(np.sort(got), np.sort(want))
-        assert sum(map(len, folded)) == 480 + len(plans[-1]) + 1 + targets.size
+        assert len(folded) == len(plans) + 1
+        for got, want, t in zip(folded, plans + [plans[-1]], list(targets) + [horizon]):
+            assert np.array_equal(np.sort(got), np.sort(want + [t]))
+        assert sum(map(len, folded)) == 480 + targets.size + len(plans[-1]) + 1
         # at most 8192 // s = 167 times per batch: one batch per tau panel
         # (edges 0, lam/4, lam/2, lam, 2 lam, ..., 32 lam and the horizon,
         # 33.3 lam), the joint rows of its Gauss points and no others
@@ -737,12 +774,12 @@ class TestDenseBudget:
 
     @pytest.mark.parametrize("dim, radius, nodes, t", [(1, 12, 32, 0.2), (2, 4, 24, 0.1)])
     def test_ladder_peak(self, dim, radius, nodes, t):
-        # a build holds its panels, one order buffer, a one-panel scratch
-        # and Phi while the orders run, K^(1) only until its transposed copy
-        # is made, and neither panels nor orders during the end step: the
-        # peak stays below the panels and six stacks of (N + 1) s^2 entries,
-        # which the 1-D box exceeds if K^(1) stays alive, or if the panels
-        # and the orders live through the end step
+        # a build holds its panels (K^(1) among them, as block 0), one order
+        # buffer, a one-panel scratch and Phi while the orders run, and
+        # neither panels nor orders during the end step: the peak stays
+        # below the panels and six stacks of (N + 1) s^2 entries, which the
+        # 1-D box exceeds if the panels and the orders live through the end
+        # step
         grid = GridSpec(dx=0.25, dim=dim, radius=radius)
         solver = ParametrixSolver(_shifted_sines(grid), TimeQuadrature(nodes=nodes))
         rule = solver.quad.points_with_panels(t, layer=solver._layer_scale())
@@ -909,10 +946,11 @@ class TestMarch:
            with_y=st.booleans(), k=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
     def test_forward_march_matches_materialised_panels(self, dim, periodic, sines, with_y, k,
                                                        seed):
-        # the forward march applies W_p< rho_< from the folded rows; block
+        # the forward march applies W_p< rho_< through the tau table; block
         # forward substitution over the whole W of each panel from _panels
         # solves the same system, on sine fields (few coefficient tuples)
-        # and random ones (every tuple distinct)
+        # and random ones (every tuple distinct); block 0, the initial
+        # value, is read and never solved for
         grid = GridSpec(dx=0.25, dim=dim, radius=5 if dim == 1 else 2,
                         boundary="periodic-wrap" if periodic else "zero-extension")
         rng = np.random.default_rng(seed)
@@ -925,14 +963,16 @@ class TestMarch:
         h = 0.1
         nodes, weights, bp = solver.quad.points_with_panels(h, layer=solver._layer_scale())
         table = solver._tau_table(h)
-        b = rng.standard_normal((nodes.size * s, k))
+        b = rng.standard_normal(((nodes.size + 1) * s, k))
         got = b.copy()
         solver._march_panels(nodes, weights, bp, y, table, got)
+        assert np.array_equal(got[:s], b[:s])
         want = b.copy()
         vol = grid.cell_volume
         for lo, hi, w in solver._panels(nodes, weights, bp, y, table):
-            rhs = want[lo * s:hi * s] + vol * (w[:, :lo * s] @ want[:lo * s])
-            want[lo * s:hi * s] = np.linalg.solve(np.eye((hi - lo) * s) - vol * w[:, lo * s:], rhs)
+            below, own = (lo + 1) * s, slice((lo + 1) * s, (hi + 1) * s)
+            rhs = want[own] + vol * (w[:, :below] @ want[:below])
+            want[own] = np.linalg.solve(np.eye((hi - lo) * s) - vol * w[:, below:], rhs)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -963,61 +1003,63 @@ class TestMarch:
         assert np.abs(ends - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_many_pieces_build_once(self, monkeypatch):
-        # 13 pieces with a source on 3 sites build one tau table and
-        # contract the kernels at the nodes, folded off it, once, for the
-        # propagator P; one piece builds one table and applies those rows to
-        # u with no contraction
+        # 13 pieces with a source on 3 sites build one tau table, and
+        # besides the panels' blocks contract one plan, the end step's with
+        # A, whose adjoint march gives P and G; one piece does the same with
+        # a forward march, and neither contracts a stack of kernels
         grid = GridSpec(dx=0.5, dim=1, radius=1, boundary="zero-extension")
         solver = ParametrixSolver(Coefficients(grid, np.array([[0.7, 1.3, 1.0]])),
                                   TimeQuadrature(nodes=16))
         y = np.array([2.0, 0.5, 1.0])
         source = lambda ts: np.outer(np.cos(3.0 * ts), [1.0, -0.5, 0.25])  # noqa: E731
         u0 = np.array([1.0, -1.0, 0.5])
-        tables, unit, contracted = [], [], []
+        tables, whole = [], []
         real_table = ParametrixSolver._tau_table
         monkeypatch.setattr(ParametrixSolver, "_tau_table",
                             lambda self, h: tables.append(h) or real_table(self, h))
-        monkeypatch.setattr(parametrix, "_unit_rows",
-                            lambda table, ts: unit.append(_unit_rows(table, ts)) or unit[-1])
         real_contract = ParametrixSolver._contract_plan
 
-        def contract(self, rows, *args, **kwargs):
-            contracted.extend(1 for got in unit if got is rows)
-            return real_contract(self, rows, *args, **kwargs)
+        def contract(self, rows, correction=True, potential=None, out=None, tables=None):
+            if out is None:  # not a panel block: a whole plan of its own
+                whole.append(correction)
+            return real_contract(self, rows, correction, potential, out, tables)
 
         monkeypatch.setattr(ParametrixSolver, "_contract_plan", contract)
         ends, _ = solver.march(0.05, u0, 13, y, source)
-        assert tables == [0.05] and len(unit) == len(contracted) == 1
+        assert tables == [0.05] and whole == [False]
         u = u0
         for i in range(13):
-            for seen in (tables, unit, contracted):
-                seen.clear()
+            tables.clear()
+            whole.clear()
             u = solver.march(0.05, u, 1, y, source, start=i * 0.05)[0][0]
-            assert tables == [0.05] and len(unit) == 1 and not contracted
+            assert tables == [0.05] and whole == [False]
             assert np.abs(ends[i] - u).max() <= 1e-13 * np.abs(u).max()
 
     @pytest.mark.parametrize("dim, radius, t, nodes", [(1, 6, 0.2, 32), (2, 3, 0.1, 16)])
     @pytest.mark.parametrize("boundary", ["periodic-wrap", "zero-extension"])
     def test_forward_march_solves_the_ladder_equation(self, dim, radius, t, nodes, boundary):
         # Phi = K + dx^d K * Phi two ways on one rule: the summed series of
-        # the ladder, and one forward march of the s columns of K at the
-        # nodes; they differ by the ladder's truncation tail
+        # the ladder, and one forward march of the s columns of rho_ext =
+        # [I / dx^d; 0], node 0 carrying K at the nodes; they differ by the
+        # ladder's truncation tail
         grid = GridSpec(dx=0.25, dim=dim, radius=radius, boundary=boundary)
         solver = ParametrixSolver(_shifted_sines(grid), TimeQuadrature(nodes=nodes))
         lad, phi = solver._build_ladder(t)
         assert lad.m_max > 3 and lad.tail_estimate > 0.0
         s = grid.site_count
         table = solver._tau_table(t)
-        rho = _stack(solver, _unit_rows(table, lad.times), correction=True).reshape(-1, s)
+        rho = np.zeros(((lad.times.size + 1) * s, s))
+        rho[:s] = np.eye(s) / grid.cell_volume
         solver._march_panels(lad.times, lad.weights, lad.breakpoints, None, table, rho)
-        assert np.abs(rho.reshape(phi.shape) - phi).max() <= 4.0 * lad.tail_estimate
+        assert np.abs(rho[s:].reshape(phi.shape) - phi).max() <= 4.0 * lad.tail_estimate
 
     @pytest.mark.parametrize("dim, radius, t, nodes", [(1, 6, 0.2, 32), (2, 3, 0.1, 16)])
     @pytest.mark.parametrize("boundary", ["periodic-wrap", "zero-extension"])
     def test_transposed_orders_match_stacked_orders(self, dim, radius, t, nodes, boundary):
-        # the ladder keeps K^(m) transposed in one buffer; the orders stacked
-        # node by node, K^(m)(x_i) = dx^d W_i @ K^(m-1), from the same K^(1)
-        # folded off the table, with the same truncation rule give the same
+        # the ladder keeps K^(m) transposed in one buffer, K^(1) from the
+        # panels' block 0; the orders stacked node by node, K^(m)(x_i) =
+        # dx^d W_i @ K^(m-1) over the nodes, from K^(1) folded off the table
+        # as unit entries, with the same truncation rule give the same
         # orders, norms and Phi
         grid = GridSpec(dx=0.25, dim=dim, radius=radius, boundary=boundary)
         solver = ParametrixSolver(_shifted_sines(grid), TimeQuadrature(nodes=nodes))
@@ -1032,7 +1074,8 @@ class TestMarch:
         while len(norms) < target:
             cur = np.empty_like(prev)
             for lo, hi, w in panels:
-                cur[lo:hi] = (w @ prev[:w.shape[1] // s].reshape(-1, s)).reshape(-1, s, s)
+                below = prev[:w.shape[1] // s - 1].reshape(-1, s)
+                cur[lo:hi] = (w[:, s:] @ below).reshape(-1, s, s)
             cur *= grid.cell_volume
             ref += cur[:-1]
             norms.append(float(np.abs(cur[-1]).max()))
@@ -1047,12 +1090,74 @@ class TestMarch:
         assert phi.shape == ref.shape
         assert np.abs(phi - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("pieces", [1, 3])
+    @pytest.mark.parametrize("name, size, bad", [("u0", -1, None), ("u0", 0, math.nan),
+                                                 ("potential", 1, None),
+                                                 ("potential", 0, math.inf)])
+    def test_rejects_malformed_inputs(self, small_var_coeffs, pieces, name, size, bad):
+        # u0 and the potential need s finite entries, one per site: one
+        # entry short or long, or a NaN or inf among them, raises before
+        # any build, for one piece and for the propagator
+        solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=16))
+        s = small_var_coeffs.grid.site_count
+        inputs = {"u0": np.ones(s), "potential": np.ones(s)}
+        v = np.ones(s + size)
+        if bad is not None:
+            v[2] = bad
+        inputs[name] = v
+        with pytest.raises(ValueError, match=f"{name} must have {s} finite entries"):
+            solver.march(0.1, inputs["u0"], pieces, inputs["potential"])
+
     @pytest.mark.parametrize("pieces, every", [(0, 1), (3, 2), (4, 0), (2, 3)])
     def test_rejects_pieces_every_mismatch(self, small_var_coeffs, pieces, every):
         solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=16))
         u0 = np.ones(small_var_coeffs.grid.site_count)
         with pytest.raises(ValueError, match="every"):
             solver.march(0.1, u0, pieces, every=every)
+
+
+class TestReciprocity:
+    """Where every direction shares c at each site, L = diag(c) Delta_h
+    with Delta_h symmetric, so Gamma(t) diag(c) is symmetric, and so is
+    P^2 diag(c) for the one-piece propagator P of the march.  Checked on
+    U[0.5, 1.5] fields, 1-D at radius 8 and 2-D isotropic at radius 3, dx
+    1/4, 32 nodes: through ``gamma_matrix(0.1)`` max |M - M^T| / max |M|,
+    and through the two-piece march the bilinear identity v . march(0.05,
+    c w, 2) = w . march(0.05, c v, 2), relative to the sum of the moduli
+    of its terms.  On 12 seeds of each case they read at most 1.8e-10
+    (ladder) and 3.0e-15 (march); an anisotropic 2-D field, the control,
+    read at least 0.32 and 1.4e-3.  The gates sit at least 10x from both."""
+
+    LADDER_GATE = 1e-8
+    MARCH_GATE = 1e-12
+
+    @staticmethod
+    def _readings(dim, boundary, isotropic):
+        grid = GridSpec(dx=0.25, dim=dim, radius=8 if dim == 1 else 3, boundary=boundary)
+        rng = np.random.default_rng(0)
+        vals = rng.uniform(0.5, 1.5, (1 if isotropic else dim,) + grid.shape)
+        c = vals[0].reshape(-1)
+        solver = ParametrixSolver(Coefficients(grid, np.broadcast_to(vals, (dim,) + grid.shape)),
+                                  TimeQuadrature(nodes=32))
+        m = solver.gamma_matrix(0.1) * c
+        ladder = np.abs(m - m.T).max() / np.abs(m).max()
+        v, w = rng.standard_normal((2, grid.site_count))
+        a = solver.march(0.05, c * w, 2)[0][-1]
+        b = solver.march(0.05, c * v, 2)[0][-1]
+        return ladder, abs(v @ a - w @ b) / (np.abs(v) @ np.abs(a))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("boundary", ["periodic-wrap", "zero-extension"])
+    def test_isotropic_fields_are_reciprocal(self, dim, boundary):
+        ladder, march = self._readings(dim, boundary, isotropic=True)
+        assert ladder <= self.LADDER_GATE
+        assert march <= self.MARCH_GATE
+
+    @pytest.mark.parametrize("boundary", ["periodic-wrap", "zero-extension"])
+    def test_anisotropic_control_is_not(self, boundary):
+        ladder, march = self._readings(2, boundary, isotropic=False)
+        assert ladder > 10.0 * self.LADDER_GATE
+        assert march > 10.0 * self.MARCH_GATE
 
 
 class TestPropagation:

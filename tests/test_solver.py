@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sdheat import parametrix
 from sdheat.lattice import Field, GridSpec
 from sdheat.oracle import evolve_with_potential, gamma_oracle
 from sdheat.parametrix import Coefficients, ParametrixSolver
@@ -122,21 +121,19 @@ class TestSolveWithPotential:
     def test_equal_panels_share_operators(self, monkeypatch):
         # t max Y = 2.5 gives three equal pieces and 0.5 gives one; the
         # pieces are identical, so they share one build: one tau table a
-        # solve, and one contraction of the kernels at the nodes, folded off
-        # it, for the propagator, where the single piece contracts none
+        # solve, and besides the panels' blocks one contraction, the end
+        # step's plan with A, and no stack of kernels at the nodes
         g, coeffs = small_problem()
-        tables, unit, contracted = [], [], []
+        tables, whole = [], []
         real_table = ParametrixSolver._tau_table
         monkeypatch.setattr(ParametrixSolver, "_tau_table",
                             lambda self, h: tables.append(h) or real_table(self, h))
-        real_unit = parametrix._unit_rows
-        monkeypatch.setattr(parametrix, "_unit_rows",
-                            lambda table, ts: unit.append(real_unit(table, ts)) or unit[-1])
         real_contract = ParametrixSolver._contract_plan
 
-        def contract(self, rows, *args, **kwargs):
-            contracted.extend(1 for got in unit if got is rows)
-            return real_contract(self, rows, *args, **kwargs)
+        def contract(self, rows, correction=True, potential=None, out=None, tables=None):
+            if out is None:  # not a panel block: a whole plan of its own
+                whole.append(correction)
+            return real_contract(self, rows, correction, potential, out, tables)
 
         monkeypatch.setattr(ParametrixSolver, "_contract_plan", contract)
         counts = {}
@@ -144,14 +141,14 @@ class TestSolveWithPotential:
             prob = CauchyProblem(coeffs, Field.constant(g, 1.0),
                                  potential=Field.constant(g, lam), horizon=0.1)
             rep = SolveReport()
-            for seen in (tables, unit, contracted):
-                seen.clear()
+            tables.clear()
+            whole.clear()
             solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=16), tol=1e-6)
             u = solve_with_potential(prob, 0.1, solver=solver, report=rep)
             assert rep.panels == pieces
             assert np.all(np.isfinite(u.values))
-            counts[lam] = (len(tables), len(contracted))
-        assert counts == {25.0: (1, 1), 5.0: (1, 0)}
+            counts[lam] = (len(tables), whole[:])
+        assert counts == {25.0: (1, [False]), 5.0: (1, [False])}
 
     def test_long_panel_on_rough_data(self):
         # one piece of 16 lattice time scales dx^2 / (4 c): the graded rule
