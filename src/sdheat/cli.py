@@ -76,6 +76,13 @@ def _grid_args(p: argparse.ArgumentParser) -> None:
                    default="periodic-wrap")
 
 
+def _finite_time(text: str) -> float:
+    t = float(text)  # every subcommand that takes a time takes a finite one
+    if not math.isfinite(t):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return t
+
+
 def _warn_radius(grid: GridSpec, t: float, cbar: float) -> None:
     need = recommended_radius(t, cbar, grid.dx)
     if grid.radius < need:
@@ -189,8 +196,6 @@ def cmd_solve(args) -> int:
     if args.potential != "zero":
         potential = Field(grid, _parse_expression(args.potential, grid, "potential"))
     prob = CauchyProblem(coeffs, psi, source=source, potential=potential)
-    if not math.isfinite(args.time):  # before linspace, which warns on inf
-        return _usage_error(f"--time must be finite, got {args.time}")
     times = [float(t) for t in np.linspace(0.0, args.time, args.slices + 1)[1:]]
     report = SolveReport()
     solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=args.quad_nodes))
@@ -225,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="constant-coefficient kernel slice")
     _grid_args(p)
     p.add_argument("--c", type=float, nargs="+", default=[1.0])
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_time, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_kernel)
 
@@ -234,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         _grid_args(p)
         p.add_argument("--coeff", required=True,
                        help="const:v | sine:a,b,k | CSV path")
-        p.add_argument("--time", type=float, required=True)
+        p.add_argument("--time", type=_finite_time, required=True)
         p.add_argument("--tol", type=float, default=1e-8)
         if name == "gamma":
             p.add_argument("--quad-nodes", type=int, default=96)
@@ -263,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", required=True)
     p.add_argument("--source", default="zero")
     p.add_argument("--potential", default="zero")
-    p.add_argument("--time", type=float, required=True)
+    p.add_argument("--time", type=_finite_time, required=True)
     p.add_argument("--slices", type=int, default=1)
     p.add_argument("--quad-nodes", type=int, default=96)
     p.add_argument("--out", required=True)

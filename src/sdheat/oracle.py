@@ -83,8 +83,8 @@ def _taylor_step(apply_op: Callable[[np.ndarray], np.ndarray], h: float, v: np.n
 def _evolve(apply_op: Callable[[np.ndarray], np.ndarray], op_bound: float, t: float,
             v: Field, tol: float, g: np.ndarray | None = None) -> Field:
     """u(t) for u' = M u + g, u(0) = v, in substeps h with h |M| <= theta."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if t == 0.0:

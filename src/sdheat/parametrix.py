@@ -82,6 +82,9 @@ _DENSE_ENTRIES = 2**26
 #: Gauss points on each panel of a build's tau table (``_tau_table``).
 _TABLE_POINTS = 20
 
+#: Stop, cap and stall ratio of the forward panel sweeps (``_march_panels``).
+_FLOOR, _SWEEPS, _STALL = 1e-15, 60, 0.9
+
 
 @dataclass(frozen=True, eq=False)
 class Coefficients:
@@ -670,8 +673,6 @@ class ParametrixSolver:
         """The record ``ladder`` caches, and Phi on the nodes of its rule,
         shape (nodes, s, s), which the record does not keep; Phi may be a
         view of the transposed orders, [c, a, b] = Phi(x_c)[a, b]."""
-        if not horizon > 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
         nodes, weights, bp = self.quad.points_with_panels(horizon, layer=self._layer_scale())
         vol = self.grid.cell_volume
         s = self.grid.site_count
@@ -851,18 +852,21 @@ class ParametrixSolver:
         rho = b instead.
 
         M is block lower triangular in the panels of the rule.  Forward,
-        panel p is one dense solve of all k columns, (I - dx^d W_pp) rho_p =
-        b_p + dx^d W_p< rho_<, W_pp alone contracted (``_own_panels``) and
-        W_p< rho_<, node 0 among rho_<, applied from the panel's fold
-        weights through the table, laid out tuple-major once a call
-        (``_history``).  The adjoint takes each panel's whole W from
-        ``_panels``, last to first, in one buffer sized for the last (8 (N +
-        1) s^2 entries), solves (I - dx^d W_pp)^T rho_p = b_p and adds dx^d
-        rho_p^T W_p< to the (lo + 1) s columns of rho^T below the panel,
-        block 0 last reached by panel 0, one panel's rows at a time, the wide
-        shape, contiguous when rho is the transpose of a C-ordered array.
-        Returns the largest relative residual of the panel solves, column by
-        column.
+        panel p solves (I - dx^d W_pp) rho_p = b_p + dx^d W_p< rho_< for
+        all k columns, W_pp alone contracted (``_own_panels``) and W_p<
+        rho_<, node 0 among rho_<, applied from the panel's fold weights
+        through the table, laid out tuple-major once a call (``_history``),
+        by Richardson sweeps x <- x + (b - (I - dx^d W_pp) x) from x = b
+        until the residual is at most _FLOOR, with LU after _SWEEPS sweeps or
+        one that shrinks it by less than _STALL.  The adjoint takes each
+        panel's whole W from ``_panels``, last to first, in one buffer sized
+        for the last (8 (N + 1) s^2 entries), solves (I - dx^d W_pp)^T rho_p
+        = b_p by LU and adds dx^d rho_p^T W_p< to the (lo + 1) s columns of
+        rho^T below the panel, block 0 last reached by panel 0, one panel's
+        rows at a time, the wide shape, contiguous when rho is the transpose
+        of a C-ordered array.  Returns the largest relative residual, max |b
+        - M_pp x| / max |b| column by column, of the accepted panel solves:
+        the sweeps' last or LU's.
         """
         vol = self.grid.cell_volume
         s = self.grid.site_count
@@ -885,9 +889,18 @@ class ParametrixSolver:
                 own = own.T
             else:
                 b += vol * self._history(w[:lo + 1], rho[:below], y, order, blocks, by_tuple)
-            x = np.linalg.solve(own, b)
             scale = np.maximum(np.abs(b).max(axis=0), np.finfo(float).tiny)
-            residual = max(residual, float((np.abs(own @ x - b).max(axis=0) / scale).max()))
+            x, res, last = b, np.inf, np.inf
+            for _ in range(0 if adjoint else _SWEEPS):  # x <- x + (b - own x) from x = b
+                r = b - own @ x
+                res = float((np.abs(r).max(axis=0) / scale).max())
+                if res <= _FLOOR or res > _STALL * last:
+                    break
+                x, last = x + r, res
+            if res > _FLOOR:  # the adjoint's s columns, or a stalled sweep
+                x = np.linalg.solve(own, b)
+                res = float((np.abs(own @ x - b).max(axis=0) / scale).max())
+            residual = max(residual, res)
             b[...] = x
             if adjoint:  # rho^T[:, rows] += dx^d x^T W_p<[:, rows], the wide shape
                 x *= vol
@@ -916,11 +929,11 @@ class ParametrixSolver:
         Functional Equations*, 2004, ch. 2), and the piece ends at dx^d [A(h)
         | W_h] rho_ext, the plan of h itself contracted with A.  One piece
         marches that single column forward, gathering only each panel's own
-        block of W.  The march is linear in u and f, so more pieces are u <-
-        P u + G f_i, f_i the source at the node times of piece i: one
-        adjoint march of the s columns of [A(h) | W_h]^T gives [P | G] /
-        dx^d = [A(h) | W_h] M^-1, block 0 the one-piece propagator P =
-        Gamma_Y(h) dx^d.  Each piece is then one product with P and one with
+        block of W, which sweeps solve.  The march is linear in u and f, so
+        more pieces are u <- P u + G f_i, f_i the source at the node times of
+        piece i: one adjoint march of the s columns of [A(h) | W_h]^T gives
+        [P | G] / dx^d = [A(h) | W_h] M^-1, block 0 the one-piece propagator
+        P = Gamma_Y(h) dx^d.  Each piece is then one product with P and one with
         G, and no panel is built or solved twice.  Every plan of the march
         is folded onto one tau table on (0, h), a local of the call.
         ``u0`` and ``potential`` need s finite entries (ValueError
@@ -928,7 +941,7 @@ class ParametrixSolver:
         piece's node times (offset by ``start``) as a (nodes, s) array, None
         meaning f = 0.  Returns u at every ``every``-th piece end, shape
         (pieces // every, s), and the largest relative residual of the panel
-        solves.
+        solves, the sweeps' stopping residual or LU's.
         """
         if not (pieces >= 1 and every >= 1 and pieces % every == 0):
             raise ValueError(f"need pieces >= 1 and every dividing it, got pieces={pieces}, "

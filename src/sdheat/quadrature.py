@@ -9,6 +9,7 @@ s = (t/2) * u^2 applied from each end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,8 +68,8 @@ class TimeQuadrature:
     def points_with_panels(self, t: float, layer: float | None = None
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ascending nodes, positive weights, and panel breakpoints."""
-        if not t > 0:
-            raise ValueError(f"horizon must be positive, got {t}")
+        if not (t > 0 and math.isfinite(t)):
+            raise ValueError(f"horizon must be positive and finite, got {t}")
         bp = _graded_breakpoints(t, self.nodes // (2 * PANEL_POINTS), layer)
         x, wx = gauss_legendre(PANEL_POINTS)
         s_list, w_list = [], []

@@ -54,8 +54,8 @@ class SolveReport:
     #: always 0: the solver does not iterate; kept for code that still
     #: reads the field
     picard_iters: int = 0
-    #: largest relative residual of the panel linear solves; not a bound
-    #: on the error of the solution
+    #: largest relative residual of the panel solves (the sweeps' stopping
+    #: residual or LU's); not a bound on the error of the solution
     residual: float = math.nan
 
 

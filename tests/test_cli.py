@@ -116,11 +116,15 @@ class TestSolve:
 
     @pytest.mark.parametrize("time", ["nan", "inf", "-0.1"])
     def test_bad_time_exit_2(self, tmp_path, time):
-        out = str(tmp_path / "run")
-        assert run_cli("solve", "--dx", "0.5", "--radius", "2", "--coeff", "const:1",
-                       "--psi", "const:1", "--time", time, "--quad-nodes", "16",
-                       "--out", out) == 2
-        assert not Path(out + ".json").exists()
+        # a non-finite or negative time is an argument error for every
+        # subcommand that takes one, and nothing is written
+        grid = ["--dx", "0.5", "--radius", "2"]
+        common = grid + ["--coeff", "const:1", "--time", time]
+        for name, args in (("solve", common + ["--psi", "const:1", "--quad-nodes", "16"]),
+                           ("gamma", common + ["--quad-nodes", "16"]), ("oracle", common),
+                           ("kernel", grid + ["--t", time])):
+            assert run_cli(name, *args, "--out", str(tmp_path / name)) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_slices_match_oracle(self, tmp_path):
         # each slice is marched from the one before, with and without a

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,8 +103,9 @@ class TestExpmApply:
 
     def test_time_validation(self):
         g, c = small_setup()
-        with pytest.raises(ValueError):
-            expm_apply(Generator(c), -0.1, Field.dirac(g))
+        for t in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                expm_apply(Generator(c), t, Field.dirac(g))
 
     @pytest.mark.parametrize("tol", [0.0, float("nan")])
     def test_tol_must_be_positive(self, tol):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -918,7 +919,7 @@ class TestMarch:
         # last panel's (8 targets reading all 48 nodes) being 13 MB, where
         # the W of every node together would be 45 MB; one piece marches
         # forward and gathers only each panel's own 8 x 8 node block, 2.2
-        # MB, which it holds beside the copy the panel solve makes, the tau
+        # MB, which the panel's sweeps solve with no copy, beside the tau
         # table and its tuple-major copy (0.9 MB each) and one panel's fold
         # weights, but no folded rows of the nodes below the panel
         grid = GridSpec(dx=0.125, dim=1, radius=32)
@@ -974,6 +975,81 @@ class TestMarch:
             rhs = want[own] + vol * (w[:, :below] @ want[:below])
             want[own] = np.linalg.solve(np.eye((hi - lo) * s) - vol * w[:, below:], rhs)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @staticmethod
+    def _lu_march(solver, h, y, b):
+        """Block forward substitution with LU over the W of each panel from
+        ``_panels``, the reference of the iterated forward march."""
+        s, vol = solver.grid.site_count, solver.grid.cell_volume
+        nodes, weights, bp = solver.quad.points_with_panels(h, layer=solver._layer_scale())
+        want = b.copy()
+        for lo, hi, w in solver._panels(nodes, weights, bp, y, solver._tau_table(h)):
+            below, own = (lo + 1) * s, slice((lo + 1) * s, (hi + 1) * s)
+            rhs = want[own] + vol * (w[:, :below] @ want[:below])
+            want[own] = np.linalg.solve(np.eye((hi - lo) * s) - vol * w[:, below:], rhs)
+        return want
+
+    @staticmethod
+    def _high_contrast(dim, periodic, seed=1):
+        """c ~ U[0.1, 3] per site on a 1-D box, U[0.2, 2] per site and
+        direction on a 2-D one: ||dx^d W_pp||_2 exceeds 1 on the later
+        panels of a long step, so a sweep can grow the residual."""
+        grid = GridSpec(dx=0.25, dim=dim, radius=6 if dim == 1 else 2,
+                        boundary="periodic-wrap" if periodic else "zero-extension")
+        rng = np.random.default_rng(seed)
+        lo, hi = (0.1, 3.0) if dim == 1 else (0.2, 2.0)
+        return ParametrixSolver(Coefficients(grid, rng.uniform(lo, hi, (dim,) + grid.shape)),
+                                TimeQuadrature(nodes=48)), rng
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), with_y=st.booleans(),
+           k=st.sampled_from([1, 3]), h=st.sampled_from([0.25, 1.0, 4.0]),
+           seed=st.integers(0, 2**16))
+    def test_iterated_march_matches_lu_on_high_contrast_fields(self, dim, periodic, with_y, k,
+                                                               h, seed):
+        # the forward panel solves sweep, falling back to LU where a sweep
+        # stalls; either way the march is LU's block forward substitution
+        solver, rng = self._high_contrast(dim, periodic, seed)
+        s = solver.grid.site_count
+        y = rng.uniform(0.0, 3.0, s) if with_y else None
+        nodes, weights, bp = solver.quad.points_with_panels(h, layer=solver._layer_scale())
+        b = rng.standard_normal(((nodes.size + 1) * s, k))
+        got = b.copy()
+        residual = solver._march_panels(nodes, weights, bp, y, solver._tau_table(h), got)
+        want = self._lu_march(solver, h, y, b)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert residual <= 1e-12
+
+    def test_sweeps_fall_back_to_lu_only_when_they_stall(self, monkeypatch):
+        # LU calls, counted: none in a one-piece march of the AC-11 field
+        # and potential, at least one on a high-contrast box, whose output
+        # is LU's all the same, and one per panel in the adjoint march of
+        # a multi-piece run
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
+        grid = GridSpec(dx=0.125, dim=1, radius=32)
+        coeffs = Coefficients.from_function(grid, lambda x: 1.0 + 0.5 * np.sin(2.0 * np.pi * x))
+        solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=48))
+        x = grid.axis_coordinates()
+        y = 0.5 + 0.5 * np.sin(2.0 * np.pi * x / (grid.npts * grid.dx)) ** 2
+        _, residual = solver.march(0.25, np.cos(x), 1, y)
+        assert calls == [] and residual <= 1e-15
+
+        solver, rng = self._high_contrast(1, True)
+        s = solver.grid.site_count
+        nodes, weights, bp = solver.quad.points_with_panels(1.0, layer=solver._layer_scale())
+        b = rng.standard_normal(((nodes.size + 1) * s, 1))
+        got = b.copy()
+        solver._march_panels(nodes, weights, bp, None, solver._tau_table(1.0), got)
+        assert calls
+        want = self._lu_march(solver, 1.0, None, b)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+        calls.clear()
+        solver.march(0.25, np.ones(s), 3)
+        panels = solver.quad.points_with_panels(0.25)[0].size // PANEL_POINTS
+        assert calls == [(PANEL_POINTS * s, PANEL_POINTS * s)] * panels
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(dim=st.sampled_from([1, 2]), periodic=st.booleans(), data=st.data(),
@@ -1114,6 +1190,18 @@ class TestMarch:
         u0 = np.ones(small_var_coeffs.grid.site_count)
         with pytest.raises(ValueError, match="every"):
             solver.march(0.1, u0, pieces, every=every)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_times(self, small_var_coeffs, t):
+        # the time rule rejects them, before any kernel is evaluated
+        solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=16))
+        u0 = np.ones(small_var_coeffs.grid.site_count)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: solver.march(t, u0, 1), lambda: solver.gamma_matrix(t),
+                         lambda: solver.phi_series(t)):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    call()
 
 
 class TestReciprocity:
