@@ -34,7 +34,7 @@ from .solver import CauchyProblem, SolveReport, _solve
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False)
     if path is None:
         print(text)
         return
@@ -185,6 +185,8 @@ def cmd_bound_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.slices < 1:
+        return _usage_error(f"--slices must be at least 1, got {args.slices}")
     grid = GridSpec(dx=args.dx, dim=args.dim, radius=args.radius, boundary=args.boundary)
     coeffs = _make_coefficients(args, grid)
     psi = Field(grid, _parse_expression(args.psi, grid, "initial data"))
@@ -202,8 +204,8 @@ def cmd_solve(args) -> int:
     slices = _solve(prob, times, solver, report)
     for i, u in enumerate(slices):
         field_to_csv(u, f"{args.out}.t{i + 1}.csv")
-    _write_json(args.out + ".json",
-                {"panels": report.panels, "residual": report.residual, "times": times})
+    residual = None if math.isnan(report.residual) else report.residual  # no panel solve ran
+    _write_json(args.out + ".json", {"panels": report.panels, "residual": residual, "times": times})
     return 0
 
 

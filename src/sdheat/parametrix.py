@@ -25,25 +25,14 @@ D2_j G_j the second difference along its offset axis j.  A site b enters
 G_j only through c_b^j, so the batch of direction j runs over the
 distinct values of c^j, not over the sites.
 
-Numerically, one graded Gauss rule on (0, horizon) serves every time
-integral.  Panels well below the target time keep their Gauss weights; the
-last few boundary-layer widths below it are integrated in tau = t - s at
-fresh Gauss points, where the kernel is exact and the smooth recursive
-factor is interpolated inside its panel.  The initial value is node 0 of
-every plan: the plan of a target t, F(t) G_0 + int_0^t F(t-s) G(s) ds, is
-a weight matrix C (a row per kernel time, a column per node, node 0 of
-unit weight at tau = t), which one vectorised pass over a list of targets
-(``_plans``) writes as flat (target, tau, node, weight) entries.  A build
-(a ladder or a march) tabulates A's joint tables once, at 20 Gauss points
-on each panel of the tau edges 0, lam/4, lam/2, lam, 2 lam, ..., horizon
-(``_tau_table``), and folds the entries onto them by barycentric
-interpolation in tau, one Lagrange evaluation and one scatter (``_fold``),
-into fold weights F = C^T L, within about 1e-15 of sup |K|.  D2_j, the
-contraction and the gather are linear, so ``_contract_plan`` gathers each
-node block of W = sum_r C[r, c] F(tau_r) from the contracted rows F @
-rows, and no kernel matrix is built for a plan.  ``_panels`` contracts
-the targets of each panel of the rule with K_Y = K - diag(Y) A of a
-potential Y (K without one) into one W, block 0 K_Y at the targets.
+A build (a ladder or a march) tabulates A's joint tables once, on the
+tau table of ``sdheat.quadrature`` (``_tau_table``), and reads each plan
+off it as fold weights F (``_fold_plans``).  D2_j, the contraction and
+the gather are linear, so ``_contract_plan`` gathers each node block of W
+= sum_r C[r, c] F(tau_r) from the contracted rows F @ rows, and no kernel
+matrix is built for a plan.  ``_panels`` contracts the targets of each
+panel of the rule with K_Y = K - diag(Y) A of a potential Y (K without
+one) into one W, block 0 K_Y at the targets.
 
 The ladder seeds K^(1) from the panels' block 0 and runs each order
 transposed, one product per panel over the nodes, K^(m)(x_i)^T = dx^d
@@ -72,15 +61,12 @@ import numpy as np
 from . import bessel
 from .heat_const import kernel_1d
 from .lattice import Field, GridSpec
-from .quadrature import PANEL_POINTS, TimeQuadrature, _lagrange_weights, gauss_legendre
+from .quadrature import PANEL_POINTS, TimeQuadrature, _fold_plans, _tau_points
 
 _M_CAP = 20
 
 #: Largest dense two-point matrix (sites x sites entries) a solver accepts.
 _DENSE_ENTRIES = 2**26
-
-#: Gauss points on each panel of a build's tau table (``_tau_table``).
-_TABLE_POINTS = 20
 
 #: Stop, cap and stall ratio of the forward panel sweeps (``_march_panels``).
 _FLOOR, _SWEEPS, _STALL = 1e-15, 60, 0.9
@@ -206,41 +192,6 @@ def _gather(values: np.ndarray, index: tuple[list[np.ndarray], list[np.ndarray]]
     return out
 
 
-def _table_points(edges: np.ndarray) -> np.ndarray:
-    """The tau points of a ``_tau_table`` with panel ``edges``:
-    ``_TABLE_POINTS`` Gauss points a panel, shape (panels, points)."""
-    x, _ = gauss_legendre(_TABLE_POINTS)
-    half = 0.5 * np.diff(edges)
-    return (edges[:-1] + half)[:, None] + half[:, None] * x
-
-
-def _fold(edges: np.ndarray, tau: np.ndarray,
-          entries: tuple[np.ndarray, np.ndarray, np.ndarray], slots: int) -> np.ndarray:
-    """Fold weights F = C^T L of plan entries onto a ``_tau_table`` with
-    panel ``edges``, shape (slots, P), so that F @ rows[:P] are the plans'
-    rows sum_r C[r, c] A(tau_r).  An entry (which, slot, weight) puts
-    weight A(tau[which]) into row ``slot``.  A(tau) is interpolated at the
-    Gauss points of the panel that holds tau, in the barycentric form with
-    the Gauss-Legendre weights (-1)^k sqrt((1 - x_k^2) w_k) (J.-P. Berrut
-    and L. N. Trefethen, *SIAM Rev.* 46, 2004), one evaluation for all of
-    ``tau``, and the entries are added into F in one scatter; F reaches the
-    last table panel any tau reads, P points."""
-    x, w = gauss_legendre(_TABLE_POINTS)
-    panel = np.clip(np.searchsorted(edges, tau, side="right") - 1, 0, edges.size - 2)
-    diff = ((tau - edges[panel]) / (0.5 * np.diff(edges)[panel]) - 1.0)[:, None] - x
-    hit = diff == 0.0
-    lagrange = np.sqrt((1.0 - x**2) * w) * (-1.0) ** np.arange(x.size) / np.where(hit, 1.0, diff)
-    lagrange /= lagrange.sum(axis=1, keepdims=True)
-    lagrange = np.where(hit.any(axis=1, keepdims=True), hit, lagrange)
-    which, slot, weight = entries
-    size = _TABLE_POINTS * (int(panel.max()) + 1)
-    index = (slot * size + panel[which] * _TABLE_POINTS)[:, None] + np.arange(_TABLE_POINTS)
-    values = lagrange[which]
-    values *= weight[:, None]
-    return np.bincount(index.reshape(-1), values.reshape(-1),
-                       minlength=slots * size).reshape(slots, size)
-
-
 def k1(alpha: Sequence[int], beta: Sequence[int], t: float, coeffs: Coefficients) -> float:
     """Correction kernel K_{alpha,beta}(t): coefficient increments times
     the directional second differences of the frozen kernel.
@@ -277,8 +228,9 @@ class ParametrixSolver:
 
     The targets of the time rule or Gamma assembly have their plans, the
     initial value as node 0, folded onto the build's tau table by the plan
-    pass over a list of targets (``_fold_plans``: a panel's 8 in the forward
-    march, one at a time in ``_panels``) and gathered into their W
+    pass of ``sdheat.quadrature`` over a list of targets (``_fold_plans``,
+    from ``_plans``: a panel's 8 in the forward march, one at a time in
+    ``_panels``) and gathered into their W
     (``_contract_plan``); ``_panels`` gathers the contracted targets of one
     panel into one matrix W.  Construction keeps, per direction, the
     distinct coefficient values and each site's index among them, and each
@@ -458,27 +410,21 @@ class ParametrixSolver:
         return out
 
     def _tau_table(self, horizon: float) -> tuple[np.ndarray, np.ndarray]:
-        """The tau table of one build on (0, horizon]: the panel edges 0,
-        lam/4, lam/2, lam, 2 lam, 4 lam, ..., the last one clipped at the
-        horizon (lam the layer scale), and A's joint tables
-        (``_joint_rows``) at ``_TABLE_POINTS`` Gauss points on each panel,
-        one Bessel batch a panel.  ``_fold`` reads every weighted plan of
-        the build off it."""
-        lam = self._layer_scale()
-        edges = lam * 2.0 ** np.arange(-2, math.ceil(math.log2(horizon / lam)) + 1)
-        edges = np.concatenate([[0.0], edges[edges < horizon], [horizon]])
-        points = _table_points(edges)
-        rows = np.empty((points.size, math.prod(self._joint_shape)))
-        for k, panel in enumerate(points):
-            self._joint_rows(panel, rows[k * _TABLE_POINTS:(k + 1) * _TABLE_POINTS])
-        return edges, rows
+        """The tau table of one build on (0, horizon]: the panel edges of
+        ``_tau_points`` for the layer scale, and A's joint tables
+        (``_joint_rows``) at its points, a row each, one Bessel batch a panel."""
+        edges, points = _tau_points(horizon, self._layer_scale())
+        rows = np.empty(points.shape + (math.prod(self._joint_shape),))
+        for panel, out in zip(points, rows):
+            self._joint_rows(panel, out)
+        return edges, rows.reshape(points.size, -1)
 
     def _contract_plan(self, contracted: np.ndarray, correction: bool = True,
                        potential: np.ndarray | None = None, out: np.ndarray | None = None,
                        tables: list | None = None) -> np.ndarray:
-        """W = sum_r C[r, c] F(tau_r) of a plan (``_plans``) from its
-        contracted rows sum_r C[r, c] A(tau_r), one per column c of C in A's
-        joint-table layout (``_fold`` of the build's tau table, or
+        """W = sum_r C[r, c] F(tau_r) of a plan from its contracted rows
+        sum_r C[r, c] A(tau_r), one per column c of C in A's joint-table
+        layout (``_fold_plans`` on the build's tau table, or
         ``_joint_rows`` for a kernel matrix), shape (s, n s) over the n rows,
         so that W @ G, the node values stacked as rows, is the plan's
         integral.  F is K, K_Y = K - diag(Y) A with a flat ``potential``, or
@@ -557,78 +503,6 @@ class ParametrixSolver:
         # endpoint boundary-layer width of the kernel integrands
         return self.grid.dx**2 / (2.0 * self.coeffs.cbar)
 
-    def _plans(self, targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
-               bp: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...], int]:
-        """Integration plans of F(t) G_0 + int_0^t F(t-s) G(s) ds for every
-        target t in (0, horizon] at once, on the rule ``nodes``, ``weights``,
-        breakpoints ``bp``, as flat entries for ``_fold``: kernel times tau,
-        and entries (which, slot, weight), slot i for target i of T at node
-        0 (the initial value G_0, unit weight at tau = t) and slot (c + 1) T
-        + i at node c, so the plan of target i is the sum over its entries
-        of weight F(tau[which]) G at the slot's node.  Also returns n, the
-        nodes of the rule up to the last one a plan reads.
-
-        Panels far enough below t contribute through their Gauss nodes, at
-        kernel times t - s_q with the Gauss weights.  The remainder (within
-        a few layer widths of t, which may span panel edges) is handled in
-        the variable tau = t - s: F, which carries the dx^2-scale layer at
-        tau = 0, is evaluated exactly at fresh Gauss points on
-        geometrically growing tau pieces (split at panel edges), while the
-        smooth recursive factor G is interpolated inside whichever panel
-        each piece lands in, one Lagrange evaluation for every piece.
-        """
-        t = np.asarray(targets, dtype=float).reshape(-1)
-        lam = self._layer_scale()
-        last = bp.size - 2
-        k = np.clip(np.searchsorted(bp, t, side="left") - 1, 0, last)
-        # the split point: the highest edge up to k at least 3 lam below t,
-        # else 0, so the tau treatment covers the whole layer neighbourhood
-        sp = np.maximum(np.minimum(k, (t[:, None] - bp >= 3.0 * lam).sum(axis=1) - 1), 0)
-        depth = t - bp[sp]
-        full = sp * PANEL_POINTS
-
-        # tau edges 0, lam, 4 lam, ... below depth, and the panel crossings;
-        # the rest are depth, whose repeats leave empty pieces out
-        geometric = lam * 4.0 ** np.arange(max(1, math.ceil(math.log(depth.max() / lam, 4)) + 1))
-        inner = np.arange(1, last + 1)
-        crossing = (inner > sp[:, None]) & (inner <= k[:, None])
-        edges = np.sort(np.concatenate([
-            np.zeros((t.size, 1)), np.minimum(geometric, depth[:, None]),
-            np.where(crossing, t[:, None] - bp[inner], depth[:, None]), depth[:, None]], axis=1))
-        target, piece = np.nonzero(np.diff(edges, axis=1) > 0.0)
-        lo, hi = edges[target, piece], edges[target, piece + 1]
-        half = 0.5 * (hi - lo)
-        panel = np.clip(np.searchsorted(bp, t[target] - 0.5 * (lo + hi), side="left") - 1, 0, last)
-        xg, wg = gauss_legendre(PANEL_POINTS)
-        tau_pts = lo[:, None] + half[:, None] * (xg + 1.0)
-        piece_nodes = panel[:, None] * PANEL_POINTS + np.arange(PANEL_POINTS)
-        lagrange = _lagrange_weights(nodes[piece_nodes], t[target, None] - tau_pts)
-        lagrange *= (half[:, None] * wg)[..., None]  # (pieces, tau points, nodes)
-
-        # full panels lie below every piece's panel
-        q = np.arange(full.max())
-        target_q, q = np.nonzero(q < full[:, None])
-        n = PANEL_POINTS * (int(panel.max()) + 1)
-        tau = np.concatenate([t, t[target_q] - nodes[q], tau_pts.reshape(-1)])
-        first = t.size + q.size  # the unit entries, then the full-panel ones
-        which = np.concatenate([np.arange(first),
-                                first + np.repeat(np.arange(tau_pts.size), PANEL_POINTS)])
-        piece_slots = ((piece_nodes + 1) * t.size + target[:, None])[:, None, :]
-        slot = np.concatenate([np.arange(t.size), (q + 1) * t.size + target_q,
-                               np.broadcast_to(piece_slots, lagrange.shape).reshape(-1)])
-        weight = np.concatenate([np.ones(t.size), weights[q], lagrange.reshape(-1)])
-        return tau, (which, slot, weight), n
-
-    def _fold_plans(self, targets: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
-                    bp: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        """The plans of ``targets`` (``_plans``) folded onto a tau table with
-        panel ``edges`` (``_fold``): F, shape (n + 1, targets, P), so that
-        F[:, i] @ rows[:P] are the contracted rows of target i at node 0 (A
-        at the target itself) and its n nodes."""
-        tau, entries, n = self._plans(targets, nodes, weights, bp)
-        size = np.size(targets)
-        return _fold(edges, tau, entries, (n + 1) * size).reshape(n + 1, size, -1)
-
     def _panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
                 y: np.ndarray | None, table: tuple[np.ndarray, np.ndarray],
                 buffer: np.ndarray | None = None, extra: Sequence[float] = (),
@@ -651,6 +525,7 @@ class ParametrixSolver:
             buffer = np.empty((nodes.size * (nodes.size + PANEL_POINTS + 2) // 2
                                + len(extra) * (nodes.size + 1)) * s * s)
         edges, rows = table
+        lam = self._layer_scale()
         tables = [self._joint_index(slabs) for _, slabs in self._row_blocks()]
         start = 0
         firsts = range(0, nodes.size, PANEL_POINTS)
@@ -663,7 +538,7 @@ class ParametrixSolver:
             if kept:
                 start += size
             for j in range(targets.size):
-                f = self._fold_plans(targets[j:j + 1], nodes, weights, bp, edges)[:, 0]
+                f = _fold_plans(targets[j:j + 1], nodes, weights, bp, lam, edges)[:, 0]
                 f = f @ rows[:f.shape[1]]
                 self._contract_plan(f, potential=y, out=w[j * block:(j + 1) * block],
                                     tables=tables)
@@ -687,7 +562,8 @@ class ParametrixSolver:
         # it is dropped before the orders
         table = self._tau_table(horizon)
         panels = list(self._panels(nodes, weights, bp, None, table, extra=[horizon]))
-        end = self._fold_plans(np.array([horizon]), nodes, weights, bp, table[0])[:, 0]
+        end = _fold_plans(np.array([horizon]), nodes, weights, bp, self._layer_scale(),
+                          table[0])[:, 0]
         end = end @ table[1][:end.shape[1]]
         del table
 
@@ -761,10 +637,11 @@ class ParametrixSolver:
         ``_panels``, in one buffer for every panel."""
         s = self.grid.site_count
         edges, rows = table
+        lam = self._layer_scale()
         own = np.empty((PANEL_POINTS * s, PANEL_POINTS * s))
         tables = [self._joint_index(slabs) for _, slabs in self._row_blocks()]
         for lo in range(0, nodes.size, PANEL_POINTS):
-            f = self._fold_plans(nodes[lo:lo + PANEL_POINTS], nodes, weights, bp, edges)
+            f = _fold_plans(nodes[lo:lo + PANEL_POINTS], nodes, weights, bp, lam, edges)
             own_f = np.ascontiguousarray(f[lo + 1:].transpose(1, 0, 2))  # (targets, nodes, P)
             own_rows = own_f.reshape(-1, f.shape[2]) @ rows[:f.shape[2]]
             for j in range(PANEL_POINTS):
@@ -962,7 +839,7 @@ class ParametrixSolver:
             if source is not None:
                 rho[s:, 0] = source(start + nodes).reshape(-1)
             residual = self._march_panels(nodes, weights, bp, y, table, rho)
-        end = self._fold_plans(np.array([h]), nodes, weights, bp, table[0])[:, 0]
+        end = _fold_plans(np.array([h]), nodes, weights, bp, self._layer_scale(), table[0])[:, 0]
         w = self._contract_plan(end @ table[1][:end.shape[1]], correction=False)
         if pieces == 1:  # u(t0 + h) = dx^d [A(h) | W_h] rho_ext
             return (vol * (w @ rho[:, 0]))[None], residual

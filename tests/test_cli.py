@@ -126,6 +126,30 @@ class TestSolve:
             assert run_cli(name, *args, "--out", str(tmp_path / name)) == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_zero_time_report_is_strict_json(self, tmp_path):
+        # at --time 0 no panel solve runs: the slices are the initial data
+        # and the report's residual is null, which a parser that rejects
+        # NaN accepts
+        out = str(tmp_path / "run")
+        assert run_cli("solve", "--dx", "0.5", "--radius", "2", "--coeff", "const:1",
+                       "--psi", "const:2", "--time", "0", "--slices", "2", "--quad-nodes", "16",
+                       "--out", out) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads(Path(out + ".json").read_text(), parse_constant=reject)
+        assert report == {"panels": 0, "residual": None, "times": [0.0, 0.0]}
+        assert all(set(read_column(f"{out}.t{i}.csv").values()) == {2.0} for i in (1, 2))
+
+    @pytest.mark.parametrize("slices", ["0", "-2"])
+    def test_bad_slices_exit_2(self, tmp_path, slices):
+        # a solve needs at least one slice; nothing is written otherwise
+        assert run_cli("solve", "--dx", "0.5", "--radius", "2", "--coeff", "const:1",
+                       "--psi", "const:1", "--time", "0.1", "--slices", slices,
+                       "--quad-nodes", "16", "--out", str(tmp_path / "run")) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_slices_match_oracle(self, tmp_path):
         # each slice is marched from the one before, with and without a
         # potential; every slice is checked, not only the last

@@ -9,12 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sdheat import bessel, bounds, oracle, parametrix
+from sdheat import bessel, bounds, oracle, quadrature
 from sdheat.heat_const import ConstCoeffs, kernel_1d, kernel_nd, recommended_radius
 from sdheat.lattice import Field, GridSpec, forward_diff, laplacian_array
-from sdheat.parametrix import (_TABLE_POINTS, Coefficients, ParametrixSolver, _fit_growth, _fold,
-                               _series_tails, _table_points, k1)
-from sdheat.quadrature import PANEL_POINTS, TimeQuadrature, _lagrange_weights, gauss_legendre
+from sdheat.parametrix import Coefficients, ParametrixSolver, _fit_growth, _series_tails, k1
+from sdheat.quadrature import (PANEL_POINTS, TABLE_POINTS, TimeQuadrature, _fold, _fold_plans,
+                               _tau_points, gauss_legendre)
 
 
 def _shifted_sines(grid: GridSpec) -> Coefficients:
@@ -43,6 +43,16 @@ def _stack(solver: ParametrixSolver, rows: np.ndarray, correction: bool = False,
     s = solver.grid.site_count
     w = solver._contract_plan(rows, correction, potential)
     return np.ascontiguousarray(w.reshape(s, -1, s).transpose(1, 0, 2))
+
+
+def _lagrange(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Lagrange weights of ``nodes`` at ``points``, a row per point, in the
+    product form: weight m is the product over k != m of (x - x_k) / (x_m -
+    x_k)."""
+    w = np.ones((points.size, nodes.size))
+    for m, k in itertools.permutations(range(nodes.size), 2):
+        w[:, m] *= (points - nodes[k]) / (nodes[m] - nodes[k])
+    return w
 
 
 def _reference_plan(solver: ParametrixSolver, t: float, nodes: np.ndarray, weights: np.ndarray,
@@ -78,7 +88,7 @@ def _reference_plan(solver: ParametrixSolver, t: float, nodes: np.ndarray, weigh
         half = 0.5 * (hi - lo)
         pk = int(np.searchsorted(bp, t - 0.5 * (lo + hi), side="left")) - 1
         pk = min(max(pk, 0), bp.size - 2)
-        pieces.append((lo + half * (xg + 1.0), half * wg, pk * PANEL_POINTS))
+        pieces.append((lo + half + half * xg, half * wg, pk * PANEL_POINTS))
     n = PANEL_POINTS + max(first for _, _, first in pieces)
     rows: dict[float, int] = {}
     c = np.zeros((full + len(pieces) * PANEL_POINTS, n))
@@ -86,7 +96,7 @@ def _reference_plan(solver: ParametrixSolver, t: float, nodes: np.ndarray, weigh
         c[rows.setdefault(float(t - nodes[q]), len(rows)), q] += weights[q]
     for tau_pts, tau_w, first in pieces:
         panel = slice(first, first + PANEL_POINTS)
-        lagrange = _lagrange_weights(nodes[panel], t - tau_pts)
+        lagrange = _lagrange(nodes[panel], t - tau_pts)
         for tp, w, lw in zip(tau_pts, tau_w, lagrange):
             c[rows.setdefault(float(tp), len(rows)), panel] += w * lw
     return list(rows), c[:len(rows)]
@@ -96,7 +106,7 @@ def _reference_fold(edges: np.ndarray, times: list[float], c: np.ndarray) -> np.
     """C^T L of one plan: L interpolates in tau at the Gauss points of the
     table panel holding each time, in the barycentric form, a row per time
     up to the last table panel read."""
-    x, w = gauss_legendre(_TABLE_POINTS)
+    x, w = gauss_legendre(TABLE_POINTS)
     tau = np.asarray(times, dtype=float)
     panel = np.clip(np.searchsorted(edges, tau, side="right") - 1, 0, edges.size - 2)
     diff = ((tau - edges[panel]) / (0.5 * np.diff(edges)[panel]) - 1.0)[:, None] - x
@@ -336,8 +346,8 @@ class TestContraction:
         solver = ParametrixSolver(small_var_coeffs, TimeQuadrature(nodes=24), tol=1e-6)
         nodes, weights, bp, targets = self._rule(solver)
         edges = solver._tau_table(self.HORIZON)[0]
-        f = solver._fold_plans(targets, nodes, weights, bp, edges)
-        tau = _table_points(edges).reshape(-1)[:f.shape[2]]
+        f = _fold_plans(targets, nodes, weights, bp, solver._layer_scale(), edges)
+        tau = _tau_points(self.HORIZON, solver._layer_scale())[1].reshape(-1)[:f.shape[2]]
         s = nodes[:f.shape[0] - 1]
         for j, t in enumerate(targets):
             for i in range(8):
@@ -366,7 +376,7 @@ class TestContraction:
         rule = solver.quad.points_with_panels(h, layer=solver._layer_scale())
         edges = solver._tau_table(h)[0]
         targets = np.append(rule[0], h)
-        f = solver._fold_plans(targets, *rule, edges)
+        f = _fold_plans(targets, *rule, solver._layer_scale(), edges)
         assert f.shape[:2] == (rule[0].size + 1, targets.size)
         for j, t in enumerate(targets):
             unit = _reference_fold(edges, [float(t)], np.ones((1, 1)))[0]
@@ -397,7 +407,7 @@ class TestContraction:
         y = rng.uniform(0.0, 3.0, s) if kernel == "K_Y" else None
         nodes, weights, bp, targets = self._rule(solver)
         edges, rows = solver._tau_table(self.HORIZON)
-        f = solver._fold_plans(targets, nodes, weights, bp, edges)
+        f = _fold_plans(targets, nodes, weights, bp, solver._layer_scale(), edges)
         g_mat = rng.standard_normal((nodes.size + 1, s, s))
         g_vec = rng.standard_normal((nodes.size + 1, s))
         n = f.shape[0]
@@ -435,7 +445,7 @@ class TestContraction:
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_table_points_fold_onto_their_rows(self, small_var_coeffs):
-        # a unit entry at a Gauss point of the table, _table_points(edges)[k,
+        # a unit entry at a Gauss point of the table, _tau_points(...)[1][k,
         # j], folds onto that point's row 20 k + j: exactly where the point
         # maps onto its panel's Gauss node without rounding, the barycentric
         # form's 0 / 0 being the node itself, and within 1e-14 of sup |A|
@@ -443,8 +453,8 @@ class TestContraction:
         solver = ParametrixSolver(small_var_coeffs)
         table = solver._tau_table(0.3)
         edges, rows = table
-        points = _table_points(edges)
-        x, _ = gauss_legendre(_TABLE_POINTS)
+        points = _tau_points(0.3, solver._layer_scale())[1]
+        x, _ = gauss_legendre(TABLE_POINTS)
         k = np.arange(points.shape[0])[:, None]
         hit = ((points - edges[k]) / (0.5 * np.diff(edges)[k]) - 1.0 == x).reshape(-1)
         assert hit.reshape(points.shape).any(axis=1).all()  # a hit in every panel
@@ -461,13 +471,13 @@ class TestContraction:
         horizon = 0.3
         rule = solver.quad.points_with_panels(horizon, layer=solver._layer_scale())
         edges, rows = solver._tau_table(horizon)
-        points = _table_points(edges)
-        x, _ = gauss_legendre(_TABLE_POINTS)
+        points = _tau_points(horizon, solver._layer_scale())[1]
+        x, _ = gauss_legendre(TABLE_POINTS)
         k = np.arange(points.shape[0])[:, None]
         hit = np.flatnonzero((points - edges[k]) / (0.5 * np.diff(edges)[k]) - 1.0 == x)
         assert hit.size >= points.shape[0]
         targets = np.append(points.reshape(-1)[hit], [rule[0][5], horizon])
-        f = solver._fold_plans(targets, *rule, edges)
+        f = _fold_plans(targets, *rule, solver._layer_scale(), edges)
         got = f[0] @ rows[:f.shape[2]]
         want = solver._joint_rows(targets)
         assert np.array_equal(got[:hit.size], rows[hit])
@@ -488,10 +498,10 @@ class TestContraction:
         real_joint = ParametrixSolver._joint_rows
         monkeypatch.setattr(ParametrixSolver, "_joint_rows", lambda self, ts, out=None:
                             joint.append(np.copy(ts)) or real_joint(self, ts, out))
-        real_plans = ParametrixSolver._plans
-        monkeypatch.setattr(ParametrixSolver, "_plans", lambda self, ts, *rule:
-                            planned.extend(ts) or real_plans(self, ts, *rule))
-        monkeypatch.setattr(parametrix, "_fold",
+        real_plans = quadrature._plans
+        monkeypatch.setattr(quadrature, "_plans", lambda ts, *rule:
+                            planned.extend(ts) or real_plans(ts, *rule))
+        monkeypatch.setattr(quadrature, "_fold",
                             lambda edges, tau, entries, slots:
                             folded.append(tau) or _fold(edges, tau, entries, slots))
         real_batch = bessel.iv_scaled_matrix
@@ -516,7 +526,7 @@ class TestContraction:
         # at most 8192 // s = 167 times per batch: one batch per tau panel
         # (edges 0, lam/4, lam/2, lam, 2 lam, ..., 32 lam and the horizon,
         # 33.3 lam), the joint rows of its Gauss points and no others
-        points = _table_points(real_table(solver, horizon)[0])
+        points = _tau_points(horizon, solver._layer_scale())[1]
         assert len(rows) == len(points)
         assert all(np.array_equal(got, want) for got, want in zip(rows, points))
         assert built == len(points) == 9
@@ -1246,6 +1256,52 @@ class TestReciprocity:
         ladder, march = self._readings(2, boundary, isotropic=False)
         assert ladder > 10.0 * self.LADDER_GATE
         assert march > 10.0 * self.MARCH_GATE
+
+
+class TestPositivity:
+    """Gamma(t) >= 0 entrywise: off the diagonal the generator's entries
+    are nonnegative, so its semigroup maps nonnegative data to nonnegative
+    solutions.  Checked on 8 random boxes, box i drawn from default_rng([0,
+    i]): d in {1, 2}, either boundary, radius 1-6 (1-D) or 1-3 (2-D), dx in
+    {1/4, 1/2}, c ~ U[0.5, 1.5] per site and direction, T ~ U[0.05, 0.4], 32
+    nodes.  The gate is min >= -1e-13 max, for ``gamma_matrix(T)`` (boxes
+    where the ladder raises its ``_M_CAP`` RuntimeError skipped) and for a
+    one-piece ``march`` column from e_beta / dx^d on every box.  Of the
+    first 16 boxes of this family the ladder raises on 2 (boxes 2 and 5),
+    and min / max reads 7.3e-11 to 0.15 (ladder) and 7.0e-6 to 1.0
+    (march)."""
+
+    GATE = 1e-13
+
+    @staticmethod
+    def _box(i):
+        rng = np.random.default_rng([0, i])
+        dim = int(rng.integers(1, 3))
+        grid = GridSpec(dx=float(rng.choice([0.25, 0.5])), dim=dim,
+                        radius=int(rng.integers(1, 7 if dim == 1 else 4)),
+                        boundary=str(rng.choice(["periodic-wrap", "zero-extension"])))
+        coeffs = Coefficients(grid, rng.uniform(0.5, 1.5, (dim,) + grid.shape))
+        return ParametrixSolver(coeffs, TimeQuadrature(nodes=32)), float(rng.uniform(0.05, 0.4))
+
+    @pytest.mark.parametrize("box", range(8))
+    def test_gamma_matrix_is_nonnegative(self, box):
+        solver, t = self._box(box)
+        try:
+            gamma = solver.gamma_matrix(t)
+        except RuntimeError as exc:
+            if "not convergent" not in str(exc):
+                raise
+            pytest.skip(f"the ladder raises at T={t:.3g}: {exc}")
+        assert gamma.min() >= -self.GATE * gamma.max()
+
+    @pytest.mark.parametrize("box", range(8))
+    def test_march_column_is_nonnegative(self, box):
+        solver, t = self._box(box)
+        grid = solver.grid
+        u0 = np.zeros(grid.site_count)
+        u0[grid.site_count // 3] = 1.0 / grid.cell_volume
+        column = solver.march(t, u0, 1)[0][-1]
+        assert column.min() >= -self.GATE * column.max()
 
 
 class TestPropagation:
