@@ -113,13 +113,13 @@ def cmd_gamma(args) -> int:
     _warn_radius(grid, args.time, coeffs.cbar)
     beta = tuple(args.beta) if args.beta else (0,) * grid.dim
     solver = ParametrixSolver(coeffs, TimeQuadrature(nodes=args.quad_nodes), tol=args.tol)
-    try:
+    try:  # both before any output, so a failure leaves none
         col = solver.gamma_column(beta, args.time)
+        series = solver.phi_series(args.time)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     field_to_csv(col, args.out)
-    series = solver.phi_series(args.time)
     _write_json(args.out + ".json", {
         "m_max": series.m_max, "fitted_C3": series.fitted_c3,
         "quad_nodes": args.quad_nodes, "tail_estimate": series.tail_estimate,

@@ -59,9 +59,12 @@ def recommended_radius(t: float, cbar: float, dx: float) -> int:
     With r = 2 cbar t / dx^2 the scaled Bessel orders beyond
     r + 40 sqrt(r+1) carry less than 1e-15 of the total mass, which makes
     a periodic box of this radius indistinguishable from the infinite
-    lattice at test tolerances.
+    lattice at test tolerances.  At t = 0 the kernel is the Dirac, with no
+    tail, so t <= 0 gives the floor of 1.
     """
-    return max(1, bessel.normalization_order(2.0 * cbar * max(t, 0.0) / dx**2))
+    if t <= 0.0:
+        return 1
+    return max(1, bessel.normalization_order(2.0 * cbar * t / dx**2))
 
 
 def kernel_1d(n: int, t: float, c: float, dx: float) -> float:

@@ -28,25 +28,27 @@ distinct values of c^j, not over the sites.
 A build (a ladder or a march) tabulates A's joint tables once, on the
 tau table of ``sdheat.quadrature`` (``_tau_table``), and reads each plan
 off it as fold weights F (``_fold_plans``).  D2_j, the contraction and
-the gather are linear, so ``_contract_plan`` gathers each node block of W
-= sum_r C[r, c] F(tau_r) from the contracted rows F @ rows, and no kernel
-matrix is built for a plan.  ``_panels`` contracts the targets of each
-panel of the rule with K_Y = K - diag(Y) A of a potential Y (K without
-one) into one W, block 0 K_Y at the targets.
+the gather are linear, so ``_contract_plan`` gathers each node block of
+W = sum_r C[r, c] F(tau_r) from the contracted rows F @ rows, and no
+kernel matrix is built for a plan.  It is the module's one gather; the
+forward march's history hands it rows laid out by site instead of by
+tuple (``_history``).  ``_panels`` contracts the targets of each panel of
+the rule with K_Y = K - diag(Y) A of a potential Y (K without one) into
+one W, block 0 K_Y at the targets.
 
 The ladder seeds K^(1) from the panels' block 0 and runs each order
 transposed, one product per panel over the nodes, K^(m)(x_i)^T = dx^d
 K^(m-1)^T W_i^T.  ``march`` solves the Volterra equation for rho_ext =
 [u(t0); rho] panel by panel, forward (node 0 and the nodes below a panel
-act through the table, ``_history``) or adjoint (each panel's whole W in
-one reused buffer).  Either ends with the horizon's plan contracted with
-A, dx^d [A(h) | W_h] applied to [I / dx^d; Phi] or to rho_ext.  The
-per-order sup norms decay like C C3^m t^{(m-1)/2} / Gamma(m/2); the
-truncation order is chosen by fitting C and C3 to the measured norms and
-summing the analytic tail.  A built ladder is one ``PhiSeries``:
-Gamma(horizon), its rule and the truncation record, cached per horizon;
-Phi itself is dropped.  Exact joint tables (``_joint_rows``) serve only
-the table, ``kernel_matrix`` and ``correction_matrix``.
+act through the table) or adjoint (each panel's whole W in one reused
+buffer).  Either ends with the horizon's plan contracted with A, dx^d
+[A(h) | W_h] applied to [I / dx^d; Phi] or to rho_ext.  The per-order sup
+norms decay like C C3^m t^{(m-1)/2} / Gamma(m/2); the truncation order
+is chosen by fitting C and C3 to the measured norms and summing the
+analytic tail.  A built ladder is one ``PhiSeries``: Gamma(horizon), its
+rule and the truncation record, cached per horizon; Phi itself is
+dropped.  Exact joint tables (``_joint_rows``) serve only the table,
+``kernel_matrix`` and ``correction_matrix``.
 """
 
 from __future__ import annotations
@@ -178,11 +180,11 @@ def _folded_offsets(grid: GridSpec, a, b) -> list:
 
 
 def _gather(values: np.ndarray, index: tuple[list[np.ndarray], list[np.ndarray]],
-            out: np.ndarray | None = None) -> np.ndarray:
+            out: np.ndarray) -> np.ndarray:
     """Folded tables, flat along their last axis, at the indices of each
-    image in ``index``: the images of its first list added, those of its
-    second (an odd number of mirrors) subtracted.  ``out``, when given, is
-    a contiguous buffer that receives the result."""
+    image in ``index``, into the contiguous buffer ``out``: the images of
+    its first list added, those of its second (an odd number of mirrors)
+    subtracted."""
     plus, minus = index
     out = np.take(values, plus[0], axis=-1, mode="clip", out=out)
     for image in plus[1:]:
@@ -230,28 +232,29 @@ class ParametrixSolver:
     initial value as node 0, folded onto the build's tau table by the plan
     pass of ``sdheat.quadrature`` over a list of targets (``_fold_plans``,
     from ``_plans``: a panel's 8 in the forward march, one at a time in
-    ``_panels``) and gathered into their W
-    (``_contract_plan``); ``_panels`` gathers the contracted targets of one
-    panel into one matrix W.  Construction keeps, per direction, the
-    distinct coefficient values and each site's index among them, and each
-    site's index among the distinct tuples of those indices: O(s) entries,
-    no index table and no s x s array.  Index tables, 2^d s^2 entries at
-    most, are built once a panel sweep (and for a forward march's history
-    gathers).  A build's tau table, 20 rows a tau panel of (period // 2 +
-    1)^d U entries for U distinct tuples (0.9 MB at 65 sites, 19 tuples and
-    nine panels), is a local of the build.  A ladder build drops it once
-    its panels are contracted and keeps their W, node 0's block among them,
-    while it runs its orders (about N^2 s^2 / 2 entries for N nodes and s
-    sites), and besides them one order buffer and Phi, (N + 1) s^2 entries
-    each, and a one-panel scratch of 9 s^2, all dropped before the end
-    step.  A built ladder keeps only Gamma(horizon), s^2 entries per
-    horizon, and every Gamma entry point reads it.  A forward march holds
-    its table and a tuple-major copy of it (0.9 MB each at 65 sites, 19
-    tuples and nine panels), one panel's fold weights (8 n P entries for the
-    n nodes and P table points it reads, 0.55 MB at 48 nodes) and its own
-    block, 64 s^2 entries (2.2 MB), but no folded rows.  The adjoint march
-    holds the whole W of one panel at a time, in one buffer sized for the
-    last panel: 8 (N + 1) s^2 entries, 13 MB there.
+    ``_panels``) and gathered into their W (``_contract_plan``); ``_panels``
+    gathers the contracted targets of one panel into one matrix W.
+    Construction keeps, per direction, the distinct coefficient values and
+    each site's index among them, and each site's index among the distinct
+    tuples of those indices: O(s) entries, no index table and no s x s
+    array.  Index tables, 2^d s^2 entries at most, are built once a panel
+    sweep (twice in a forward march: by tuple and by site).  A build's tau
+    table, 20 rows a tau panel of (period // 2 + 1)^d U entries for U
+    distinct tuples (0.9 MB at 65 sites, 19 tuples and nine panels), is a
+    local of the build.  A ladder build drops it once its panels are
+    contracted and keeps their W, node 0's block among them, while it runs
+    its orders (about N^2 s^2 / 2 entries for N nodes and s sites), and
+    besides them one order buffer and Phi, (N + 1) s^2 entries each, and a
+    one-panel scratch of 9 s^2, all dropped before the end step.  A built
+    ladder keeps only Gamma(horizon), s^2 entries per horizon, and every
+    Gamma entry point reads it.  A forward march holds its table and a
+    tuple-major copy of it (0.9 MB each there), one panel's fold weights (8
+    n P entries for the n nodes and P table points it reads, 0.55 MB at 48
+    nodes), its own block, 64 s^2 entries (2.2 MB), and the W of its
+    history for k columns, 8 k s^2 entries (0.27 MB at k = 1), in one
+    buffer for every panel, but no folded rows.  The adjoint march holds
+    the whole W of one panel at a time, in one buffer sized for the last
+    panel: 8 (N + 1) s^2 entries, 13 MB there.
 
     Kernels are folded on a torus, the mirror image subtracted on
     zero-extension grids (``_folded_offsets``), so Gamma is the fundamental
@@ -431,7 +434,8 @@ class ParametrixSolver:
         A without ``correction``; ``out`` is an optional contiguous buffer
         of s n s entries that receives W, and ``tables`` the
         ``_joint_index`` tables of every row block, when a caller that
-        contracts many plans builds them once.
+        contracts many plans builds them once.  A row laid out by site,
+        (offsets^d, s), with the sites' tables, is gathered alike.
 
         The contraction in tau, D2 and the gather are linear, so each node
         block is gathered from the contracted rows (``_joint_index``): term
@@ -449,8 +453,8 @@ class ParametrixSolver:
         size = (blocks[0][0].stop - blocks[0][0].start) * s  # index entries of a block
         step = max(1, 2**18 // size)  # nodes gathered at once, 2 MB a term
         scratch = np.empty(min(step, n) * size)
-        if correction:
-            d2 = np.empty((min(step, n),) + self._joint_shape)
+        if correction:  # a row's last axis: U tuples, or s sites for a history
+            d2 = np.empty(min(step, n) * contracted.shape[1])
         if potential is not None:
             y = np.asarray(potential, dtype=float).reshape(s, 1)
         for b, (rows, slabs) in enumerate(blocks):
@@ -463,7 +467,7 @@ class ParametrixSolver:
                 if not correction:
                     part[...] = _gather(a, index, term)
                     continue
-                diff = d2[:len(a)]
+                diff = d2[:a.size].reshape((len(a),) + self._joint_shape[:-1] + (-1,))
                 for j, inc in enumerate(increments):
                     self._offset_second_difference(a.reshape(diff.shape), 1 + j, diff)
                     _gather(diff.reshape(len(a), -1), index, term)
@@ -649,58 +653,18 @@ class ParametrixSolver:
                                     potential=y, out=own[j * s:(j + 1) * s], tables=tables)
             yield lo, lo + PANEL_POINTS, own, f
 
-    def _site_blocks(self) -> tuple[np.ndarray, list[tuple[slice, tuple]]]:
-        """The sites sorted by coefficient tuple, and for each row block of
-        ``_row_blocks`` its rows and the ``_joint_index`` tables of the
-        sorted sites, for ``_apply_joint``."""
-        order = np.argsort(self._tuples[1], kind="stable")
-        return order, [(rows, self._joint_index(slabs, np.argsort(order)))
-                       for rows, slabs in self._row_blocks()]
-
-    def _apply_joint(self, h: np.ndarray, y: np.ndarray | None, blocks: list) -> np.ndarray:
-        """sum_b F_{a,b} for the kernels F = K_Y (K when ``y`` is None) of
-        tables h, shape (m, offsets^d, s), one per row of the result (m, s):
-        h[i, n, b] holds the joint table of b's tuple at offsets n, the sites
-        b sorted by tuple as in ``_site_blocks``, whose row ``blocks`` it
-        gathers.  D2_j h along offset axis j is gathered and reduced as
-        sum_j (c_a^j sum_b g_j - sum_b c_b^j g_j) - y_a sum_b g_A, for as
-        many rows of h at once as keep a gather near 2^18 entries."""
-        s = self.grid.site_count
-        m = h.shape[0]
-        size = (blocks[0][0].stop - blocks[0][0].start) * s  # index entries of a block
-        step = max(1, 2**18 // size)
-        out = np.zeros((m, s))
-        diff = np.empty((min(step, m),) + h.shape[1:])
-        scratch = np.empty(min(step, m) * size)
-
-        def gather(values, index):  # into the scratch buffer
-            shape = (values.shape[0],) + index[0][0].shape
-            return _gather(values.reshape(shape[0], -1), index,
-                           scratch[:math.prod(shape)].reshape(shape))
-
-        for lo in range(0, m, step):
-            part, rows = h[lo:lo + step], out[lo:lo + step]
-            d2 = diff[:len(part)]
-            for j, c in enumerate(self._cflat):
-                self._offset_second_difference(part, 1 + j, d2)
-                for sites, index in blocks:
-                    g = gather(d2, index)
-                    rows[:, sites] += c[sites] * g.sum(axis=-1) - g @ c
-            if y is not None:
-                for sites, index in blocks:
-                    rows[:, sites] -= y[sites] * gather(part, index).sum(axis=-1)
-        return out
-
     def _history(self, f: np.ndarray, rho: np.ndarray, y: np.ndarray | None,
-                 order: np.ndarray, blocks: list, by_tuple: np.ndarray) -> np.ndarray:
+                 order: np.ndarray, tables: list, by_tuple: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
         """W_p< rho_<, (targets s, k), from the fold weights f, (lo + 1,
         targets, P), of the targets' plans at node 0 and the lo nodes below
         their panel, with neither W_p< nor their folded rows formed.  z = f^T
-        rho_< is one product, with the sites sorted by tuple (``order``);
-        then for each coefficient tuple u, one product of z at the sites of
-        u with ``by_tuple[u]``, the tau table's rows of u laid out (tau,
-        offsets^d), gives H = sum_c rows_c rho_c, which ``_apply_joint``
-        reduces."""
+        rho_< is one product, the sites sorted by tuple (``order``); one
+        product per tuple u of z at its sites with ``by_tuple[u]``, the
+        table's rows of u (tau, offsets^d), gives H = sum_c rows_c rho_c, a
+        row H_i (offsets^d, sites) per column and target.  ``_contract_plan``
+        gathers W[a, i, b] = F_{a,b} H_i(b), F = K_Y (K when ``y`` is None),
+        into ``out`` with the sites' ``tables``; its sum over b is returned."""
         s = self.grid.site_count
         below, targets, size = f.shape
         k = rho.shape[1]
@@ -713,9 +677,9 @@ class ParametrixSolver:
             np.matmul(z[first * width:last * width], by_tuple[u, :size],
                       out=h[first:last].reshape(-1, h.shape[-1]))
             first = last
-        h = np.ascontiguousarray(h.transpose(1, 2, 0))
-        out = self._apply_joint(h.reshape((width,) + self._joint_shape[:-1] + (s,)), y, blocks)
-        return out.reshape(k, targets, s).transpose(1, 2, 0).reshape(-1, k)
+        h = np.ascontiguousarray(h.transpose(1, 2, 0)).reshape(width, -1)
+        w = self._contract_plan(h, potential=y, out=out, tables=tables)
+        return w.reshape(s, k, targets, s).sum(axis=-1).transpose(2, 0, 1).reshape(-1, k)
 
     def _march_panels(self, nodes: np.ndarray, weights: np.ndarray, bp: np.ndarray,
                       y: np.ndarray | None, table: tuple[np.ndarray, np.ndarray],
@@ -753,9 +717,12 @@ class ParametrixSolver:
                       self._panels(nodes, weights, bp, y, table, buffer, reverse=True))
         else:
             panels = self._own_panels(nodes, weights, bp, y, table)
-            order, blocks = self._site_blocks()
+            order = np.argsort(self._tuples[1], kind="stable")  # the sites sorted by tuple
+            sites = np.argsort(order)  # each site's position among them
+            tables = [self._joint_index(slabs, sites) for _, slabs in self._row_blocks()]
             by_tuple = np.ascontiguousarray(  # the table's rows (tuple, tau, offsets^d)
                 table[1].reshape(table[1].shape[0], -1, self._joint_shape[-1]).transpose(2, 0, 1))
+            history = np.empty(PANEL_POINTS * rho.shape[1] * s * s)
         residual = 0.0
         for lo, hi, own, w in panels:
             own *= -vol
@@ -765,7 +732,8 @@ class ParametrixSolver:
             if adjoint:
                 own = own.T
             else:
-                b += vol * self._history(w[:lo + 1], rho[:below], y, order, blocks, by_tuple)
+                b += vol * self._history(w[:lo + 1], rho[:below], y, order, tables, by_tuple,
+                                         history)
             scale = np.maximum(np.abs(b).max(axis=0), np.finfo(float).tiny)
             x, res, last = b, np.inf, np.inf
             for _ in range(0 if adjoint else _SWEEPS):  # x <- x + (b - own x) from x = b

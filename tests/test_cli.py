@@ -54,6 +54,12 @@ class TestKernel:
                     "--t", "0.3", "--radius", "48", "--out", out)
         assert Path(a).read_bytes() == Path(b).read_bytes()
 
+    def test_zero_time_does_not_warn(self, tmp_path, capsys):
+        # the kernel at t = 0 is the Dirac, which no radius truncates
+        assert run_cli("kernel", "--dim", "1", "--dx", "0.5", "--c", "1", "--t", "0",
+                       "--radius", "2", "--out", str(tmp_path / "k.csv")) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestCompare:
     def test_identical_files_give_zero(self, tmp_path, capsys):
@@ -98,6 +104,15 @@ class TestGammaOracleCompare:
                        "--coeff", "sine:1,0.3,0.2", "--time", "0.1", "--quad-nodes", "16",
                        "--tol", "nan", "--out", out) == 2
         assert not Path(out).exists()
+
+    def test_zero_time_exit_2_leaves_nothing(self, tmp_path):
+        # Gamma(0) is the Dirac, but the sidecar's ladder needs a positive
+        # horizon: the run fails before it writes the column or the sidecar
+        out = str(tmp_path / "g.csv")
+        assert run_cli("gamma", "--dim", "1", "--dx", "0.5", "--radius", "2",
+                       "--coeff", "const:1", "--time", "0", "--quad-nodes", "16",
+                       "--out", out) == 2
+        assert not Path(out).exists() and not Path(out + ".json").exists()
 
 
 class TestSolve:

@@ -49,6 +49,13 @@ class TestKernel1d:
             kernel_1d(0, 1.0, 0.0, 1.0)
 
 
+def test_recommended_radius_floor_at_zero_time():
+    # the kernel at t = 0 is the Dirac, with no tail to truncate; the rule
+    # for t > 0 is unchanged
+    assert recommended_radius(0.0, 1.0, 0.5) == 1
+    assert recommended_radius(0.5, 1.0, 0.5) == math.ceil(4.0 + 40.0 * math.sqrt(5.0))
+
+
 class TestKernelNd:
     def test_initial_dirac(self):
         assert kernel_nd((0, 0), 0.0, ConstCoeffs.of(1.0, 2.0), 0.5) == 4.0
